@@ -13,13 +13,7 @@ from .sign_families import (
     exact_moments,
     f_values,
     g_table,
-    make_kwise,
     make_sampler,
-    sample_h,
-    sample_h1,
-    sample_h2,
-    sample_h3,
-    sample_kwise,
 )
 from .walks import (
     GrowthFit,
@@ -30,7 +24,6 @@ from .walks import (
     fit_log_growth,
     prefix_sums,
     scaling_table,
-    sup_abs_prefix,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -49,23 +49,10 @@ def dense_matrix(n: int) -> np.ndarray:
     return lg - bit_len[xor]
 
 
-def quadratic_form(n: int, x: Sequence[float] | np.ndarray) -> float:
-    """x^T A x via level sums: sum over levels r < lg n of the squared
-    dyadic block sums of x.  O(n lg n) and never materializes A."""
-    lg = _lg(n)
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (n,):
-        raise ValueError(f"expected a length-{n} vector")
-    total = float((arr ** 2).sum())
-    sums = arr
-    for _ in range(1, lg):
-        sums = sums.reshape(-1, 2).sum(axis=1)
-        total += float((sums ** 2).sum())
-    return total
-
-
 def quadratic_form_rows(n: int, rows: np.ndarray) -> np.ndarray:
-    """Row-wise x^T A x for a (count, n) batch."""
+    """Row-wise x^T A x for a (count, n) batch via level sums: sum over
+    levels r < lg n of the squared dyadic block sums of x.  O(n lg n) per
+    row and never materializes A."""
     lg = _lg(n)
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n:
@@ -85,7 +72,8 @@ def prefix_lower_bound_check(n: int, x: Sequence[float] | np.ndarray, i: int,
         raise ValueError(f"prefix index must lie in 1..{n}")
     arr = np.asarray(x, dtype=np.float64)
     prefix = float(arr[:i].sum())
-    return quadratic_form(n, arr) >= prefix * prefix / _lg(n) - tol
+    form = float(quadratic_form_rows(n, arr[None])[0])
+    return form >= prefix * prefix / _lg(n) - tol
 
 
 @lru_cache(maxsize=2)

@@ -291,15 +291,10 @@ def _run_matrix_check(config: ExperimentConfig) -> ResultTable:
         table.add(n, "corollary_ratio_normalized", ratio, 1.0, config.seed)
         table.check(f"n={n} trace x max inverse-form within (0, 1]",
                     0.0 < ratio <= 1.0 + 1e-12, f"ratio {ratio:.4f}")
-        rng = substream(config.seed, n)
-        ok = True
-        for _ in range(gaussians):
-            x = rng.standard_normal(n)
-            form = dyadic_matrix.quadratic_form(n, x)
-            prefixes = np.cumsum(x)
-            if form < (prefixes ** 2).max() / lg - 1e-9:
-                ok = False
-                break
+        rows = substream(config.seed, n).standard_normal((gaussians, n))
+        forms = dyadic_matrix.quadratic_form_rows(n, rows)
+        best = (np.cumsum(rows, axis=1) ** 2).max(axis=1)
+        ok = bool((forms >= best / lg - 1e-9).all())
         table.add(n, "gaussian_prefix_bound", ok, True, config.seed)
         table.check(f"n={n} prefix lower bound on {gaussians} gaussians", ok)
     return table
@@ -384,8 +379,7 @@ def _run_net_audit(config: ExperimentConfig) -> ResultTable:
             rng = substream(config.seed, m)
             batch = (make_sampler(FamilySpec(kind=FULLY_INDEPENDENT, n=stream.n))
                      .sample_batch(rng, realizations))
-            w = stream.prefix_inner_rows(batch)
-            sups = np.abs(w[:, 1:]).max(axis=1)
+            sups = streams.sup_inner_rows(stream, batch)
             quad = streams.chain_form_quadratic_rows(nets, batch)
             dom_q = bool((quad >= sups ** 2 / (2 * np.log2(m) + 1) - 1e-9).all())
             form4 = streams.chain_form_k_rows(nets, batch, 4)
@@ -458,17 +452,8 @@ def verify_suite() -> list[Check]:
           all(r < 13 for r in ratios),
           "ratios " + ", ".join(f"{float(r):.3f}" for r in ratios))
 
-    displayed = np.array([
-        [3, 2, 1, 1, 0, 0, 0, 0],
-        [2, 3, 1, 1, 0, 0, 0, 0],
-        [1, 1, 3, 2, 0, 0, 0, 0],
-        [1, 1, 2, 3, 0, 0, 0, 0],
-        [0, 0, 0, 0, 3, 2, 1, 1],
-        [0, 0, 0, 0, 2, 3, 1, 1],
-        [0, 0, 0, 0, 1, 1, 3, 2],
-        [0, 0, 0, 0, 1, 1, 2, 3]])
     check("certificate matrix n=8 matches reference entries",
-          bool((dyadic_matrix.dense_matrix(8) == displayed).all()))
+          bool((dyadic_matrix.dense_matrix(8) == REFERENCE_8).all()))
     check("trace identity n in 4..4096",
           all(dyadic_matrix.trace(n) == n * int(np.log2(n))
               for n in (4, 8, 16, 64, 256, 1024, 4096)))

@@ -50,15 +50,6 @@ class GF2Field:
             b >>= 1
         return acc
 
-    def power(self, a: int, e: int) -> int:
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return acc
-
     def lsb_vector(self, y: int) -> int:
         """Mask v with bit b equal to the low bit of x^b * y.
 

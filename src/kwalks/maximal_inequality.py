@@ -23,8 +23,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .parallel import map_reduce_chunks
-from .sign_families import FamilySpec, make_sampler
+from .parallel import mc_moments
+from .sign_families import FamilySpec
 
 WINDOW_LO = Fraction(45, 100)
 WINDOW_HI = Fraction(55, 100)
@@ -461,14 +461,13 @@ class TailRow:
     fitted_constant: float
 
 
-def _tail_chunk(args, rng, count):
-    family_config, sigmas, lambdas = args
-    spec = FamilySpec.from_config(family_config)
-    sampler = make_sampler(spec)
-    scale = np.asarray(sigmas, dtype=np.float64)
-    steps = sampler.sample_batch(rng, count).astype(np.float64) * scale
+def tail_hit_rows(batch: np.ndarray, sigmas: tuple[float, ...],
+                  lambdas: tuple[float, ...]) -> np.ndarray:
+    """Row-wise indicators of sup_i |S_i| >= lambda, one column per lambda,
+    for the walk with steps sigma_i * x_i over a batch of sign rows x."""
+    steps = batch.astype(np.float64) * np.asarray(sigmas, dtype=np.float64)
     sups = np.abs(np.cumsum(steps, axis=1)).max(axis=1)
-    return tuple(float((sups >= lam).sum()) for lam in lambdas) + (count,)
+    return sups[:, None] >= np.asarray(lambdas, dtype=np.float64)
 
 
 def mc_tail(spec: FamilySpec, sigmas: Sequence[float], lambdas: Sequence[float],
@@ -483,20 +482,14 @@ def mc_tail(spec: FamilySpec, sigmas: Sequence[float], lambdas: Sequence[float],
         raise ValueError("tail study needs a 4-wise independent family or better")
     if len(sigmas) != spec.n:
         raise ValueError("need one scale per coordinate")
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
     total_var = float(np.sum(np.asarray(sigmas, dtype=np.float64) ** 2))
-    out = map_reduce_chunks(
-        _tail_chunk, (spec.to_config(), tuple(float(s) for s in sigmas),
-                      tuple(float(x) for x in lambdas)),
-        trials, seed, workers)
-    *hit_counts, count = out
+    est = mc_moments(tail_hit_rows, (tuple(float(s) for s in sigmas),
+                                     tuple(float(x) for x in lambdas)),
+                     spec, trials, seed, workers)
     rows = []
-    for lam, hits in zip(lambdas, hit_counts):
-        p = hits / count
-        stderr = (p * (1 - p) / count) ** 0.5
+    for lam, hits, p, stderr in zip(lambdas, est.totals, est.mean, est.stderr):
         bound = total_var / float(lam) ** 2
-        rows.append(TailRow(lam=float(lam), hits=int(hits), trials=int(count),
+        rows.append(TailRow(lam=float(lam), hits=int(hits), trials=trials,
                             empirical_p=p, stderr=stderr, variance_bound=bound,
                             fitted_constant=p / bound if bound else 0.0))
     return rows

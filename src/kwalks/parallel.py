@@ -1,4 +1,4 @@
-"""Chunked map-reduce over Monte Carlo trials.
+"""Chunked map-reduce over Monte Carlo trials, and the one estimator on it.
 
 Work is partitioned into fixed-size chunks with derived substreams and the
 partial results are summed in chunk order, so a run is byte-reproducible
@@ -8,9 +8,13 @@ for a given (seed, trials) regardless of worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .rng import chunk_layout, substream
+from .sign_families import ADVERSARIAL_STAGE, H_BRANCHES, FamilySpec, make_sampler
 
 
 def _run_chunk(fn: Callable, args, seed: int, chunk_index: int, count: int):
@@ -28,6 +32,8 @@ def map_reduce_chunks(fn: Callable, args, trials: int, seed: int,
     fn must be a module-level function (picklable) returning a tuple of
     numbers; the sums are accumulated in chunk order.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got trials={trials}")
     chunks = list(chunk_layout(trials))
     if workers <= 1 or len(chunks) <= 1:
         partials = [_run_chunk(fn, args, seed, c, count) for c, count in chunks]
@@ -40,3 +46,55 @@ def map_reduce_chunks(fn: Callable, args, trials: int, seed: int,
         for i, v in enumerate(part):
             totals[i] += v
     return tuple(totals)
+
+
+@dataclass(frozen=True)
+class ColumnMoments:
+    """Monte Carlo summary of a row statistic, one entry per column.
+
+    totals are the column sums over all trials; mean is totals / trials and
+    stderr is sqrt((E[x^2] - E[x]^2) / trials), clamped at 0.
+    """
+
+    totals: tuple[float, ...]
+    mean: tuple[float, ...]
+    stderr: tuple[float, ...]
+
+
+def _moment_chunk(args, rng, count):
+    family_config, branch, stat, stat_args = args
+    sampler = make_sampler(FamilySpec.from_config(family_config))
+    if branch is None:
+        batch = sampler.sample_batch(rng, count)
+    else:
+        batch = sampler.sample_branch(rng, branch, count)
+    # each column is summed as its own 1-d array, so a column's sums do not
+    # depend on how many columns the statistic has
+    columns = np.asarray(stat(batch, *stat_args), dtype=np.float64)
+    columns = columns.reshape(count, -1).T
+    return (tuple(float(col.sum()) for col in columns)
+            + tuple(float((col ** 2).sum()) for col in columns))
+
+
+def mc_moments(stat: Callable, stat_args: tuple, spec: FamilySpec, trials: int,
+               seed: int, workers: int = 1,
+               branch: str | None = None) -> ColumnMoments:
+    """Column means and standard errors of stat(batch, *stat_args).
+
+    stat is a module-level function mapping a (count, n) batch of sign
+    rows to count values or a (count, columns) array.  branch, one of
+    H_BRANCHES, draws the rows from that branch of a stage-H family.
+    """
+    if trials < 100:
+        raise ValueError("need at least 100 trials")
+    if branch is not None and (spec.kind != ADVERSARIAL_STAGE or spec.stage != "H"
+                               or branch not in H_BRANCHES):
+        raise ValueError(f"branch needs stage H and one of {H_BRANCHES}")
+    sums = map_reduce_chunks(_moment_chunk,
+                             (spec.to_config(), branch, stat, stat_args),
+                             trials, seed, workers)
+    totals, squares = sums[:len(sums) // 2], sums[len(sums) // 2:]
+    mean = tuple(total / trials for total in totals)
+    stderr = tuple((max(sq / trials - m * m, 0.0) / trials) ** 0.5
+                   for sq, m in zip(squares, mean))
+    return ColumnMoments(totals=totals, mean=mean, stderr=stderr)

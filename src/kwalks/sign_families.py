@@ -28,11 +28,10 @@ once at construction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import IO
+from itertools import accumulate
 
 import numpy as np
 
@@ -198,26 +197,22 @@ class AdversarialParams:
                 np.array(signs, dtype=np.int8))
 
     @cached_property
+    def pair_weights(self) -> list[Fraction]:
+        """|g(c1, c2)| per pair mode, in lexicographic (c1, c2) order."""
+        return [abs(self.g[c1][c2]) for c1 in range(self.root)
+                for c2 in range(c1 + 1, self.root)]
+
+    @cached_property
     def mode_cdf(self) -> np.ndarray:
         """Inverse-CDF boundaries: slot 0 draws the rotated stage, then the
-        pair modes in lexicographic (c1, c2) order."""
-        weights = [Fraction(1) / self.g_scale]
-        for c1 in range(self.root):
-            for c2 in range(c1 + 1, self.root):
-                weights.append(abs(self.g[c1][c2]) / self.g_scale)
-        return np.cumsum([float(w) for w in weights])
+        pair modes; cumulated exactly, so the last one is 1.0."""
+        return _exact_cdf([Fraction(1)] + self.pair_weights, self.g_scale)
 
     @cached_property
     def pair_mode_cdf(self) -> np.ndarray:
         """Inverse-CDF boundaries over the pair modes alone, given that a
         pair mode is drawn; cumulated exactly, so the last one is 1.0."""
-        total = self.g_scale - 1
-        cumulative, out = Fraction(0), []
-        for c1 in range(self.root):
-            for c2 in range(c1 + 1, self.root):
-                cumulative += abs(self.g[c1][c2])
-                out.append(float(cumulative / total))
-        return np.array(out)
+        return _exact_cdf(self.pair_weights, self.g_scale - 1)
 
     @cached_property
     def branch_weights(self) -> dict[str, Fraction]:
@@ -230,6 +225,11 @@ class AdversarialParams:
     @cached_property
     def p_float(self) -> float:
         return float(self.p)
+
+
+def _exact_cdf(weights: list[Fraction], total: Fraction) -> np.ndarray:
+    """Float boundaries of the exact running sums of weights / total."""
+    return np.array([float(c / total) for c in accumulate(weights)])
 
 
 @lru_cache(maxsize=16)
@@ -377,35 +377,14 @@ class AdversarialSampler:
         return rows * self._global_signs(rng, size)[:, None]
 
 
-def sample_h1(params: AdversarialParams, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the biased independent stage."""
-    return AdversarialSampler(params, "H1").sample(rng)
-
-
-def sample_h2(params: AdversarialParams, rng: np.random.Generator) -> np.ndarray:
-    """One draw: biased stage rotated by a uniform number of blocks."""
-    return AdversarialSampler(params, "H2").sample(rng)
-
-
-def sample_h3(params: AdversarialParams, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the correlation-cancelling mixture."""
-    return AdversarialSampler(params, "H3").sample(rng)
-
-
-def sample_h(params: AdversarialParams, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the final pairwise independent family."""
-    return AdversarialSampler(params, "H").sample(rng)
-
-
 class KWiseSampler:
     """Exactly k-wise independent signs from random field polynomials."""
 
-    def __init__(self, n: int, k: int, width: int = 64, seed: int = 0):
+    def __init__(self, n: int, k: int, width: int = 64):
         if not 2 <= k <= n:
             raise ValueError("need 2 <= k <= n")
         self.n = n
         self.k = k
-        self.seed = seed
         self.field = GF2Field(width)
         if self.field.order < n:
             raise ValueError(f"field of order {self.field.order} too small for n={n}")
@@ -433,15 +412,6 @@ class KWiseSampler:
         if self.field.width == 64:
             return rng.integers(0, 1 << 64, size=(count, self.k), dtype=np.uint64)
         return rng.integers(0, self.field.order, size=(count, self.k)).astype(np.uint64)
-
-
-def make_kwise(n: int, k: int, seed: int = 0, width: int = 64) -> KWiseSampler:
-    """Sampler for the exactly k-wise independent polynomial family."""
-    return KWiseSampler(n, k, width=width, seed=seed)
-
-
-def sample_kwise(sampler: KWiseSampler, rng: np.random.Generator) -> np.ndarray:
-    return sampler.sample(rng)
 
 
 class IndependentSampler:
@@ -506,16 +476,6 @@ class MomentSummary:
                 if v != (1 if i == j else 0):
                     return False
         return True
-
-    def to_csv(self, out: IO[str]) -> None:
-        """Rows (i, j, E[h_i h_j]) with 1-based indices, then the means."""
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["row", "col", "value"])
-        for i, row in enumerate(self.covariance, start=1):
-            for j, v in enumerate(row, start=1):
-                writer.writerow([i, j, str(v)])
-        for i, v in enumerate(self.mean, start=1):
-            writer.writerow([i, 0, str(v)])
 
 
 def exact_moments(spec: FamilySpec) -> MomentSummary:

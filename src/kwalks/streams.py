@@ -22,8 +22,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .gf2 import all_polynomial_signs, min_width
-from .parallel import map_reduce_chunks
-from .sign_families import FamilySpec, make_sampler
+from .parallel import mc_moments
+from .sign_families import FamilySpec
 from .walks import SupEstimate
 
 # Exact k-th moment constants for +-1 valued steps.
@@ -62,17 +62,12 @@ class InsertionStream:
     def norm_sq(self) -> int:
         return int((self.counts().astype(object) ** 2).sum())
 
-    def prefix_inner(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
-        """W_t = <x, z^(t)> for t = 0..m."""
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.shape != (self.n,):
-            raise ValueError(f"expected a length-{self.n} vector")
-        out = np.zeros(self.m + 1)
-        np.cumsum(arr[self.items - 1], out=out[1:])
-        return out
-
     def prefix_inner_rows(self, rows: np.ndarray) -> np.ndarray:
+        """W_t = <x, z^(t)> for t = 0..m, one row per row x of a
+        (count, n) batch."""
         arr = np.asarray(rows, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != self.n:
+            raise ValueError(f"expected shape (count, {self.n})")
         out = np.zeros((len(arr), self.m + 1))
         np.cumsum(arr[:, self.items - 1], axis=1, out=out[:, 1:])
         return out
@@ -265,17 +260,9 @@ def _level_diffs(nets: NetHierarchy, w: np.ndarray, r: int) -> np.ndarray:
     return w[..., lvl.times] - w[..., prev.times[lvl.parents]]
 
 
-def chain_form_quadratic(nets: NetHierarchy, x: Sequence[float] | np.ndarray) -> float:
-    """Sum over levels r >= 1 and net points of <a_{r,s} - parent, x>^2."""
-    w = nets.stream.prefix_inner(x)
-    total = 0.0
-    for r in range(1, nets.num_levels):
-        diffs = _level_diffs(nets, w, r)
-        total += float((diffs ** 2).sum())
-    return total
-
-
 def chain_form_quadratic_rows(nets: NetHierarchy, rows: np.ndarray) -> np.ndarray:
+    """Row-wise sum over levels r >= 1 and net points of
+    <a_{r,s} - parent, x>^2."""
     w = nets.stream.prefix_inner_rows(rows)
     total = np.zeros(len(w))
     for r in range(1, nets.num_levels):
@@ -284,19 +271,9 @@ def chain_form_quadratic_rows(nets: NetHierarchy, rows: np.ndarray) -> np.ndarra
     return total
 
 
-def chain_form_k(nets: NetHierarchy, x: Sequence[float] | np.ndarray, k: int) -> float:
-    """Weighted form: sum over r of 2^(r/2) times the k-th power sums."""
-    if k < 4 or k % 2:
-        raise ValueError("k must be even and at least 4")
-    w = nets.stream.prefix_inner(x)
-    total = 0.0
-    for r in range(1, nets.num_levels):
-        diffs = _level_diffs(nets, w, r)
-        total += float(2 ** (r / 2) * (diffs ** k).sum())
-    return total
-
-
 def chain_form_k_rows(nets: NetHierarchy, rows: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise weighted form: sum over r of 2^(r/2) times the k-th power
+    sums of the level-r differences."""
     if k < 4 or k % 2:
         raise ValueError("k must be even and at least 4")
     w = nets.stream.prefix_inner_rows(rows)
@@ -322,10 +299,9 @@ def chain_dominance_floor(k: int, m: int) -> float:
     return head ** k
 
 
-def sup_inner(stream: InsertionStream, x: Sequence[float] | np.ndarray) -> float:
-    """sup over 1 <= t <= m of |<x, z^(t)>|."""
-    w = stream.prefix_inner(x)
-    return float(np.abs(w[1:]).max())
+def sup_inner_rows(stream: InsertionStream, rows: np.ndarray) -> np.ndarray:
+    """Row-wise sup over 1 <= t <= m of |<x, z^(t)>| for a (count, n) batch."""
+    return np.abs(stream.prefix_inner_rows(rows)[:, 1:]).max(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -361,39 +337,28 @@ def mz_moment_check(v: Sequence[float], k: int, trials: int | None = None,
             raise AssertionError(f"moment {moment} exceeds bound {bound}")
         return moment, bound
 
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
     spec = FamilySpec(kind=("PolynomialKWise" if n >= k else "FullyIndependent"),
                       n=n, k=k if n >= k else None, seed=seed)
     vec_f = np.asarray(v, dtype=np.float64)
-    total, total_sq, count = map_reduce_chunks(
-        _mz_chunk, (spec.to_config(), tuple(float(x) for x in vec_f), k),
-        trials, seed, 1)
-    moment = total / count
-    stderr = (max(total_sq / count - moment ** 2, 0.0) / count) ** 0.5
+    est = mc_moments(inner_power_rows, (tuple(float(x) for x in vec_f), k),
+                     spec, trials, seed)
+    moment, stderr = est.mean[0], est.stderr[0]
     bound = MOMENT_CONSTANTS[k] * float((vec_f ** 2).sum()) ** (k / 2)
     if moment > bound + 3 * stderr:
         raise AssertionError(f"moment {moment} exceeds bound {bound}")
     return moment, bound
 
 
-def _mz_chunk(args, rng, count):
-    family_config, vec, k = args
-    sampler = make_sampler(FamilySpec.from_config(family_config))
-    inner = sampler.sample_batch(rng, count).astype(np.float64) @ np.asarray(vec)
-    vals = inner ** k
-    return float(vals.sum()), float((vals ** 2).sum()), count
+def inner_power_rows(batch: np.ndarray, vec: tuple[float, ...],
+                     k: int) -> np.ndarray:
+    """Row-wise <x, vec>^k for a (count, n) batch of sign rows x."""
+    return (batch.astype(np.float64) @ np.asarray(vec)) ** k
 
 
-def _sup_inner_chunk(args, rng, count):
-    family_config, items, n, k = args
-    spec = FamilySpec.from_config(family_config)
-    sampler = make_sampler(spec)
-    stream = InsertionStream(items=np.asarray(items, dtype=np.int64), n=n)
-    batch = sampler.sample_batch(rng, count).astype(np.float64)
-    w = stream.prefix_inner_rows(batch)
-    sups = np.abs(w[:, 1:]).max(axis=1) ** k
-    return float(sups.sum()), float((sups ** 2).sum()), count
+def sup_inner_power_rows(batch: np.ndarray, stream: InsertionStream,
+                         k: int) -> np.ndarray:
+    """Row-wise sup_t |<x, z^(t)>|^k for a (count, n) batch of sign rows x."""
+    return sup_inner_rows(stream, batch) ** k
 
 
 def mc_sup_moment(stream: InsertionStream, spec: FamilySpec, k: int,
@@ -406,13 +371,7 @@ def mc_sup_moment(stream: InsertionStream, spec: FamilySpec, k: int,
     if spec.independence_order < needed:
         raise ValueError(
             f"order-{k} supremum moments need {needed}-wise independence")
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    total, total_sq, count = map_reduce_chunks(
-        _sup_inner_chunk,
-        (spec.to_config(), tuple(int(p) for p in stream.items), stream.n, k),
-        trials, seed, workers)
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return SupEstimate(moment_order=k, mean=mean, stderr=(var / count) ** 0.5,
+    est = mc_moments(sup_inner_power_rows, (stream, k), spec, trials, seed,
+                     workers)
+    return SupEstimate(moment_order=k, mean=est.mean[0], stderr=est.stderr[0],
                        trials=trials, n=stream.n)

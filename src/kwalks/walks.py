@@ -7,17 +7,15 @@ sizes and fit the normalized means against lg n.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .parallel import map_reduce_chunks
+from .parallel import mc_moments
 from .rng import mix64
-from .sign_families import (ADVERSARIAL_STAGE, H_BRANCHES, AdversarialParams,
-                             FamilySpec, make_sampler)
+from .sign_families import AdversarialParams, FamilySpec
 
 
 def prefix_sums(v: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -28,14 +26,9 @@ def prefix_sums(v: Sequence[int] | np.ndarray) -> np.ndarray:
     return out
 
 
-def sup_abs_prefix(v: Sequence[int] | np.ndarray) -> int:
-    """Largest |S_i| over 1 <= i <= n; at least 1 for any sign vector."""
-    sums = prefix_sums(v)
-    return int(np.abs(sums[1:]).max())
-
-
 def sup_abs_prefix_batch(batch: np.ndarray) -> np.ndarray:
-    """Row-wise sup |S_i| for a (rows, n) batch of sign vectors."""
+    """Row-wise largest |S_i| over 1 <= i <= n for a (rows, n) batch of
+    sign vectors; at least 1 for any sign row."""
     sums = np.cumsum(batch, axis=1, dtype=np.int64)
     return np.abs(sums).max(axis=1)
 
@@ -55,16 +48,9 @@ class SupEstimate:
             raise ValueError("moment estimates are nonnegative")
 
 
-def _sup_moment_chunk(args, rng, count):
-    family_config, moment_order, branch = args
-    sampler = make_sampler(FamilySpec.from_config(family_config))
-    if branch is None:
-        batch = sampler.sample_batch(rng, count)
-    else:
-        batch = sampler.sample_branch(rng, branch, count)
-    sups = sup_abs_prefix_batch(batch).astype(np.float64)
-    vals = sups ** moment_order
-    return float(vals.sum()), float((vals ** 2).sum()), count
+def sup_moment_rows(batch: np.ndarray, moment_order: int) -> np.ndarray:
+    """Row-wise (sup_t |S_t|)^moment_order, as float64."""
+    return sup_abs_prefix_batch(batch).astype(np.float64) ** moment_order
 
 
 def estimate_sup_moment(spec: FamilySpec, moment_order: int, trials: int,
@@ -75,23 +61,12 @@ def estimate_sup_moment(spec: FamilySpec, moment_order: int, trials: int,
     branch, one of H_BRANCHES, conditions a stage-H family on that branch
     of its mixture; None samples the family itself.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
     if moment_order < 1:
         raise ValueError("moment order must be positive")
-    if branch is not None and (spec.kind != ADVERSARIAL_STAGE or spec.stage != "H"
-                               or branch not in H_BRANCHES):
-        raise ValueError(f"branch needs stage H and one of {H_BRANCHES}")
-    if seed is None:
-        seed = spec.seed
-    total, total_sq, count = map_reduce_chunks(
-        _sup_moment_chunk, (spec.to_config(), moment_order, branch), trials,
-        seed, workers)
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    stderr = (var / count) ** 0.5
-    return SupEstimate(moment_order=moment_order, mean=mean, stderr=stderr,
-                       trials=trials, n=spec.n)
+    est = mc_moments(sup_moment_rows, (moment_order,), spec, trials,
+                     spec.seed if seed is None else seed, workers, branch)
+    return SupEstimate(moment_order=moment_order, mean=est.mean[0],
+                       stderr=est.stderr[0], trials=trials, n=spec.n)
 
 
 def drift_check_h1(params: AdversarialParams, block_index: int) -> Fraction:
@@ -118,13 +93,6 @@ class ScalingTable:
                 m //= 4
             if m != 1:
                 raise ValueError(f"n={n} is not a power of 4")
-
-    def to_csv(self, out: IO[str], seed: int | None = None) -> None:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "moment_order", "mean", "stderr", "trials", "seed"])
-        for n, est in self.rows:
-            writer.writerow([n, est.moment_order, repr(est.mean),
-                             repr(est.stderr), est.trials, seed])
 
 
 def scaling_table(spec_template: FamilySpec, n_values: Sequence[int],

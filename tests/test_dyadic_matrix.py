@@ -6,8 +6,8 @@ from scipy.linalg import null_space
 
 from kwalks.dyadic_matrix import (constrained_min, corollary_ratio, dense_matrix,
                                   dump_csv, entry, prefix_lower_bound_check,
-                                  prefix_quadratic_minima, quadratic_form,
-                                  quadratic_form_rows, trace)
+                                  prefix_quadratic_minima, quadratic_form_rows,
+                                  trace)
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, make_sampler
 from kwalks.walks import sup_abs_prefix_batch
@@ -79,38 +79,36 @@ def test_trace_examples():
 
 
 def test_quadratic_form_examples():
-    e1 = np.zeros(4)
-    e1[0] = 1.0
-    assert quadratic_form(4, e1) == pytest.approx(2.0)
-    x = np.zeros(8)
-    x[0] = x[1] = 1.0
-    assert quadratic_form(8, x) == pytest.approx(10.0)
-    assert quadratic_form(8, np.zeros(8)) == 0.0
+    e1 = np.zeros((1, 4))
+    e1[0, 0] = 1.0
+    assert quadratic_form_rows(4, e1) == pytest.approx([2.0])
+    x = np.zeros((2, 8))
+    x[0, 0] = x[0, 1] = 1.0
+    assert quadratic_form_rows(8, x) == pytest.approx([10.0, 0.0])
+    assert quadratic_form_rows(8, x)[1] == 0.0
     with pytest.raises(ValueError):
-        quadratic_form(8, np.zeros(7))
+        quadratic_form_rows(8, np.zeros((1, 7)))
+    with pytest.raises(ValueError):
+        quadratic_form_rows(8, np.zeros(8))
 
 
 @pytest.mark.parametrize("n", [4, 16, 64, 256])
 def test_quadratic_form_matches_dense(n):
     rng = substream(31, n)
     mat = dense_matrix(n).astype(np.float64)
-    for _ in range(20):
-        x = rng.standard_normal(n)
-        dense_val = float(x @ mat @ x)
-        assert quadratic_form(n, x) == pytest.approx(dense_val, rel=1e-9)
-    rows = rng.standard_normal((10, n))
+    rows = rng.standard_normal((30, n))
     batched = quadratic_form_rows(n, rows)
-    for row, val in zip(rows, batched):
-        assert val == pytest.approx(quadratic_form(n, row), rel=1e-12)
+    for i, (row, val) in enumerate(zip(rows, batched)):
+        assert val == pytest.approx(float(row @ mat @ row), rel=1e-9)
+        # a batch of one gives the same value as the row inside a batch
+        assert quadratic_form_rows(n, rows[i:i + 1])[0] == val
 
 
 @pytest.mark.parametrize("n", [4, 16, 64, 256])
 def test_positive_definite(n):
     np.linalg.cholesky(dense_matrix(n).astype(np.float64))
     rng = substream(32, n)
-    for _ in range(10):
-        x = rng.standard_normal(n)
-        assert quadratic_form(n, x) > 0
+    assert (quadratic_form_rows(n, rng.standard_normal((10, n))) > 0).all()
 
 
 def test_prefix_lower_bound_gaussians():
@@ -128,7 +126,8 @@ def test_prefix_lower_bound_gaussians():
 def test_prefix_lower_bound_uniform_vector():
     n = 8
     x = np.full(n, 1.0 / n)
-    assert quadratic_form(n, x) >= 0.5    # the full-prefix case is stronger
+    # the full-prefix case is stronger
+    assert quadratic_form_rows(n, x[None])[0] >= 0.5
     assert prefix_lower_bound_check(n, x, n)
 
 

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from kwalks.gf2 import all_polynomial_signs
 from kwalks.rng import substream
 from kwalks.sign_families import (H_BRANCHES, AdversarialSampler, FamilySpec,
-                                  ResourceLimitError, adversarial_params,
-                                  empirical_moments, exact_moments, f_values,
-                                  g_table, h2_cross_term_ratio, make_kwise,
-                                  make_sampler, sample_h, sample_h1,
-                                  sample_h2, sample_kwise)
+                                  KWiseSampler, ResourceLimitError,
+                                  adversarial_params, empirical_moments,
+                                  exact_moments, f_values, g_table,
+                                  h2_cross_term_ratio, make_sampler)
 
 F = Fraction
 
@@ -116,6 +115,48 @@ def test_mixture_weights_sum_to_one(n):
     assert 0 <= params.p <= 1
 
 
+@pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096])
+def test_mode_cdf_ends_at_one(n):
+    params = adversarial_params(n)
+    assert params.mode_cdf[-1] == 1.0
+    assert params.pair_mode_cdf[-1] == 1.0
+    assert (np.diff(params.mode_cdf) >= 0).all()
+    assert len(params.mode_cdf) == 1 + len(params.pair_modes[0])
+
+
+class _TopUniformFirst:
+    """Generator stand-in whose first uniform draw is the largest float
+    below 1; every later draw comes from the wrapped generator."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.first = True
+
+    def random(self, size=None):
+        if self.first:
+            self.first = False
+            return np.full(size, np.nextafter(1.0, 0.0))
+        return self.rng.random(size)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_h3_top_uniform_draws_last_pair_mode(n):
+    # the mode uniform lands above every boundary but the last, so the row
+    # must come from the last pair mode: block root-2 at +1, block root-1
+    # at its forced sign
+    params = adversarial_params(n)
+    rows = AdversarialSampler(params, "H3").sample_batch(
+        _TopUniformFirst(substream(17, n)), 2)
+    assert rows.shape == (2, n)
+    root = params.root
+    forced = params.pair_modes[2][-1]
+    assert (rows[:, (root - 2) * root:(root - 1) * root] == 1).all()
+    assert (rows[:, (root - 1) * root:] == forced).all()
+
+
 @pytest.mark.parametrize("n", [4, 15, 32, 8])
 def test_adversarial_params_rejects_bad_n(n):
     with pytest.raises(ValueError):
@@ -182,7 +223,7 @@ def test_h1_forced_blocks_n16():
 
 def test_h1_single_draw_shape():
     params = adversarial_params(16)
-    draw = sample_h1(params, substream(8, 0))
+    draw = AdversarialSampler(params, "H1").sample(substream(8, 0))
     assert draw.shape == (16,)
     assert set(np.unique(draw)) <= {-1, 1}
 
@@ -277,8 +318,11 @@ def test_h_empirical_moments_centered_uncorrelated():
 
 def test_sample_wrappers_are_single_draws():
     params = adversarial_params(16)
-    assert sample_h2(params, substream(1, 0)).shape == (16,)
-    assert sample_h(params, substream(1, 1)).shape == (16,)
+    for stage in ("H1", "H2", "H3", "H"):
+        draw = AdversarialSampler(params, stage).sample(substream(1, 0))
+        assert draw.shape == (16,)
+        batch = AdversarialSampler(params, stage).sample_batch(substream(1, 0), 1)
+        assert (draw == batch[0]).all()
 
 
 # --------------------------------------------------------------------------
@@ -315,20 +359,20 @@ def test_kwise_pairwise_exhaustive_gf16():
 
 
 def test_kwise_sampler_pair_balance():
-    sampler = make_kwise(64, 4)
+    sampler = KWiseSampler(64, 4)
     rng = substream(21, 0)
     batch = sampler.sample_batch(rng, 10 ** 5).astype(np.float64)
     gram = batch.T @ batch / len(batch)
     off = gram - np.eye(64)
     assert np.abs(off).max() <= 5.0 / len(batch) ** 0.5
-    assert sample_kwise(sampler, rng).shape == (64,)
+    assert sampler.sample(rng).shape == (64,)
 
 
 def test_kwise_rejects_bad_orders():
     with pytest.raises(ValueError):
-        make_kwise(4, 1)
+        KWiseSampler(4, 1)
     with pytest.raises(ValueError):
-        make_kwise(4, 5)
+        KWiseSampler(4, 5)
 
 
 # --------------------------------------------------------------------------
@@ -379,17 +423,6 @@ def test_empirical_moments_single_trial_diagonal():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
     emp = empirical_moments(make_sampler(spec), 1, substream(3, 3))
     assert all(emp.covariance[i][i] == 1.0 for i in range(16))
-
-
-def test_moment_summary_csv(tmp_path):
-    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
-    moments = exact_moments(spec)
-    path = tmp_path / "moments.csv"
-    with open(path, "w") as out:
-        moments.to_csv(out)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,value"
-    assert "1,1,1" in lines[1]
 
 
 # --------------------------------------------------------------------------
@@ -582,7 +615,7 @@ def test_adversarial_determinism(stage):
 
 
 def test_kwise_determinism():
-    sampler = make_kwise(32, 4)
+    sampler = KWiseSampler(32, 4)
     a = sampler.sample_batch(substream(5, 0), 20)
     b = sampler.sample_batch(substream(5, 0), 20)
     assert (a == b).all()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kwalks import streams
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, make_sampler
-from kwalks.walks import sup_abs_prefix
+from kwalks.walks import sup_abs_prefix_batch
 
 F = Fraction
 
@@ -81,24 +81,31 @@ def test_stream_io_roundtrip(tmp_path):
 def test_prefix_inner_matches_brute_force():
     stream = streams.uniform_stream(1024, n=32, seed=5)
     rng = substream(70, 0)
-    x = rng.standard_normal(32)
-    w = stream.prefix_inner(x)
+    rows = rng.standard_normal((3, 32))
+    w = stream.prefix_inner_rows(rows)
+    assert w.shape == (3, 1025)
+    assert (w[:, 0] == 0).all()
     z = np.zeros(32)
     for t, p in enumerate(stream.items, start=1):
         z[p - 1] += 1
-        assert w[t] == pytest.approx(float(z @ x), rel=1e-12, abs=1e-12)
-    assert streams.sup_inner(stream, x) == pytest.approx(
-        float(np.abs(w[1:]).max()))
+        for x, wx in zip(rows, w):
+            assert wx[t] == pytest.approx(float(z @ x), rel=1e-12, abs=1e-12)
+    assert streams.sup_inner_rows(stream, rows) == pytest.approx(
+        np.abs(w[:, 1:]).max(axis=1))
+    with pytest.raises(ValueError):
+        stream.prefix_inner_rows(rows[:, :31])
+    with pytest.raises(ValueError):
+        stream.prefix_inner_rows(rows[0])
 
 
 def test_sup_inner_special_cases():
     ident = streams.identity_stream(64)
     rng = substream(71, 0)
-    signs = (rng.integers(0, 2, size=64) * 2 - 1).astype(np.int64)
-    assert streams.sup_inner(ident, signs) == sup_abs_prefix(signs)
+    signs = (rng.integers(0, 2, size=(8, 64)) * 2 - 1).astype(np.int64)
+    assert (streams.sup_inner_rows(ident, signs)
+            == sup_abs_prefix_batch(signs)).all()
     single = streams.single_item_stream(16)
-    assert streams.sup_inner(single, [1.0]) == 16.0
-    assert streams.sup_inner(single, [-1.0]) == 16.0
+    assert streams.sup_inner_rows(single, [[1.0], [-1.0]]).tolist() == [16.0, 16.0]
 
 
 # --------------------------------------------------------------------------
@@ -177,8 +184,9 @@ def test_coverage_check_detects_missing_point():
 
 def test_chain_form_zero_vector():
     nets = streams.build_nets(streams.identity_stream(16))
-    assert streams.chain_form_quadratic(nets, np.zeros(16)) == 0.0
-    assert streams.chain_form_k(nets, np.zeros(16), 4) == 0.0
+    zeros = np.zeros((2, 16))
+    assert streams.chain_form_quadratic_rows(nets, zeros).tolist() == [0.0, 0.0]
+    assert streams.chain_form_k_rows(nets, zeros, 4).tolist() == [0.0, 0.0]
 
 
 def test_chain_form_quadratic_hand_enumerated():
@@ -187,7 +195,9 @@ def test_chain_form_quadratic_hand_enumerated():
     nets = streams.build_nets(streams.identity_stream(4))
     assert nets.levels[1].times.tolist() == [0, 3]
     assert nets.levels[2].times.tolist() == [0, 2, 4]
-    assert streams.chain_form_quadratic(nets, np.ones(4)) == pytest.approx(16.0)
+    forms = streams.chain_form_quadratic_rows(nets, np.ones((1, 4)))
+    assert forms.shape == (1,)
+    assert forms[0] == pytest.approx(16.0)
 
 
 def test_quadratic_dominance_every_prefix():
@@ -220,11 +230,11 @@ def test_kth_dominance_with_explicit_floor():
 def test_single_item_dominance_exact():
     stream = streams.single_item_stream(16)
     nets = streams.build_nets(stream)
-    for x1 in (1.0, -1.0):
-        sup = streams.sup_inner(stream, [x1])
-        assert sup == 16.0
-        form = streams.chain_form_k(nets, [x1], 4)
-        assert form >= streams.chain_dominance_floor(4, 16) * sup ** 4
+    rows = np.array([[1.0], [-1.0]])
+    sups = streams.sup_inner_rows(stream, rows)
+    assert sups.tolist() == [16.0, 16.0]
+    forms = streams.chain_form_k_rows(nets, rows, 4)
+    assert (forms >= streams.chain_dominance_floor(4, 16) * sups ** 4).all()
 
 
 def test_chain_dominance_floor_formula():
@@ -235,8 +245,8 @@ def test_chain_dominance_floor_formula():
     with pytest.raises(ValueError):
         streams.chain_dominance_floor(3, 64)
     with pytest.raises(ValueError):
-        streams.chain_form_k(streams.build_nets(streams.identity_stream(4)),
-                             np.ones(4), 2)
+        streams.chain_form_k_rows(streams.build_nets(streams.identity_stream(4)),
+                                  np.ones((1, 4)), 2)
 
 
 def test_expected_chain_form_contract():

@@ -1,4 +1,3 @@
-import io
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kwalks import maximal_inequality as mi
+from kwalks import streams
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, adversarial_params, make_sampler
 from kwalks.walks import (ScalingTable, SupEstimate, drift_check_h1,
                           estimate_sup_moment, fit_log_growth, prefix_sums,
-                          scaling_table, sup_abs_prefix)
+                          scaling_table, sup_abs_prefix_batch)
 
 sign_vectors = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200)
+
+
+def sup_abs_prefix(v):
+    """sup |S_i| of one sign vector, as a batch of one."""
+    return int(sup_abs_prefix_batch(np.asarray([v]))[0])
 
 
 def test_prefix_sums_examples():
@@ -120,18 +126,14 @@ def test_drift_matches_enumerated_means():
         assert drift_check_h1(params, c) == boundary_mean
 
 
-def test_scaling_table_monotone_and_csv():
+def test_scaling_table_monotone():
     spec = FamilySpec(kind="FullyIndependent", n=16, seed=1)
     table = scaling_table(spec, [16, 64, 256], 1, 2000, seed=17)
     means = [est.mean for _, est in table.rows]
     errs = [est.stderr for _, est in table.rows]
     for a, b, ea, eb in zip(means, means[1:], errs, errs[1:]):
         assert b >= a - 3 * (ea + eb)
-    out = io.StringIO()
-    table.to_csv(out, seed=17)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "n,moment_order,mean,stderr,trials,seed"
-    assert len(lines) == 4
+    assert [n for n, _ in table.rows] == [16, 64, 256]
 
 
 def test_scaling_table_validates_rows():
@@ -189,3 +191,13 @@ def test_workers_do_not_change_results():
     serial = estimate_sup_moment(spec, 2, 3000, seed=7, workers=1)
     parallel = estimate_sup_moment(spec, 2, 3000, seed=7, workers=2)
     assert serial == parallel
+    stream = streams.uniform_stream(64, n=16, seed=1)
+    kwise = FamilySpec(kind="PolynomialKWise", n=16, k=4, seed=2)
+    serial = streams.mc_sup_moment(stream, kwise, 4, 3000, seed=9, workers=1)
+    parallel = streams.mc_sup_moment(stream, kwise, 4, 3000, seed=9, workers=2)
+    assert serial == parallel
+    sigmas, lambdas = [1.0] * 16, [4.0, 8.0]
+    serial = mi.mc_tail(kwise, sigmas, lambdas, 3000, seed=3, workers=1)
+    parallel = mi.mc_tail(kwise, sigmas, lambdas, 3000, seed=3, workers=2)
+    assert serial == parallel
+    assert 0 < serial[1].hits < serial[0].hits < 3000
