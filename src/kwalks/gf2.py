@@ -20,6 +20,8 @@ IRREDUCIBLE = {
     64: (1 << 64) | 0x1B,  # x^64 + x^4 + x^3 + x + 1
 }
 
+_ONE = np.uint64(1)
+
 
 class GF2Field:
     """Arithmetic in GF(2^width) on nonnegative ints below 2^width."""
@@ -84,34 +86,99 @@ def min_width(n: int) -> int:
     raise ValueError(f"domain size {n} exceeds the largest supported field")
 
 
+def _xtime_array(field: GF2Field, a: np.ndarray) -> np.ndarray:
+    """GF2Field.xtime on every element of a uint64 array."""
+    top = a >> np.uint64(field.width - 1)
+    low_poly = np.uint64(field.poly & field.mask)
+    return ((a << _ONE) & np.uint64(field.mask)) ^ top * low_poly
+
+
+def _mul_array(field: GF2Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """GF2Field.mul elementwise: width rounds of shift-and-XOR."""
+    acc = np.zeros_like(a)
+    for bit in range(field.width):
+        acc ^= a * ((b >> np.uint64(bit)) & _ONE)
+        a = _xtime_array(field, a)
+    return acc
+
+
+def _lsb_vector_array(field: GF2Field, y: np.ndarray) -> np.ndarray:
+    """GF2Field.lsb_vector on every element of a uint64 array."""
+    v = np.zeros_like(y)
+    for b in range(field.width):
+        v |= (y & _ONE) << np.uint64(b)
+        y = _xtime_array(field, y)
+    return v
+
+
 def point_lsb_vectors(field: GF2Field, n: int, k: int) -> np.ndarray:
     """(n, k) table of lsb_vector(x_i^j) for points x_1..x_n.
 
     Index i is encoded as the field element with value i-1, so a field of
-    order >= n supplies n distinct evaluation points.
+    order >= n supplies n distinct evaluation points.  All n points are
+    computed at once with array arithmetic.
     """
     if field.order < n:
         raise ValueError(f"field of order {field.order} has fewer than {n} points")
-    out = np.zeros((n, k), dtype=np.uint64)
-    for i in range(n):
-        x = i
-        pw = 1
-        for j in range(k):
-            out[i, j] = field.lsb_vector(pw)
-            pw = field.mul(pw, x)
+    x = np.arange(n, dtype=np.uint64)
+    pw = np.ones(n, dtype=np.uint64)
+    out = np.empty((n, k), dtype=np.uint64)
+    for j in range(k):
+        out[:, j] = _lsb_vector_array(field, pw)
+        pw = _mul_array(field, pw, x)
     return out
 
 
-def signs_from_coefficients(vectors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def parity_tables(vectors: np.ndarray, width: int) -> np.ndarray:
+    """Lookup tables for signs_from_tables, shape (k * s, 16, ceil(n/64)).
+
+    vectors: (n, k) uint64 from point_lsb_vectors over GF(2^width), and
+    s = ceil(width / 4) nibbles per coefficient.  The low bit of the
+    evaluation at point i is parity(sum_j c_j & v_ij), which is linear
+    over GF(2) in the bits of the coefficients, so it is the XOR of one
+    contribution per coefficient nibble.  Table j * s + t, row u holds the
+    contribution of nibble t of c_j when that nibble equals u, bit-packed
+    across the points: bit i % 64 of word i // 64.  The tables take
+    128 * s * k * ceil(n/64) bytes, about 32 * k * n at width 64.
+    """
+    n, k = vectors.shape
+    nibbles = -(-width // 4)
+    nbytes = -(-n // 8)
+    values = np.arange(16, dtype=np.uint64)[:, None]
+    packed = np.zeros((k * nibbles, 16, 8 * -(-n // 64)), dtype=np.uint8)
+    for j in range(k):
+        for t in range(nibbles):
+            nibble = (vectors[:, j] >> np.uint64(4 * t)) & np.uint64(15)
+            bits = np.bitwise_count(values & nibble) & 1
+            packed[j * nibbles + t, :, :nbytes] = np.packbits(
+                bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def signs_from_tables(tables: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
     """Signs of polynomial evaluations for a batch of coefficient rows.
 
-    vectors: (n, k) uint64 from point_lsb_vectors; coeffs: (batch, k) uint64.
+    tables from parity_tables for n points; coeffs: (batch, k) uint64.
     Returns (batch, n) int8 with entries +-1; entry is +1 iff the evaluated
     field element has low bit 0.
     """
-    par = np.bitwise_count(coeffs[:, None, :] & vectors[None, :, :])
-    bits = par.sum(axis=2, dtype=np.uint64) & np.uint64(1)
-    return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+    count, k = coeffs.shape
+    nibbles = len(tables) // k
+    words = tables.shape[2]
+    shifts = np.arange(0, 4 * nibbles, 4, dtype=np.uint64)
+    index = (coeffs[:, :, None] >> shifts) & np.uint64(15)
+    index = index.reshape(count, len(tables)).T.astype(np.intp)
+    # One opaque item per table row: numpy gathers whole items faster than
+    # it gathers rows of a 2-d uint64 array.
+    items = tables.view(np.dtype((np.void, 8 * words)))[..., 0]
+    acc = items[0][index[0]].view(tables.dtype).reshape(count, words)
+    for t in range(1, len(tables)):
+        acc ^= items[t][index[t]].view(tables.dtype).reshape(count, words)
+    signs = np.unpackbits(acc.view(np.uint8), axis=1, count=n,
+                          bitorder="little").view(np.int8)
+    signs *= -2
+    signs += 1
+    return signs
 
 
 def all_polynomial_signs(width: int, n: int, k: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .gf2 import GF2Field, point_lsb_vectors, signs_from_coefficients
+from .gf2 import GF2Field, parity_tables, point_lsb_vectors, signs_from_tables
 
 FULLY_INDEPENDENT = "FullyIndependent"
 POLYNOMIAL_KWISE = "PolynomialKWise"
@@ -48,6 +48,8 @@ H_BRANCHES = ("drift", "pairs", "balanced")
 EXACT_MOMENT_LIMIT = 4096
 
 _BATCH = 1 << 14
+# Signs per KWiseSampler step, which bounds the step's temporaries.
+_STEP_SIGNS = 1 << 20
 
 
 class ResourceLimitError(RuntimeError):
@@ -388,7 +390,8 @@ class KWiseSampler:
         self.field = GF2Field(width)
         if self.field.order < n:
             raise ValueError(f"field of order {self.field.order} too small for n={n}")
-        self.vectors = point_lsb_vectors(self.field, n, k)
+        vectors = point_lsb_vectors(self.field, n, k)
+        self.tables = parity_tables(vectors, width)
 
     @property
     def independence_order(self) -> int:
@@ -401,11 +404,11 @@ class KWiseSampler:
         if size < 0:
             raise ValueError("size must be nonnegative")
         out = np.empty((size, self.n), dtype=np.int8)
-        step = max(1, _BATCH * 64 // max(self.n * self.k, 1))
+        step = max(1, _STEP_SIGNS // self.n)
         for lo in range(0, size, step):
             hi = min(lo + step, size)
             coeffs = self._draw_coefficients(rng, hi - lo)
-            out[lo:hi] = signs_from_coefficients(self.vectors, coeffs)
+            out[lo:hi] = signs_from_tables(self.tables, coeffs, self.n)
         return out
 
     def _draw_coefficients(self, rng, count):

@@ -65,11 +65,12 @@ class InsertionStream:
     def prefix_inner_rows(self, rows: np.ndarray) -> np.ndarray:
         """W_t = <x, z^(t)> for t = 0..m, one row per row x of a
         (count, n) batch."""
-        arr = np.asarray(rows, dtype=np.float64)
+        arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[1] != self.n:
             raise ValueError(f"expected shape (count, {self.n})")
         out = np.zeros((len(arr), self.m + 1))
-        np.cumsum(arr[:, self.items - 1], axis=1, out=out[:, 1:])
+        np.cumsum(arr[:, self.items - 1], axis=1, dtype=np.float64,
+                  out=out[:, 1:])
         return out
 
 
@@ -301,7 +302,8 @@ def chain_dominance_floor(k: int, m: int) -> float:
 
 def sup_inner_rows(stream: InsertionStream, rows: np.ndarray) -> np.ndarray:
     """Row-wise sup over 1 <= t <= m of |<x, z^(t)>| for a (count, n) batch."""
-    return np.abs(stream.prefix_inner_rows(rows)[:, 1:]).max(axis=1)
+    inner = stream.prefix_inner_rows(rows)[:, 1:]
+    return np.maximum(inner.max(axis=1), -inner.min(axis=1))
 
 
 # --------------------------------------------------------------------------

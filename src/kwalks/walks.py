@@ -28,9 +28,14 @@ def prefix_sums(v: Sequence[int] | np.ndarray) -> np.ndarray:
 
 def sup_abs_prefix_batch(batch: np.ndarray) -> np.ndarray:
     """Row-wise largest |S_i| over 1 <= i <= n for a (rows, n) batch of
-    sign vectors; at least 1 for any sign row."""
-    sums = np.cumsum(batch, axis=1, dtype=np.int64)
-    return np.abs(sums).max(axis=1)
+    sign vectors; at least 1 for any sign row.
+
+    The prefix sums are held in int32 and the supremum is max(max S, -min S).
+    Both are exact for sign rows: every sampler yields int8 +-1, so
+    |S_i| <= n < 2^31.  The result is int64.
+    """
+    sums = np.cumsum(batch, axis=1, dtype=np.int32)
+    return np.maximum(sums.max(axis=1), -sums.min(axis=1)).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from kwalks.gf2 import (GF2Field, all_polynomial_signs, min_width,
-                        point_lsb_vectors, signs_from_coefficients)
+                        parity_tables, point_lsb_vectors, signs_from_tables)
+
+
+def scalar_point_lsb_vectors(field, n, k):
+    """Point table from the scalar field arithmetic, one point at a time."""
+    out = np.zeros((n, k), dtype=np.uint64)
+    for x in range(n):
+        pw = 1
+        for j in range(k):
+            out[x, j] = field.lsb_vector(pw)
+            pw = field.mul(pw, x)
+    return out
 
 
 def test_field_axioms_exhaustive_gf16():
@@ -48,19 +59,60 @@ def test_lsb_vector_identity_wide_field_random():
         assert (bin(c & v).count("1") & 1) == field.mul(c, y) & 1
 
 
-def test_signs_from_coefficients_matches_direct_evaluation():
+@pytest.mark.parametrize("width, n", [(2, 4), (4, 16), (8, 256), (16, 256),
+                                      (64, 300)])
+def test_point_lsb_vectors_match_scalar_oracle(width, n):
+    field = GF2Field(width)
+    table = point_lsb_vectors(field, n, 4)
+    assert table.dtype == np.uint64 and table.shape == (n, 4)
+    assert (table == scalar_point_lsb_vectors(field, n, 4)).all()
+
+
+def test_point_lsb_vectors_rejects_small_field():
+    with pytest.raises(ValueError):
+        point_lsb_vectors(GF2Field(2), 5, 2)
+
+
+def test_signs_from_tables_matches_direct_evaluation():
     field = GF2Field(4)
     n, k = 16, 4
-    vectors = point_lsb_vectors(field, n, k)
+    tables = parity_tables(point_lsb_vectors(field, n, k), field.width)
     rng = np.random.default_rng(3)
     coeffs = rng.integers(0, 16, size=(50, k)).astype(np.uint64)
-    fast = signs_from_coefficients(vectors, coeffs)
+    fast = signs_from_tables(tables, coeffs, n)
     for row, cs in enumerate(coeffs):
         for i in range(n):
             val = 0
             for j in range(k - 1, -1, -1):
                 val = field.mul(val, i) ^ int(cs[j])
             assert fast[row, i] == (1 if val % 2 == 0 else -1)
+
+
+def test_signs_from_tables_every_polynomial_over_gf16():
+    n, k = 16, 4
+    tables = parity_tables(point_lsb_vectors(GF2Field(4), n, k), 4)
+    idx = np.arange(16 ** k, dtype=np.uint64)
+    coeffs = np.stack([(idx >> np.uint64(4 * j)) & np.uint64(15)
+                       for j in range(k)], axis=1)
+    signs = signs_from_tables(tables, coeffs, n)
+    assert signs.dtype == np.int8
+    assert (signs == all_polynomial_signs(4, n, k)).all()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+def test_signs_from_tables_wide_field_matches_parities(n):
+    field = GF2Field(64)
+    k = 3
+    vectors = point_lsb_vectors(field, n, k)
+    tables = parity_tables(vectors, 64)
+    assert tables.shape == (16 * k, 16, -(-n // 64))
+    assert tables.dtype == np.uint64
+    rng = np.random.default_rng(4)
+    coeffs = rng.integers(0, 1 << 64, size=(40, k), dtype=np.uint64)
+    par = np.bitwise_count(coeffs[:, None, :] & vectors[None, :, :])
+    expected = 1 - 2 * (par.sum(axis=2) & 1).astype(np.int8)
+    assert (signs_from_tables(tables, coeffs, n) == expected).all()
+    assert signs_from_tables(tables, coeffs[:0], n).shape == (0, n)
 
 
 def test_all_polynomial_signs_shape_and_balance():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -366,6 +367,27 @@ def test_kwise_sampler_pair_balance():
     off = gram - np.eye(64)
     assert np.abs(off).max() <= 5.0 / len(batch) ** 0.5
     assert sampler.sample(rng).shape == (64,)
+
+
+# sha256 over sample_batch on KWISE_PIN_GRID, recorded with the per-sign
+# popcount kernel that preceded the parity tables.
+KWISE_PIN_GRID = [(4, 2), (16, 2), (16, 4), (100, 3), (1024, 4), (4096, 4),
+                  (16384, 4), (16384, 2)]
+KWISE_PIN_SIZES = [0, 1, 7, 1500]
+KWISE_PIN_SHA256 = ("b484b9acb13656fd51d0888cbfb764fc"
+                    "de61018499028cd4baf902c7e9da9611")
+
+
+def test_kwise_sample_batch_pinned_stream():
+    digest = hashlib.sha256()
+    for n, k in KWISE_PIN_GRID:
+        sampler = KWiseSampler(n, k)
+        rng = np.random.default_rng(n * 100 + k)
+        for size in KWISE_PIN_SIZES:
+            batch = sampler.sample_batch(rng, size)
+            assert batch.dtype == np.int8 and batch.shape == (size, n)
+            digest.update(batch.tobytes())
+    assert digest.hexdigest() == KWISE_PIN_SHA256
 
 
 def test_kwise_rejects_bad_orders():

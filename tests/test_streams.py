@@ -108,6 +108,34 @@ def test_sup_inner_special_cases():
     assert streams.sup_inner_rows(single, [[1.0], [-1.0]]).tolist() == [16.0, 16.0]
 
 
+def float_first_prefix_inner(stream, rows):
+    """W_1..W_m with the whole batch converted to float64 before the gather."""
+    arr = np.asarray(rows, dtype=np.float64)
+    return np.cumsum(arr[:, stream.items - 1], axis=1)
+
+
+@pytest.mark.parametrize("name",
+                         ["identity", "uniform", "two-phase", "single-item"])
+def test_stream_reduction_matches_float_copy_formula(name):
+    stream = streams.STREAM_GENERATORS[name](256)
+    n = stream.n
+    rng = substream(72, 0)
+    batches = [
+        (rng.integers(0, 2, size=(20, n)) * 2 - 1).astype(np.int8),
+        rng.standard_normal((5, n)),
+        np.ones((3, n), dtype=np.int8),
+        -np.ones((3, n), dtype=np.int8),
+        np.ones((0, n), dtype=np.int8),
+    ]
+    for batch in batches:
+        old = float_first_prefix_inner(stream, batch)
+        w = stream.prefix_inner_rows(batch)
+        assert w.dtype == np.float64
+        assert w[:, 1:].tobytes() == old.tobytes() and (w[:, 0] == 0).all()
+        sups = streams.sup_inner_rows(stream, batch)
+        assert sups.tobytes() == np.abs(old).max(axis=1).tobytes()
+
+
 # --------------------------------------------------------------------------
 # nets
 

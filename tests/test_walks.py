@@ -48,6 +48,31 @@ def test_sup_dominates_endpoint_and_one(v):
     assert sup >= 1
 
 
+def int64_abs_sup(batch):
+    """The int64 prefix sums and abs copy that sup_abs_prefix_batch avoids."""
+    return np.abs(np.cumsum(batch, axis=1, dtype=np.int64)).max(axis=1)
+
+
+def test_sup_abs_prefix_batch_matches_int64_abs_formula():
+    rng = substream(90, 0)
+    n = 777
+    batches = [
+        (rng.integers(0, 2, size=(50, n)) * 2 - 1).astype(np.int8),
+        make_sampler(FamilySpec(kind="PolynomialKWise", n=n, k=4)
+                     ).sample_batch(rng, 50),
+        make_sampler(FamilySpec(kind="AdversarialStage", n=1024, stage="H1")
+                     ).sample_batch(rng, 50),
+        np.ones((3, n), dtype=np.int8),
+        -np.ones((3, n), dtype=np.int8),
+        np.ones((0, n), dtype=np.int8),
+    ]
+    for batch in batches:
+        got = sup_abs_prefix_batch(batch)
+        want = int64_abs_sup(batch)
+        assert got.dtype == np.int64 and got.shape == (len(batch),)
+        assert (got == want).all()
+
+
 def test_estimate_requires_trials():
     spec = FamilySpec(kind="FullyIndependent", n=4)
     with pytest.raises(ValueError):
