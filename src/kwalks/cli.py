@@ -16,6 +16,7 @@ import json
 import sys
 
 from . import dyadic_matrix, experiments, streams
+from .sign_families import ResourceLimitError
 
 
 def _cmd_verify(args) -> int:
@@ -120,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,8 +22,9 @@ from . import dyadic_matrix, maximal_inequality as mi, streams, walks
 from .rng import mix64, substream
 from .sign_families import (ADVERSARIAL_STAGE, FULLY_INDEPENDENT,
                             POLYNOMIAL_KWISE, FamilySpec, adversarial_params,
-                            empirical_moments, exact_moments, g_table,
-                            h2_cross_term_ratio, make_sampler)
+                            check_empirical_size, empirical_moments,
+                            exact_moments, g_table, h2_cross_term_ratio,
+                            make_sampler)
 
 VERSION = "0.1.0"
 
@@ -175,47 +176,37 @@ def _run_family_verify(config: ExperimentConfig) -> ResultTable:
     n_values = config.int_list("n_list", "16")
     spec0 = config.family_spec(n=n_values[0]) if config.family else None
     stage = spec0.stage if spec0 and spec0.stage else "H"
+    if config.trials > 0:
+        check_empirical_size(max(n_values))
     for n in n_values:
         spec = FamilySpec(kind=ADVERSARIAL_STAGE, n=n, stage=stage,
                           seed=config.seed)
         moments = exact_moments(spec)
         params = adversarial_params(n)
+        mean, pair = moments.block_mean, moments.block_pair
         if stage == "H":
-            identity = moments.is_identity()
-            table.add(n, stage, "covariance_identity", identity, True,
-                      config.seed, config.trials)
-            table.check(f"n={n} covariance=identity", identity)
+            quantity, name, ok = ("covariance_identity", "covariance=identity",
+                                  moments.is_identity())
         elif stage == "H1":
-            mean_ok = all(moments.mean[i] == params.f[i // params.root]
-                          for i in range(n))
-            table.add(n, stage, "mean_matches_bias_profile", mean_ok, True,
-                      config.seed, config.trials)
-            table.check(f"n={n} H1 means", mean_ok)
+            quantity, name, ok = ("mean_matches_bias_profile", "H1 means",
+                                  mean == list(params.f))
         elif stage == "H2":
-            root = params.root
-            ok = (all(v == 0 for v in moments.mean)
-                  and all(moments.covariance[i][j]
-                          == params.g[i // root][j // root]
-                          for i in range(n) for j in range(n) if i != j))
-            table.add(n, stage, "centered_with_g_correlations", ok, True,
-                      config.seed, config.trials)
-            table.check(f"n={n} H2 moments", ok)
+            quantity, name = "centered_with_g_correlations", "H2 moments"
+            ok = (all(v == 0 for v in mean)
+                  and pair == [list(row) for row in params.g])
         else:
-            root = params.root
-            same_block = params.c6 / root
-            ok = all(moments.covariance[i][j]
-                     == (same_block if i // root == j // root else 0)
-                     for i in range(n) for j in range(n) if i != j)
-            table.add(n, stage, "within_block_correlation", ok, True,
-                      config.seed, config.trials)
-            table.check(f"n={n} H3 correlations", ok)
+            quantity, name = "within_block_correlation", "H3 correlations"
+            same_block = params.c6 / params.root
+            ok = all(v == (same_block if c1 == c2 else 0)
+                     for c1, row in enumerate(pair) for c2, v in enumerate(row))
+        table.add(n, stage, quantity, ok, True, config.seed, config.trials)
+        table.check(f"n={n} {name}", ok)
         if config.trials > 0:
             rng = substream(config.seed, n)
             emp = empirical_moments(make_sampler(spec), config.trials, rng)
             tol = 5.0 / config.trials ** 0.5
-            worst = max(
-                abs(emp.covariance[i][j] - float(moments.covariance[i][j]))
-                for i in range(n) for j in range(n))
+            worst = float(np.abs(emp.covariance
+                                 - moments.second_moments_float()).max())
             table.add(n, stage, "max_moment_deviation", worst, tol,
                       config.seed, config.trials)
             table.check(f"n={n} empirical moments within {tol:.2g}", worst <= tol,
@@ -437,11 +428,9 @@ def verify_suite() -> list[Check]:
     check("mixing constants at n=16",
           (params16.g_scale, params16.c6, params16.p) ==
           (Fraction(9, 4), Fraction(20, 9), Fraction(3, 8)))
-    zero_cov = all(
-        adversarial_params(n).p * adversarial_params(n).c6 / adversarial_params(n).root
-        == (1 - adversarial_params(n).p) * Fraction(1, adversarial_params(n).root - 1)
-        for n in (16, 64, 256))
-    check("zero-covariance balance exact", zero_cov)
+    check("zero-covariance balance exact", all(
+        (q := adversarial_params(n)).p * q.c6 / q.root == (1 - q.p) / (q.root - 1)
+        for n in (16, 64, 256)))
 
     for n in (16, 64, 256):
         spec = FamilySpec(kind=ADVERSARIAL_STAGE, n=n, stage="H")

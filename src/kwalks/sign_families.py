@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,10 @@ KINDS = (FULLY_INDEPENDENT, POLYNOMIAL_KWISE, ADVERSARIAL_STAGE)
 STAGES = ("H1", "H2", "H3", "H")
 H_BRANCHES = ("drift", "pairs", "balanced")
 
-# Largest n for which exact moment tables (n x n rationals) are built.
-EXACT_MOMENT_LIMIT = 4096
+# Largest n for which exact moment tables (root x root rationals) are built.
+EXACT_MOMENT_LIMIT = 4 ** 8
+# Largest n for which sample moments (an n x n float64 table) are estimated.
+EMPIRICAL_MOMENT_LIMIT = 4096
 
 _BATCH = 1 << 14
 # Signs per KWiseSampler step, which bounds the step's temporaries.
@@ -243,10 +246,8 @@ def adversarial_params(n: int) -> AdversarialParams:
     assert root * root == n
     f = f_values(root)
     g = g_table(root)
-    g_scale = Fraction(1) + sum(
-        (abs(g[c1][c2]) for c1 in range(root) for c2 in range(c1 + 1, root)),
-        Fraction(0))
-    row_abs = sum((abs(v) for v in g[0]), Fraction(0))
+    g_scale = 1 + sum(abs(v) for c1, row in enumerate(g) for v in row[c1 + 1:])
+    row_abs = sum(abs(v) for v in g[0])
     c6 = root * row_abs / g_scale
     p = Fraction(1) / (1 + c6 * (root - 1) / root)
     params = AdversarialParams(
@@ -263,11 +264,9 @@ def h2_cross_term_ratio(n: int) -> Fraction:
     """Total absolute off-diagonal correlation of the rotated stage, per n."""
     params = adversarial_params(n)
     root, g = params.root, params.g
-    total = Fraction(0)
-    for c1 in range(root):
-        for c2 in range(root):
-            pairs = root * root if c1 != c2 else root * (root - 1)
-            total += abs(g[c1][c2]) * pairs
+    # root^2 coordinate pairs per block pair, root(root - 1) within a block
+    total = sum(abs(v) * root * (root - (c1 == c2))
+                for c1, row in enumerate(g) for c2, v in enumerate(row))
     return total / n
 
 
@@ -460,34 +459,57 @@ def _cached_adversarial(n: int, stage: str) -> AdversarialSampler:
 
 @dataclass
 class MomentSummary:
-    """First two moments: mean vector and the table of E[h_i h_j]."""
+    """Exact first two moments of an adversarial stage, one value per block.
 
-    mean: list
-    covariance: list
-    exact: bool
+    Coordinate i lies in block i // root.  block_mean[c] is E[h_i] for i in
+    block c, and block_pair[c1][c2] is E[h_i h_j] for i != j in blocks c1
+    and c2; every E[h_i^2] is 1.
+    """
+
+    root: int
+    block_mean: list
+    block_pair: list
 
     @property
     def n(self) -> int:
-        return len(self.mean)
+        return self.root * self.root
+
+    def mean_at(self, i: int) -> Fraction:
+        """E[h_i]."""
+        return self.block_mean[i // self.root]
+
+    def second_moment(self, i: int, j: int) -> Fraction:
+        """E[h_i h_j]."""
+        root = self.root
+        return Fraction(1) if i == j else self.block_pair[i // root][j // root]
+
+    def second_moments_float(self) -> np.ndarray:
+        """The n x n table of E[h_i h_j] as float64, for empirical checks."""
+        table = np.kron([[float(v) for v in row] for row in self.block_pair],
+                        np.ones((self.root, self.root)))
+        np.fill_diagonal(table, 1.0)
+        return table
 
     def is_identity(self) -> bool:
-        """True when the mean is exactly 0 and E[h_i h_j] is exactly I."""
-        if any(v != 0 for v in self.mean):
-            return False
-        for i, row in enumerate(self.covariance):
-            for j, v in enumerate(row):
-                if v != (1 if i == j else 0):
-                    return False
-        return True
+        """True when the mean is exactly 0 and E[h_i h_j] is exactly I.
+
+        Every block holds root >= 4 coordinates, so each block_pair entry is
+        E[h_i h_j] for some i != j: checking every block entry is the same
+        test as checking all n^2 coordinate pairs.
+        """
+        return (all(v == 0 for v in self.block_mean)
+                and all(v == 0 for row in self.block_pair for v in row))
 
 
 def exact_moments(spec: FamilySpec) -> MomentSummary:
-    """Closed-form mean and second-moment table of an adversarial stage.
+    """Closed-form mean and second-moment tables of an adversarial stage.
 
     Everything is exact rational arithmetic driven by the mixture structure:
     the biased stage factors over entries, the rotated stage averages block
     shifts, the cancelling stage mixes the rotated stage with pair modes,
-    and the final stage mixes that against balanced block subsets.
+    and the final stage mixes that against balanced block subsets.  Every
+    moment depends only on the blocks of its coordinates, so the tables are
+    root x root, never n x n.
     """
     if spec.kind != ADVERSARIAL_STAGE:
         raise ValueError("exact moments are defined for adversarial stages")
@@ -495,17 +517,8 @@ def exact_moments(spec: FamilySpec) -> MomentSummary:
         raise ResourceLimitError(
             f"n={spec.n} exceeds the exact-moment limit {EXACT_MOMENT_LIMIT}")
     params = adversarial_params(spec.n)
-    n, root = params.n, params.root
-    block = [i // root for i in range(n)]
-
-    mean_block, pair_value = _stage_block_moments(params, spec.stage)
-    mean = [mean_block[block[i]] for i in range(n)]
-    one = Fraction(1)
-    covariance = [
-        [one if i == j else pair_value[block[i]][block[j]] for j in range(n)]
-        for i in range(n)
-    ]
-    return MomentSummary(mean=mean, covariance=covariance, exact=True)
+    mean, pair = _stage_block_moments(params, spec.stage)
+    return MomentSummary(root=params.root, block_mean=mean, block_pair=pair)
 
 
 def _stage_block_moments(params: AdversarialParams, stage: str):
@@ -514,69 +527,65 @@ def _stage_block_moments(params: AdversarialParams, stage: str):
     f, g = params.f, params.g
 
     if stage == "H1":
-        mean = list(f)
-        pair = [[f[c1] * f[c2] for c2 in range(root)] for c1 in range(root)]
-        return mean, pair
+        return list(f), [[a * b for b in f] for a in f]
 
     if stage == "H2":
-        zero = Fraction(0)
-        mean = [zero] * root
-        pair = [[g[c1][c2] for c2 in range(root)] for c1 in range(root)]
-        return mean, pair
+        return [Fraction(0)] * root, [list(row) for row in g]
 
     if stage == "H3":
+        # The rotated stage has weight 1/gs and adds g_c1c2 to E[h_i h_j].
+        # Pair mode (a, b), a < b, has weight |g_ab|/gs and sets block a to
+        # +1 and block b to -sign(g_ab): it adds |g_ab| to the mean of block
+        # a, -g_ab to the mean of block b and to E[h_i h_j] across the two
+        # blocks, and |g_ab| within either block.  g_cc > 0, so a diagonal
+        # entry is the absolute sum of row c.
         gs = params.g_scale
-        mean = []
-        for c in range(root):
-            forced = Fraction(0)
-            for c2 in range(c + 1, root):
-                forced += abs(g[c][c2])            # block c is the +1 block
-            for c1 in range(c):
-                forced += -_sign(g[c1][c]) * abs(g[c1][c])
-            mean.append(forced / gs)
-        pair = [[Fraction(0)] * root for _ in range(root)]
-        for c1 in range(root):
-            for c2 in range(root):
-                if c1 == c2:
-                    row_abs = sum((abs(v) for v in g[c1]), Fraction(0))
-                    pair[c1][c2] = row_abs / gs
-                else:
-                    a, b = min(c1, c2), max(c1, c2)
-                    forced_product = -_sign(g[a][b]) * abs(g[a][b])
-                    pair[c1][c2] = (g[c1][c2] + forced_product) / gs
+        mean = [(sum(abs(v) for v in g[c][c + 1:])
+                 - sum(g[a][c] for a in range(c))) / gs for c in range(root)]
+        pair = [[(sum(abs(v) for v in g[c1]) if c1 == c2
+                  else g[c1][c2] - g[min(c1, c2)][max(c1, c2)]) / gs
+                 for c2 in range(root)] for c1 in range(root)]
         return mean, pair
 
     if stage == "H":
         p = params.p
         _, pair3 = _stage_block_moments(params, "H3")
-        zero = Fraction(0)
-        mean = [zero] * root                      # fair negation centers H3
+        mean = [Fraction(0)] * root               # fair negation centers H3
         within = Fraction(-1, root - 1)           # balanced block subsets
-        pair = [[p * pair3[c1][c2] + (1 - p) * (within if c1 == c2 else zero)
-                 for c2 in range(root)] for c1 in range(root)]
+        pair = [[p * v + (1 - p) * (within if c1 == c2 else 0)
+                 for c2, v in enumerate(row)] for c1, row in enumerate(pair3)]
         return mean, pair
 
     raise ValueError(f"stage must be one of {STAGES}")
 
 
-def _sign(x: Fraction) -> int:
-    return 1 if x >= 0 else -1
+class SampleMoments(NamedTuple):
+    """Sample means of h (length n) and of h h^T (n x n), as float64."""
+
+    mean: np.ndarray
+    covariance: np.ndarray
 
 
-def empirical_moments(sampler, trials: int, rng: np.random.Generator) -> MomentSummary:
+def check_empirical_size(n: int) -> None:
+    """Refuses n whose n x n float64 sample table would be too large."""
+    if n > EMPIRICAL_MOMENT_LIMIT:
+        raise ResourceLimitError(
+            f"empirical moments at n={n} need an n x n float64 table "
+            f"({8 * n * n / 2 ** 30:.3g} GiB); the limit is "
+            f"{EMPIRICAL_MOMENT_LIMIT}, or run with trials = 0")
+
+
+def empirical_moments(sampler, trials: int, rng: np.random.Generator) -> SampleMoments:
     """Sample means of h and of h h^T; floating point, for cross-checks."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n = sampler.n
+    check_empirical_size(n)
     total = np.zeros(n)
     gram = np.zeros((n, n))
-    done = 0
-    while done < trials:
+    for done in range(0, trials, _BATCH):
         count = min(_BATCH, trials - done)
         batch = sampler.sample_batch(rng, count).astype(np.float64)
         total += batch.sum(axis=0)
         gram += batch.T @ batch
-        done += count
-    return MomentSummary(mean=list(total / trials),
-                         covariance=[list(r) for r in gram / trials],
-                         exact=False)
+    return SampleMoments(mean=total / trials, covariance=gram / trials)

@@ -69,8 +69,8 @@ class InsertionStream:
         if arr.ndim != 2 or arr.shape[1] != self.n:
             raise ValueError(f"expected shape (count, {self.n})")
         out = np.zeros((len(arr), self.m + 1))
-        np.cumsum(arr[:, self.items - 1], axis=1, dtype=np.float64,
-                  out=out[:, 1:])
+        np.cumsum(np.take(arr, self.items - 1, axis=1), axis=1,
+                  dtype=np.float64, out=out[:, 1:])
         return out
 
 

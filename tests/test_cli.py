@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kwalks.sign_families as sf
+from kwalks import experiments
 from kwalks.cli import main
 from kwalks.experiments import ExperimentConfig, run, verify_suite
 
@@ -103,6 +104,32 @@ def test_family_verify_detects_corruption(tmp_path, monkeypatch):
         monkeypatch.undo()
         sf.adversarial_params.cache_clear()
         sf._cached_adversarial.cache_clear()
+
+
+def test_family_verify_refuses_large_empirical_check(tmp_path, capsys,
+                                                     monkeypatch):
+    # n x n sample moments at n=16384 would take 2 GiB; refuse before any
+    # exact table is built or any sign drawn
+    cfg = write_config(tmp_path / "fam.cfg", """
+        [experiment]
+        kind = family-verify
+        trials = 10
+        [family]
+        kind = AdversarialStage
+        stage = H
+        [params]
+        n_list = 16 16384
+    """)
+
+    def unreachable(*args):
+        raise AssertionError("work started despite the size limit")
+
+    monkeypatch.setattr(experiments, "exact_moments", unreachable)
+    monkeypatch.setattr(experiments, "make_sampler", unreachable)
+    with pytest.raises(sf.ResourceLimitError, match="n=16384"):
+        run(ExperimentConfig.from_file(cfg))
+    assert main(["run", cfg]) == 2
+    assert "n x n float64" in capsys.readouterr().err
 
 
 def test_matrix_check_run(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kwalks import maximal_inequality as mi
 from kwalks.rng import substream
-from kwalks.sign_families import FamilySpec
+from kwalks.sign_families import FamilySpec, make_sampler
 
 F = Fraction
 
@@ -301,3 +301,32 @@ def test_mc_tail_rejects_weak_independence():
     good = FamilySpec(kind="PolynomialKWise", n=16, k=4)
     with pytest.raises(ValueError):
         mi.mc_tail(good, [1.0] * 8, [4.0], 1000, seed=1)
+
+
+def float_copy_tail_hits(batch, sigmas, lambdas):
+    """Tail indicators through a float64 copy of the batch and an abs copy
+    of its prefix sums."""
+    steps = batch.astype(np.float64) * np.asarray(sigmas, dtype=np.float64)
+    sups = np.abs(np.cumsum(steps, axis=1)).max(axis=1)
+    return sups, sups[:, None] >= np.asarray(lambdas, dtype=np.float64)
+
+
+def test_tail_hit_rows_match_float_copy_formula():
+    n = 256
+    rng = substream(61, 0)
+    sigmas = tuple(float(s) for s in np.sqrt(10.0 ** (-4 * rng.random(n))))
+    kwise = make_sampler(FamilySpec(kind="PolynomialKWise", n=n, k=4))
+    batches = [
+        kwise.sample_batch(rng, 200),
+        np.ones((3, n), dtype=np.int8),
+        -np.ones((3, n), dtype=np.int8),
+        np.ones((0, n), dtype=np.int8),
+    ]
+    for batch in batches:
+        sups, _ = float_copy_tail_hits(batch, sigmas, ())
+        # thresholds on the old suprema themselves test every boundary
+        lambdas = tuple(float(s) for s in sups[:16]) + (0.0, 1.0, 1e9)
+        _, old = float_copy_tail_hits(batch, sigmas, lambdas)
+        hits = mi.tail_hit_rows(batch, sigmas, lambdas)
+        assert hits.shape == old.shape == (len(batch), len(lambdas))
+        assert (hits == old).all()

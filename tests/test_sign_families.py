@@ -14,8 +14,9 @@ from kwalks.rng import substream
 from kwalks.sign_families import (H_BRANCHES, AdversarialSampler, FamilySpec,
                                   KWiseSampler, ResourceLimitError,
                                   adversarial_params, empirical_moments,
-                                  exact_moments, f_values, g_table,
-                                  h2_cross_term_ratio, make_sampler)
+                                  _stage_block_moments, exact_moments,
+                                  f_values, g_table, h2_cross_term_ratio,
+                                  make_sampler)
 
 F = Fraction
 
@@ -409,29 +410,29 @@ def test_exact_moments_h_identity(n):
 def test_exact_moments_h2_same_block_entry():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H2")
     moments = exact_moments(spec)
-    assert moments.covariance[0][1] == F(5, 8)
-    assert all(moments.mean[i] == 0 for i in range(16))
+    assert moments.second_moment(0, 1) == F(5, 8)
+    assert all(moments.mean_at(i) == 0 for i in range(16))
 
 
 def test_exact_moments_h1_diagonal():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H1")
     moments = exact_moments(spec)
-    assert moments.covariance[0][0] == 1
+    assert moments.second_moment(0, 0) == 1
     params = adversarial_params(16)
-    assert moments.mean[0] == params.f[0]
-    assert moments.covariance[0][4] == params.f[0] * params.f[1]
+    assert moments.mean_at(0) == params.f[0]
+    assert moments.second_moment(0, 4) == params.f[0] * params.f[1]
 
 
 def test_exact_moments_h3_structure():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H3")
     moments = exact_moments(spec)
     params = adversarial_params(16)
-    assert moments.covariance[0][1] == params.c6 / 4
-    assert moments.covariance[0][5] == 0
+    assert moments.second_moment(0, 1) == params.c6 / 4
+    assert moments.second_moment(0, 5) == 0
 
 
 def test_exact_moments_resource_limit():
-    spec = FamilySpec(kind="AdversarialStage", n=16384, stage="H")
+    spec = FamilySpec(kind="AdversarialStage", n=4 ** 9, stage="H")
     with pytest.raises(ResourceLimitError):
         exact_moments(spec)
 
@@ -439,6 +440,127 @@ def test_exact_moments_resource_limit():
 def test_exact_moments_rejects_polynomial_families():
     with pytest.raises(ValueError):
         exact_moments(FamilySpec(kind="PolynomialKWise", n=16, k=2))
+
+
+def dense_moments(moments):
+    """The n-vector of E[h_i] and the n x n table of E[h_i h_j], expanded
+    from the block tables through the coordinate accessors."""
+    n = moments.n
+    return ([moments.mean_at(i) for i in range(n)],
+            [[moments.second_moment(i, j) for j in range(n)] for i in range(n)])
+
+
+def coordinate_moments(spec):
+    """The n x n construction exact_moments returned before it went block
+    level: one entry per coordinate pair, 1 on the diagonal."""
+    params = adversarial_params(spec.n)
+    n, root = params.n, params.root
+    block = [i // root for i in range(n)]
+    mean_block, pair_value = _stage_block_moments(params, spec.stage)
+    mean = [mean_block[block[i]] for i in range(n)]
+    one = F(1)
+    covariance = [
+        [one if i == j else pair_value[block[i]][block[j]] for j in range(n)]
+        for i in range(n)
+    ]
+    return mean, covariance
+
+
+@pytest.mark.parametrize("stage", ["H1", "H2", "H3", "H"])
+def test_block_expansion_matches_coordinate_construction(stage):
+    spec = FamilySpec(kind="AdversarialStage", n=64, stage=stage)
+    moments = exact_moments(spec)
+    mean, covariance = coordinate_moments(spec)
+    assert dense_moments(moments) == (mean, covariance)
+    floats = moments.second_moments_float()
+    assert floats.shape == (64, 64)
+    assert floats.tolist() == [[float(v) for v in row] for row in covariance]
+
+
+BLOCK_NS = [16, 64, 256, 1024, 4096, 16384]
+
+
+def _block_tables(n, stage):
+    moments = exact_moments(FamilySpec(kind="AdversarialStage", n=n, stage=stage))
+    root = adversarial_params(n).root
+    assert (moments.root, moments.n) == (root, n)
+    assert len(moments.block_mean) == root
+    assert [len(row) for row in moments.block_pair] == [root] * root
+    return moments
+
+
+@pytest.mark.parametrize("n", BLOCK_NS)
+def test_block_tables_h_centered_identity(n):
+    moments = _block_tables(n, "H")
+    assert all(v == 0 for v in moments.block_mean)
+    assert all(v == 0 for row in moments.block_pair for v in row)
+    assert moments.is_identity()
+    params = adversarial_params(n)
+    assert params.p * params.c6 / params.root == (1 - params.p) / (params.root - 1)
+
+
+@pytest.mark.parametrize("n", BLOCK_NS)
+def test_block_tables_h3_within_block_only(n):
+    moments = _block_tables(n, "H3")
+    params = adversarial_params(n)
+    same_block = params.c6 / params.root
+    assert all(v == (same_block if c1 == c2 else 0)
+               for c1, row in enumerate(moments.block_pair)
+               for c2, v in enumerate(row))
+
+
+@pytest.mark.parametrize("n", BLOCK_NS)
+def test_block_tables_h2_centered_with_g(n):
+    moments = _block_tables(n, "H2")
+    assert all(v == 0 for v in moments.block_mean)
+    assert moments.block_pair == [list(row) for row in adversarial_params(n).g]
+
+
+@pytest.mark.parametrize("n", BLOCK_NS)
+def test_block_tables_h1_mean_is_bias_profile(n):
+    moments = _block_tables(n, "H1")
+    assert moments.block_mean == list(adversarial_params(n).f)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_is_identity_equals_coordinate_scan(n):
+    # every block entry is read by some off-diagonal pair, so the block
+    # check agrees with the n^2 scan; one nonzero entry anywhere fails it
+    for stage in ("H", "H2"):
+        mean, covariance = coordinate_moments(
+            FamilySpec(kind="AdversarialStage", n=n, stage=stage))
+        scan = (all(v == 0 for v in mean)
+                and all(v == (1 if i == j else 0)
+                        for i, row in enumerate(covariance)
+                        for j, v in enumerate(row)))
+        moments = exact_moments(FamilySpec(kind="AdversarialStage", n=n,
+                                           stage=stage))
+        assert moments.is_identity() == scan == (stage == "H")
+    moments = exact_moments(FamilySpec(kind="AdversarialStage", n=n, stage="H"))
+    root = moments.root
+    for c in range(root):
+        moments.block_mean[c] = F(1, n)
+        assert not moments.is_identity()
+        moments.block_mean[c] = F(0)
+        for c2 in range(root):
+            moments.block_pair[c][c2] = F(-1, n)
+            assert not moments.is_identity()
+            moments.block_pair[c][c2] = F(0)
+    assert moments.is_identity()
+
+
+def test_exact_moments_at_the_limit():
+    spec = FamilySpec(kind="AdversarialStage", n=4 ** 8, stage="H")
+    assert exact_moments(spec).is_identity()
+
+
+def test_empirical_moments_refuse_large_n_before_drawing():
+    def no_draws(rng, size):
+        raise AssertionError("sampled despite the size limit")
+
+    sampler = SimpleNamespace(n=4 ** 7, sample_batch=no_draws)
+    with pytest.raises(ResourceLimitError, match="n x n float64"):
+        empirical_moments(sampler, 10, substream(3, 4))
 
 
 def test_empirical_moments_single_trial_diagonal():
@@ -574,10 +696,10 @@ def branch_oracle(branch):
 @pytest.mark.parametrize("stage", ["H1", "H2", "H3", "H"])
 def test_exact_moments_match_full_enumeration(stage):
     spec = FamilySpec(kind="AdversarialStage", n=16, stage=stage)
-    moments = exact_moments(spec)
+    mean, covariance = dense_moments(exact_moments(spec))
     oracle_mean, oracle_cov = enumeration_oracle(stage)
-    assert moments.mean == oracle_mean
-    assert moments.covariance == oracle_cov
+    assert mean == oracle_mean
+    assert covariance == oracle_cov
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
