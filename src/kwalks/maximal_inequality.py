@@ -465,7 +465,8 @@ def tail_hit_rows(batch: np.ndarray, sigmas: tuple[float, ...],
                   lambdas: tuple[float, ...]) -> np.ndarray:
     """Row-wise indicators of sup_i |S_i| >= lambda, one column per lambda,
     for the walk with steps sigma_i * x_i over a batch of sign rows x."""
-    walk = np.cumsum(batch * np.asarray(sigmas, dtype=np.float64), axis=1)
+    walk = batch * np.asarray(sigmas, dtype=np.float64)
+    np.cumsum(walk, axis=1, out=walk)
     sups = np.maximum(walk.max(axis=1), -walk.min(axis=1))
     return sups[:, None] >= np.asarray(lambdas, dtype=np.float64)
 

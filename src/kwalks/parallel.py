@@ -40,7 +40,7 @@ def map_reduce_chunks(fn: Callable, args, trials: int, seed: int,
     else:
         packed = [(fn, args, seed, c, count) for c, count in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_chunk_star, packed, chunksize=4))
+            partials = list(pool.map(_run_chunk_star, packed, chunksize=1))
     totals = [0.0] * len(partials[0])
     for part in partials:
         for i, v in enumerate(part):

@@ -53,6 +53,8 @@ EMPIRICAL_MOMENT_LIMIT = 4096
 _BATCH = 1 << 14
 # Signs per KWiseSampler step, which bounds the step's temporaries.
 _STEP_SIGNS = 1 << 20
+# Random values per generator call in _chunked_signs, sized to stay in cache.
+_DRAW_VALUES = 1 << 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -296,61 +298,49 @@ class AdversarialSampler:
         return getattr(self, "_batch_" + self.stage.lower())(rng, size)
 
     def _batch_h1(self, rng, size):
-        u = rng.random((size, self.n))
-        return np.where(u < self.params.h1_bias, 1, -1).astype(np.int8)
+        bias = self.params.h1_bias
+        return _chunked_signs(size, self.n, lambda m: rng.random((m, self.n)) < bias)
 
-    def _batch_h2(self, rng, size):
-        base = self._batch_h1(rng, size)
-        root = self.params.root
-        d = rng.integers(0, root, size=size)
-        idx = (np.arange(self.n)[None, :] + (d * root)[:, None]) % self.n
-        return np.take_along_axis(base, idx, axis=1)
+    def _batch_h2(self, rng, size, keep=slice(None)):
+        """H2 rows.  keep (an index or mask) selects the rows to build, but
+        all size rows are drawn, so the stream does not depend on keep."""
+        base = self._batch_h1(rng, size)[keep]
+        shifts = rng.integers(0, self.params.root, size=size)[keep]
+        return _rotate_blocks(base, shifts, self.params.root)
 
     def _batch_h3(self, rng, size):
-        params = self.params
-        mode = np.searchsorted(params.mode_cdf, rng.random(size), side="right")
-        out = self._batch_h2(rng, size)
-        pair_rows = np.nonzero(mode > 0)[0]
-        if len(pair_rows):
-            out[pair_rows] = self._pair_mode_rows(rng, mode[pair_rows] - 1)
+        mode = np.searchsorted(self.params.mode_cdf, rng.random(size), side="right")
+        drift = mode == 0
+        out = np.empty((size, self.n), dtype=np.int8)
+        out[drift] = self._batch_h2(rng, size, drift)
+        out[~drift] = self._pair_mode_rows(rng, mode[~drift] - 1)
         return out
 
     def _batch_h(self, rng, size):
         pick3 = rng.random(size) < self.params.p_float
-        out = np.empty((size, self.n), dtype=np.int8)
         n3 = int(pick3.sum())
-        if n3:
-            drawn = self._batch_h3(rng, n3)
-            out[pick3] = drawn * self._global_signs(rng, n3)[:, None]
-        nb = size - n3
-        if nb:
-            out[~pick3] = self._balanced_rows(rng, nb)
+        out = np.empty((size, self.n), dtype=np.int8)
+        out[pick3] = self._batch_h3(rng, n3) * _uniform_signs(rng, n3, 1)
+        out[~pick3] = self._balanced_rows(rng, size - n3)
         return out
 
     def _pair_mode_rows(self, rng, sel):
         """One row per entry of sel (0-based pair-mode indices): block c1 set
         to +1, block c2 to its forced sign, every other entry uniform."""
-        params = self.params
-        c1s, c2s, forced = params.pair_modes
-        uniform = (rng.integers(0, 2, size=(len(sel), self.n)) * 2 - 1)
-        block = np.arange(self.n) // params.root
-        in_c1 = block[None, :] == c1s[sel][:, None]
-        in_c2 = block[None, :] == c2s[sel][:, None]
-        rows = np.where(in_c1, 1, uniform)
-        rows = np.where(in_c2, forced[sel][:, None], rows)
-        return rows.astype(np.int8)
+        c1s, c2s, forced = self.params.pair_modes
+        rows = _uniform_signs(rng, len(sel), self.n)
+        blocks = rows.reshape(len(sel), self.params.root, self.params.root)
+        at = np.arange(len(sel))
+        blocks[at, c1s[sel]] = 1
+        blocks[at, c2s[sel]] = forced[sel][:, None]
+        return rows
 
     def _balanced_rows(self, rng, size):
         """Uniform size-ell subset of each block set to +1: rank the block
         entries by iid uniforms and keep the smallest ell."""
-        root = self.params.root
-        ranks = rng.random((size, root, root)).argsort(axis=2)
-        rows = np.where(ranks < self.params.ell, 1, -1).astype(np.int8)
-        return rows.reshape(size, self.n)
-
-    @staticmethod
-    def _global_signs(rng, size):
-        return (rng.integers(0, 2, size=size) * 2 - 1).astype(np.int8)
+        root, ell = self.params.root, self.params.ell
+        return _chunked_signs(size, self.n, lambda m: (
+            rng.random((m, root, root)).argsort(axis=2) < ell).reshape(m, self.n))
 
     def sample_branch(self, rng: np.random.Generator, branch: str,
                       size: int) -> np.ndarray:
@@ -375,7 +365,42 @@ class AdversarialSampler:
             sel = np.searchsorted(self.params.pair_mode_cdf, rng.random(size),
                                   side="right")
             rows = self._pair_mode_rows(rng, sel)
-        return rows * self._global_signs(rng, size)[:, None]
+        return rows * _uniform_signs(rng, size, 1)
+
+
+def _chunked_signs(size: int, n: int, draw) -> np.ndarray:
+    """(size, n) int8 rows, +1 where draw(m) is true and -1 elsewhere.
+
+    draw(m) makes the generator call for the next m rows.  Split by rows,
+    the calls used here draw the same stream as one call for all rows, and
+    their float64 or int64 values stay cache-sized."""
+    bits = np.empty((size, n), dtype=bool)
+    step = max(1, _DRAW_VALUES // n)
+    for lo in range(0, size, step):
+        bits[lo:lo + step] = draw(min(step, size - lo))
+    signs = bits.view(np.int8)
+    signs += signs
+    signs -= 1
+    return signs
+
+
+def _uniform_signs(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """Fair +-1 int8 signs from rng.integers(0, 2, (size, n)), the draw
+    every sampler here has always made."""
+    return _chunked_signs(size, n, lambda m: rng.integers(0, 2, size=(m, n)) == 1)
+
+
+def _rotate_blocks(rows: np.ndarray, shifts: np.ndarray, root: int) -> np.ndarray:
+    """Entry i of row r is rows[r, (i + shifts[r] * root) % n]: a rotation
+    by whole blocks, one slice pair per distinct shift."""
+    n = rows.shape[1]
+    out = np.empty_like(rows)
+    for shift in np.unique(shifts):
+        at = np.flatnonzero(shifts == shift)
+        cut = int(shift) * root
+        out[at, :n - cut] = rows[at, cut:]
+        out[at, n - cut:] = rows[at, :cut]
+    return out
 
 
 class KWiseSampler:
@@ -432,7 +457,7 @@ class IndependentSampler:
         return self.sample_batch(rng, 1)[0]
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return (rng.integers(0, 2, size=(size, self.n)) * 2 - 1).astype(np.int8)
+        return _uniform_signs(rng, size, self.n)
 
 
 def make_sampler(spec: FamilySpec):

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from kwalks.gf2 import all_polynomial_signs
 from kwalks.rng import substream
 from kwalks.sign_families import (H_BRANCHES, AdversarialSampler, FamilySpec,
-                                  KWiseSampler, ResourceLimitError,
+                                  IndependentSampler, KWiseSampler,
+                                  ResourceLimitError,
                                   adversarial_params, empirical_moments,
-                                  _stage_block_moments, exact_moments,
-                                  f_values, g_table, h2_cross_term_ratio,
-                                  make_sampler)
+                                  _rotate_blocks, _stage_block_moments,
+                                  exact_moments, f_values, g_table,
+                                  h2_cross_term_ratio, make_sampler)
 
 F = Fraction
 
@@ -325,6 +326,103 @@ def test_sample_wrappers_are_single_draws():
         assert draw.shape == (16,)
         batch = AdversarialSampler(params, stage).sample_batch(substream(1, 0), 1)
         assert (draw == batch[0]).all()
+
+
+# sha256 over sample_batch of every stage and sample_branch of every branch
+# on ADV_PIN_NS, each sequence followed by 8 bytes of the generator so the
+# draws it leaves behind are pinned too; recorded with the take_along_axis
+# rotation and the int64 np.where kernels that preceded the block kernels.
+# The fully independent sampler is pinned the same way, odd n included.
+ADV_PIN_NS = [16, 64, 256, 1024, 4096]
+INDEPENDENT_PIN_NS = [1, 3, 16, 1000, 4097]
+PIN_SIZES = [0, 1, 7, 1500]
+ADV_PIN_SHA256 = ("9ae80032540d1d8621fd7bd2f593def3"
+                  "c7fc3bd6bb88287a52eed6a1df52cb48")
+INDEPENDENT_PIN_SHA256 = ("98618390a28eefce8ffb7783f97ede23"
+                          "d895c9ac63dc279bcbd500a2695ab223")
+
+
+def _pinned_rows(draw, n, digest):
+    rng = substream(n, 0)
+    for size in PIN_SIZES:
+        batch = draw(rng, size)
+        assert batch.dtype == np.int8 and batch.shape == (size, n)
+        assert batch.flags.c_contiguous
+        assert np.isin(batch, (-1, 1)).all()
+        digest.update(batch.tobytes())
+    digest.update(rng.bytes(8))
+
+
+def test_adversarial_sample_batch_pinned_stream():
+    digest = hashlib.sha256()
+    for n in ADV_PIN_NS:
+        params = adversarial_params(n)
+        for stage in ("H1", "H2", "H3", "H"):
+            _pinned_rows(AdversarialSampler(params, stage).sample_batch, n, digest)
+        sampler = AdversarialSampler(params, "H")
+        for branch in H_BRANCHES:
+            _pinned_rows(lambda rng, size: sampler.sample_branch(rng, branch, size),
+                         n, digest)
+    assert digest.hexdigest() == ADV_PIN_SHA256
+
+
+def test_independent_sample_batch_pinned_stream():
+    digest = hashlib.sha256()
+    for n in INDEPENDENT_PIN_NS:
+        _pinned_rows(IndependentSampler(n).sample_batch, n, digest)
+    assert digest.hexdigest() == INDEPENDENT_PIN_SHA256
+
+
+def take_along_rotation(rows, shifts, root):
+    """Oracle: rotation by whole blocks through a full (size, n) index."""
+    n = rows.shape[1]
+    idx = (np.arange(n)[None, :] + (shifts * root)[:, None]) % n
+    return np.take_along_axis(rows, idx, axis=1)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_rotate_blocks_matches_index_formula(n):
+    root = int(round(n ** 0.5))
+    # every entry of a row distinct, so any misplaced entry shows
+    rows = ((np.arange(n)[None, :] + 7 * np.arange(2 * root)[:, None]) % n
+            ).astype(np.int8)
+    for d in range(root):
+        shifts = np.full(len(rows), d)
+        assert (_rotate_blocks(rows, shifts, root)
+                == take_along_rotation(rows, shifts, root)).all()
+    mixed = substream(71, n).integers(0, root, size=len(rows))
+    got = _rotate_blocks(rows, mixed, root)
+    assert got.dtype == np.int8 and got.flags.c_contiguous
+    assert (got == take_along_rotation(rows, mixed, root)).all()
+    assert _rotate_blocks(rows[:0], mixed[:0], root).shape == (0, n)
+
+
+def reference_h3_rows(params, rng, size):
+    """Oracle: stage H3 through n-wide masks, with every pair row rotated
+    before it is overwritten."""
+    n, root = params.n, params.root
+    mode = np.searchsorted(params.mode_cdf, rng.random(size), side="right")
+    base = np.where(rng.random((size, n)) < params.h1_bias, 1, -1)
+    out = take_along_rotation(base, rng.integers(0, root, size=size), root)
+    pair = np.nonzero(mode > 0)[0]
+    if len(pair):
+        c1s, c2s, forced = params.pair_modes
+        sel = mode[pair] - 1
+        rows = rng.integers(0, 2, size=(len(pair), n)) * 2 - 1
+        block = np.arange(n) // root
+        rows = np.where(block[None, :] == c1s[sel][:, None], 1, rows)
+        out[pair] = np.where(block[None, :] == c2s[sel][:, None],
+                             forced[sel][:, None], rows)
+    return mode, out.astype(np.int8)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_h3_rows_match_reference_with_mixed_modes(n):
+    params = adversarial_params(n)
+    mode, expected = reference_h3_rows(params, substream(72, n), 400)
+    assert (mode == 0).any() and (mode > 0).any()
+    got = AdversarialSampler(params, "H3").sample_batch(substream(72, n), 400)
+    assert (got == expected).all()
 
 
 # --------------------------------------------------------------------------
