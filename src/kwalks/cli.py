@@ -35,14 +35,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_run(args) -> int:
     config = experiments.ExperimentConfig.from_file(args.config)
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.output is not None:
-        config.output = args.output
-    if args.workers is not None:
-        config.workers = args.workers
+    for key in ("trials", "seed", "output", "workers"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     table = experiments.run(config)
     if args.json:
         print(json.dumps(table.summary(), indent=1))

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import csv
 from functools import lru_cache
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 def _lg(n: int) -> int:
@@ -65,19 +64,12 @@ def quadratic_form_rows(n: int, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def prefix_lower_bound_check(n: int, x: Sequence[float] | np.ndarray, i: int,
-                             tol: float = 1e-9) -> bool:
-    """Whether x^T A x >= (x_1 + ... + x_i)^2 / lg n, within tol."""
-    if not 1 <= i <= n:
-        raise ValueError(f"prefix index must lie in 1..{n}")
-    arr = np.asarray(x, dtype=np.float64)
-    prefix = float(arr[:i].sum())
-    form = float(quadratic_form_rows(n, arr[None])[0])
-    return form >= prefix * prefix / _lg(n) - tol
-
-
 @lru_cache(maxsize=2)
 def _cholesky(n: int):
+    # scipy is imported on first use: most runs never factor A, and
+    # importing scipy.linalg costs about 0.25 s and 28 MB
+    from scipy.linalg import cho_factor
+
     mat = dense_matrix(n).astype(np.float64)
     try:
         return cho_factor(mat, lower=True)
@@ -92,22 +84,13 @@ def prefix_quadratic_minima(n: int) -> np.ndarray:
     The minimum subject to <v, x> = 1 equals 1 / (v^T A^{-1} v); one
     factorization serves all n prefix indicator vectors.
     """
+    from scipy.linalg import cho_solve
+
     factor = _cholesky(n)
     prefixes = np.triu(np.ones((n, n)))      # column i-1 is the indicator v^i
     solved = cho_solve(factor, prefixes)
     quad = (prefixes * solved).sum(axis=0)   # v^i . A^{-1} v^i
     return 1.0 / quad
-
-
-def constrained_min(n: int, i: int) -> float:
-    """Minimum of x^T A x over vectors whose first-i prefix sums to 1."""
-    if not 1 <= i <= n:
-        raise ValueError(f"prefix index must lie in 1..{n}")
-    factor = _cholesky(n)
-    v = np.zeros(n)
-    v[:i] = 1.0
-    y = cho_solve(factor, v)
-    return 1.0 / float(v @ y)
 
 
 def corollary_ratio(n: int) -> float:

@@ -137,13 +137,26 @@ class ExperimentConfig:
             mapping["stage"] = mapping["stage"].upper()
         return FamilySpec.from_config(mapping)
 
-    def int_list(self, key: str, default: str = "") -> list[int]:
-        raw = self.params.get(key, default)
-        return [int(tok) for tok in raw.replace(",", " ").split()]
+    def str_list(self, key: str, default: str) -> list[str]:
+        tokens = self.params.get(key, default).replace(",", " ").split()
+        if not tokens:
+            raise ValueError(f"param {key} needs at least one value")
+        return tokens
 
-    def float_list(self, key: str, default: str = "") -> list[float]:
-        raw = self.params.get(key, default)
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+    def int_list(self, key: str, default: str) -> list[int]:
+        return [int(tok) for tok in self.str_list(key, default)]
+
+    def float_list(self, key: str, default: str) -> list[float]:
+        return [float(tok) for tok in self.str_list(key, default)]
+
+    def generators(self, default: str) -> list[tuple]:
+        """(name, stream generator) per name in the generators param."""
+        names = self.str_list("generators", default)
+        unknown = [name for name in names if name not in streams.STREAM_GENERATORS]
+        if unknown:
+            raise ValueError(f"unknown generators {unknown}; choose from "
+                             f"{sorted(streams.STREAM_GENERATORS)}")
+        return [(name, streams.STREAM_GENERATORS[name]) for name in names]
 
     def get_int(self, key: str, default: int) -> int:
         return int(self.params.get(key, default))
@@ -154,6 +167,8 @@ class ExperimentConfig:
 
 def run(config: ExperimentConfig) -> ResultTable:
     """Dispatch to the named experiment and write its CSV if requested."""
+    if config.workers < 1:
+        raise ValueError(f"workers must be at least 1, got workers={config.workers}")
     started = time.time()
     runner = _RUNNERS[config.kind]
     table = runner(config)
@@ -320,12 +335,10 @@ def _run_maximal_mc(config: ExperimentConfig) -> ResultTable:
 def _run_stream_track(config: ExperimentConfig) -> ResultTable:
     table = ResultTable(header=["generator", "m", "k", "mean", "stderr",
                                 "normalized", "trials", "seed"])
-    gens = config.params.get("generators", "identity").split()
     m_values = config.int_list("m_list", "64 256 1024 4096 16384")
     k = config.get_int("k", 2)
     max_ratio = config.get_float("max_norm_ratio", 0.0)
-    for gen_name in gens:
-        gen = streams.STREAM_GENERATORS[gen_name]
+    for gen_name, gen in config.generators("identity"):
         normalized = []
         for m in m_values:
             stream = gen(m)
@@ -349,12 +362,10 @@ def _run_stream_track(config: ExperimentConfig) -> ResultTable:
 def _run_net_audit(config: ExperimentConfig) -> ResultTable:
     table = ResultTable(header=["generator", "m", "level", "d_r", "cap",
                                 "coverage_ok", "seed", "realizations"])
-    gens = config.params.get(
-        "generators", "identity single-item two-phase uniform dyadic-bursts").split()
     m_values = config.int_list("m_list", "64 256 1024 4096 16384")
     realizations = config.get_int("realizations", 100)
-    for gen_name in gens:
-        gen = streams.STREAM_GENERATORS[gen_name]
+    for gen_name, gen in config.generators(
+            "identity single-item two-phase uniform dyadic-bursts"):
         for m in m_values:
             stream = gen(m)
             nets = streams.build_nets(stream)

@@ -14,12 +14,11 @@ boundary noise.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -128,10 +127,6 @@ class IntervalTree:
     def root(self) -> IntervalNode:
         return self.nodes[0]
 
-    def t_length(self, node: IntervalNode) -> Fraction:
-        nums = self.profile.nums
-        return Fraction(nums[node.b] - nums[node.a], nums[-1])
-
     def levels(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
         for idx, node in enumerate(self.nodes):
@@ -147,17 +142,6 @@ class IntervalTree:
         if (out < 0).any():
             raise RuntimeError("some positions never reached a singleton leaf")
         return out
-
-    def dump_text(self, out: IO[str]) -> None:
-        for node in self.nodes:
-            out.write("  " * node.level +
-                      f"[{node.a}, {node.b}] level={node.level} s={node.pos}"
-                      f" bad={node.bad} rank={node.rank}\n")
-
-    def dump_json(self, out: IO[str]) -> None:
-        json.dump([{"level": nd.level, "s": nd.pos, "a": nd.a, "b": nd.b,
-                    "bad": nd.bad, "rank": nd.rank} for nd in self.nodes],
-                  out, indent=1)
 
 
 def build_tree(profile: VarianceProfile) -> IntervalTree:
@@ -319,13 +303,10 @@ class Hop:
 
 @dataclass(frozen=True)
 class ChainPath:
-    """Hops 0 = i_0 -> i_1 -> ... -> i_d = i with classified increments."""
+    """Hops 0 = i_0 -> i_1 -> ... -> i_d = i, each classified by kind."""
 
     index: int
     hops: tuple[Hop, ...]
-
-    def increments(self, S: Sequence[int]) -> list:
-        return [S[h.end] - S[h.start] for h in self.hops]
 
 
 def chain_path(tree: IntervalTree, S: Sequence[int], i: int) -> ChainPath:

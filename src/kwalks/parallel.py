@@ -12,17 +12,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+# numpy loads these lazily (np.random for substream, np.ma in np.unique);
+# loaded before any pool forks, they are inherited by every worker.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .rng import chunk_layout, substream
-from .sign_families import ADVERSARIAL_STAGE, H_BRANCHES, FamilySpec, make_sampler
+from .sign_families import FamilySpec, make_sampler
 
 
-def _run_chunk(fn: Callable, args, seed: int, chunk_index: int, count: int):
+def _run_chunk(task):
+    fn, args, seed, chunk_index, count = task
     return fn(args, substream(seed, chunk_index), count)
-
-
-def _run_chunk_star(packed):
-    return _run_chunk(*packed)
 
 
 def map_reduce_chunks(fn: Callable, args, trials: int, seed: int,
@@ -34,13 +35,12 @@ def map_reduce_chunks(fn: Callable, args, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got trials={trials}")
-    chunks = list(chunk_layout(trials))
-    if workers <= 1 or len(chunks) <= 1:
-        partials = [_run_chunk(fn, args, seed, c, count) for c, count in chunks]
+    tasks = [(fn, args, seed, c, count) for c, count in chunk_layout(trials)]
+    if workers <= 1 or len(tasks) <= 1:
+        partials = [_run_chunk(task) for task in tasks]
     else:
-        packed = [(fn, args, seed, c, count) for c, count in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_chunk_star, packed, chunksize=1))
+            partials = list(pool.map(_run_chunk, tasks, chunksize=1))
     totals = [0.0] * len(partials[0])
     for part in partials:
         for i, v in enumerate(part):
@@ -62,12 +62,8 @@ class ColumnMoments:
 
 
 def _moment_chunk(args, rng, count):
-    family_config, branch, stat, stat_args = args
-    sampler = make_sampler(FamilySpec.from_config(family_config))
-    if branch is None:
-        batch = sampler.sample_batch(rng, count)
-    else:
-        batch = sampler.sample_branch(rng, branch, count)
+    spec, branch, stat, stat_args = args
+    batch = make_sampler(spec, branch).sample_batch(rng, count)
     # each column is summed as its own 1-d array, so a column's sums do not
     # depend on how many columns the statistic has
     columns = np.asarray(stat(batch, *stat_args), dtype=np.float64)
@@ -82,16 +78,16 @@ def mc_moments(stat: Callable, stat_args: tuple, spec: FamilySpec, trials: int,
     """Column means and standard errors of stat(batch, *stat_args).
 
     stat is a module-level function mapping a (count, n) batch of sign
-    rows to count values or a (count, columns) array.  branch, one of
-    H_BRANCHES, draws the rows from that branch of a stage-H family.
+    rows to count values or a (count, columns) array.  branch is passed
+    to make_sampler: one of H_BRANCHES draws the rows from that branch of a
+    stage-H family.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    if branch is not None and (spec.kind != ADVERSARIAL_STAGE or spec.stage != "H"
-                               or branch not in H_BRANCHES):
-        raise ValueError(f"branch needs stage H and one of {H_BRANCHES}")
-    sums = map_reduce_chunks(_moment_chunk,
-                             (spec.to_config(), branch, stat, stat_args),
+    # Building the sampler here rejects a bad branch before any chunk runs,
+    # and forked pool workers inherit the cached sampler.
+    make_sampler(spec, branch)
+    sums = map_reduce_chunks(_moment_chunk, (spec, branch, stat, stat_args),
                              trials, seed, workers)
     totals, squares = sums[:len(sums) // 2], sums[len(sums) // 2:]
     mean = tuple(total / trials for total in totals)

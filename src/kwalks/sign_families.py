@@ -20,7 +20,7 @@ origin as pairwise independence allows.  It is assembled in four stages:
 Stage H is therefore an exact three-branch mixture (`H_BRANCHES`): the
 rotated drift branch (H2 up to a global sign), the pair-mode branch and the
 balanced-subset branch.  `AdversarialParams.branch_weights` holds the exact
-weights and `AdversarialSampler.sample_branch` draws from one branch.
+weights and `make_sampler(spec, branch)` draws from one branch.
 
 All stage constants are exact rationals; samplers convert them to floats
 once at construction.
@@ -108,14 +108,6 @@ class FamilySpec:
         if self.kind == POLYNOMIAL_KWISE:
             return self.k  # type: ignore[return-value]
         return 2 if self.stage == "H" else 1
-
-    def to_config(self) -> dict[str, str]:
-        out = {"kind": self.kind, "n": str(self.n), "seed": str(self.seed)}
-        if self.k is not None:
-            out["k"] = str(self.k)
-        if self.stage is not None:
-            out["stage"] = self.stage
-        return out
 
     @classmethod
     def from_config(cls, mapping: dict[str, str]) -> "FamilySpec":
@@ -276,26 +268,32 @@ def h2_cross_term_ratio(n: int) -> Fraction:
 # samplers
 
 class AdversarialSampler:
-    """Draws from one adversarial stage.  Immutable after construction."""
+    """Draws from one adversarial stage, or from one branch of stage H.
+    Immutable after construction.
 
-    def __init__(self, params: AdversarialParams, stage: str):
+    branch, one of H_BRANCHES, conditions stage H on that branch of its
+    mixture: drift is the rotated stage times a fair global sign, pairs a
+    pair mode (chosen with probability proportional to |g|) times a fair
+    global sign, balanced the per-block balanced subsets.  Mixing the
+    branches with `params.branch_weights` gives stage H exactly.
+    """
+
+    def __init__(self, params: AdversarialParams, stage: str,
+                 branch: str | None = None):
         if stage not in STAGES:
             raise ValueError(f"stage must be one of {STAGES}")
+        if branch is not None and (stage != "H" or branch not in H_BRANCHES):
+            raise ValueError(f"branch needs stage H and one of {H_BRANCHES}")
         self.params = params
         self.stage = stage
+        self.branch = branch
         self.n = params.n
-
-    @property
-    def independence_order(self) -> int:
-        return 2 if self.stage == "H" else 1
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_batch(rng, 1)[0]
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size < 0:
             raise ValueError("size must be nonnegative")
-        return getattr(self, "_batch_" + self.stage.lower())(rng, size)
+        kernel = "_batch_" + (self.branch or self.stage).lower()
+        return getattr(self, kernel)(rng, size)
 
     def _batch_h1(self, rng, size):
         bias = self.params.h1_bias
@@ -321,8 +319,23 @@ class AdversarialSampler:
         n3 = int(pick3.sum())
         out = np.empty((size, self.n), dtype=np.int8)
         out[pick3] = self._batch_h3(rng, n3) * _uniform_signs(rng, n3, 1)
-        out[~pick3] = self._balanced_rows(rng, size - n3)
+        out[~pick3] = self._batch_balanced(rng, size - n3)
         return out
+
+    def _batch_drift(self, rng, size):
+        return self._batch_h2(rng, size) * _uniform_signs(rng, size, 1)
+
+    def _batch_pairs(self, rng, size):
+        sel = np.searchsorted(self.params.pair_mode_cdf, rng.random(size),
+                              side="right")
+        return self._pair_mode_rows(rng, sel) * _uniform_signs(rng, size, 1)
+
+    def _batch_balanced(self, rng, size):
+        """Uniform size-ell subset of each block set to +1: rank the block
+        entries by iid uniforms and keep the smallest ell."""
+        root, ell = self.params.root, self.params.ell
+        return _chunked_signs(size, self.n, lambda m: (
+            rng.random((m, root, root)).argsort(axis=2) < ell).reshape(m, self.n))
 
     def _pair_mode_rows(self, rng, sel):
         """One row per entry of sel (0-based pair-mode indices): block c1 set
@@ -334,38 +347,6 @@ class AdversarialSampler:
         blocks[at, c1s[sel]] = 1
         blocks[at, c2s[sel]] = forced[sel][:, None]
         return rows
-
-    def _balanced_rows(self, rng, size):
-        """Uniform size-ell subset of each block set to +1: rank the block
-        entries by iid uniforms and keep the smallest ell."""
-        root, ell = self.params.root, self.params.ell
-        return _chunked_signs(size, self.n, lambda m: (
-            rng.random((m, root, root)).argsort(axis=2) < ell).reshape(m, self.n))
-
-    def sample_branch(self, rng: np.random.Generator, branch: str,
-                      size: int) -> np.ndarray:
-        """Draws from one branch of stage H, conditioned on that branch.
-
-        drift is the rotated stage times a fair global sign, pairs a pair
-        mode (chosen with probability proportional to |g|) times a fair
-        global sign, balanced the per-block balanced subsets.  Mixing the
-        branches with `params.branch_weights` gives stage H exactly.
-        """
-        if self.stage != "H":
-            raise ValueError("branches are defined for stage H only")
-        if branch not in H_BRANCHES:
-            raise ValueError(f"branch must be one of {H_BRANCHES}")
-        if size < 0:
-            raise ValueError("size must be nonnegative")
-        if branch == "balanced":
-            return self._balanced_rows(rng, size)
-        if branch == "drift":
-            rows = self._batch_h2(rng, size)
-        else:
-            sel = np.searchsorted(self.params.pair_mode_cdf, rng.random(size),
-                                  side="right")
-            rows = self._pair_mode_rows(rng, sel)
-        return rows * _uniform_signs(rng, size, 1)
 
 
 def _chunked_signs(size: int, n: int, draw) -> np.ndarray:
@@ -417,13 +398,6 @@ class KWiseSampler:
         vectors = point_lsb_vectors(self.field, n, k)
         self.tables = parity_tables(vectors, width)
 
-    @property
-    def independence_order(self) -> int:
-        return self.k
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_batch(rng, 1)[0]
-
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size < 0:
             raise ValueError("size must be nonnegative")
@@ -449,24 +423,20 @@ class IndependentSampler:
             raise ValueError("n must be positive")
         self.n = n
 
-    @property
-    def independence_order(self) -> int:
-        return self.n
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_batch(rng, 1)[0]
-
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return _uniform_signs(rng, size, self.n)
 
 
-def make_sampler(spec: FamilySpec):
-    """Sampler for any family spec.  Samplers are stateless between calls."""
+def make_sampler(spec: FamilySpec, branch: str | None = None):
+    """Sampler for any family spec, or for one branch (of H_BRANCHES) of a
+    stage-H family.  Samplers are stateless between calls."""
+    if spec.kind == ADVERSARIAL_STAGE:
+        return _cached_adversarial(spec.n, spec.stage, branch)
+    if branch is not None:
+        raise ValueError("branches are defined for adversarial stage H only")
     if spec.kind == FULLY_INDEPENDENT:
         return IndependentSampler(spec.n)
-    if spec.kind == POLYNOMIAL_KWISE:
-        return _cached_kwise(spec.n, spec.k)
-    return _cached_adversarial(spec.n, spec.stage)
+    return _cached_kwise(spec.n, spec.k)
 
 
 @lru_cache(maxsize=8)
@@ -475,8 +445,8 @@ def _cached_kwise(n: int, k: int) -> KWiseSampler:
 
 
 @lru_cache(maxsize=16)
-def _cached_adversarial(n: int, stage: str) -> AdversarialSampler:
-    return AdversarialSampler(adversarial_params(n), stage)
+def _cached_adversarial(n: int, stage: str, branch: str | None) -> AdversarialSampler:
+    return AdversarialSampler(adversarial_params(n), stage, branch)
 
 
 # --------------------------------------------------------------------------

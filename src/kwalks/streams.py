@@ -119,10 +119,6 @@ STREAM_GENERATORS = {
 }
 
 
-def write_stream(stream: InsertionStream, path: str | Path) -> None:
-    Path(path).write_text("".join(f"{int(p)}\n" for p in stream.items))
-
-
 def read_stream(path: str | Path, n: int | None = None) -> InsertionStream:
     items = [int(line) for line in Path(path).read_text().split()]
     arr = np.array(items, dtype=np.int64)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .parallel import mc_moments
 from .rng import mix64
-from .sign_families import AdversarialParams, FamilySpec
+from .sign_families import AdversarialParams, FamilySpec, _is_power_of_four
 
 
 def prefix_sums(v: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -93,10 +93,7 @@ class ScalingTable:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n values must be strictly increasing")
         for n in ns:
-            m = n
-            while m % 4 == 0:
-                m //= 4
-            if m != 1:
+            if not _is_power_of_four(n):
                 raise ValueError(f"n={n} is not a power of 4")
 
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kwalks
 import kwalks.sign_families as sf
 from kwalks import experiments
 from kwalks.cli import main
@@ -46,6 +51,66 @@ def test_cli_rejects_unknown_kind(tmp_path, capsys):
         kind = frobnicate
     """)
     assert main(["run", cfg]) == 2
+
+
+@pytest.mark.parametrize("kind", ["stream-track", "net-audit"])
+def test_cli_rejects_unknown_generator(tmp_path, capsys, kind):
+    cfg = write_config(tmp_path / "gen.cfg", f"""
+        [experiment]
+        kind = {kind}
+        trials = 100
+        [family]
+        kind = FullyIndependent
+        [params]
+        generators = identity frobnicate
+        m_list = 64
+    """)
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown generators ['frobnicate']")
+    assert "'dyadic-bursts', 'identity', 'single-item'" in err
+
+
+def test_cli_rejects_empty_list_param(tmp_path, capsys):
+    cfg = write_config(tmp_path / "empty.cfg", """
+        [experiment]
+        kind = family-verify
+        trials = 0
+        [family]
+        kind = AdversarialStage
+        stage = H
+        [params]
+        n_list =
+    """)
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == "error: param n_list needs at least one value\n"
+
+
+def test_cli_rejects_nonpositive_workers(tmp_path, capsys):
+    cfg = write_config(tmp_path / "workers.cfg", """
+        [experiment]
+        kind = matrix-check
+        workers = 0
+        [params]
+        n_list = 8
+    """)
+    assert main(["run", cfg]) == 2
+    assert "error: workers must be at least 1, got workers=0" in capsys.readouterr().err
+    assert main(["run", cfg, "--workers", "-2"]) == 2
+    assert "got workers=-2" in capsys.readouterr().err
+    assert main(["run", cfg, "--workers", "1"]) == 0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported only when a run factors the matrix
+    code = ("import sys, kwalks.cli, kwalks.experiments; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    src = str(Path(kwalks.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_family_verify_run(tmp_path, capsys):
@@ -266,7 +331,8 @@ def test_dump_net_from_file(tmp_path, capsys):
     from kwalks import streams
 
     path = tmp_path / "stream.txt"
-    streams.write_stream(streams.uniform_stream(32, n=8, seed=3), path)
+    items = streams.uniform_stream(32, n=8, seed=3).items
+    path.write_text("".join(f"{int(p)}\n" for p in items))
     assert main(["dump-net", "--stream", str(path), "--n", "8"]) == 0
     assert "level" in capsys.readouterr().out
 

@@ -2,10 +2,9 @@ import io
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
+from scipy.linalg import null_space, solve_triangular
 
-from kwalks.dyadic_matrix import (constrained_min, corollary_ratio, dense_matrix,
-                                  dump_csv, entry, prefix_lower_bound_check,
+from kwalks.dyadic_matrix import (corollary_ratio, dense_matrix, dump_csv, entry,
                                   prefix_quadratic_minima, quadratic_form_rows,
                                   trace)
 from kwalks.rng import substream
@@ -118,9 +117,9 @@ def test_prefix_lower_bound_gaussians():
     forms = quadratic_form_rows(n, rows)
     best_prefix = (np.cumsum(rows, axis=1) ** 2).max(axis=1)
     assert (forms >= best_prefix / lg - 1e-9).all()
-    # the scalar operation agrees
+    # one row against single prefixes
     for i in (1, 17, 64):
-        assert prefix_lower_bound_check(n, rows[0], i)
+        assert forms[0] >= rows[0, :i].sum() ** 2 / lg - 1e-9
 
 
 def test_prefix_lower_bound_uniform_vector():
@@ -128,13 +127,13 @@ def test_prefix_lower_bound_uniform_vector():
     x = np.full(n, 1.0 / n)
     # the full-prefix case is stronger
     assert quadratic_form_rows(n, x[None])[0] >= 0.5
-    assert prefix_lower_bound_check(n, x, n)
+    assert quadratic_form_rows(n, x[None])[0] >= x.sum() ** 2 / 3 - 1e-9
 
 
 def test_prefix_lower_bound_zero_prefix():
     x = np.zeros(8)
     x[0], x[1] = 1.0, -1.0
-    assert prefix_lower_bound_check(8, x, 2)
+    assert quadratic_form_rows(8, x[None])[0] >= x[:2].sum() ** 2 / 3 - 1e-9
 
 
 def constrained_min_oracle(n, i):
@@ -152,10 +151,20 @@ def constrained_min_oracle(n, i):
     return float(x @ mat @ x)
 
 
+def cholesky_min_oracle(n, i):
+    """One prefix at a time: 1 / (v^T A^{-1} v) from a Cholesky factor
+    A = L L^T, as |L^{-1} v|^2 = v^T A^{-1} v."""
+    lower = np.linalg.cholesky(dense_matrix(n).astype(np.float64))
+    v = np.zeros(n)
+    v[:i] = 1.0
+    y = solve_triangular(lower, v, lower=True)
+    return 1.0 / float(y @ y)
+
+
 @pytest.mark.parametrize("n,i", [(4, 1), (4, 3), (8, 2), (8, 8), (16, 5)])
 def test_constrained_min_matches_oracle(n, i):
-    assert constrained_min(n, i) == pytest.approx(constrained_min_oracle(n, i),
-                                                  rel=1e-9)
+    assert prefix_quadratic_minima(n)[i - 1] == pytest.approx(
+        constrained_min_oracle(n, i), rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [16, 64, 256])
@@ -164,11 +173,11 @@ def test_constrained_min_floor(n):
     minima = prefix_quadratic_minima(n)
     assert len(minima) == n
     assert minima.min() >= 1.0 / lg - 1e-9
-    assert constrained_min(n, n) == pytest.approx(minima[-1], rel=1e-12)
+    assert minima[-1] == pytest.approx(cholesky_min_oracle(n, n), rel=1e-12)
 
 
 def test_constrained_min_full_prefix_half():
-    assert constrained_min(8, 8) >= 0.5 - 1e-9
+    assert prefix_quadratic_minima(8)[8 - 1] >= 0.5 - 1e-9
 
 
 def test_corollary_ratio_bounds():

@@ -253,21 +253,6 @@ def test_chain_path_with_zero_variance_steps():
         mi.chain_path(tree, bad_S, 2)
 
 
-def test_tree_dumps(tmp_path):
-    import json
-
-    tree = build([F(1, 4)] * 4)
-    text_path = tmp_path / "tree.txt"
-    with open(text_path, "w") as out:
-        tree.dump_text(out)
-    assert "[0, 4]" in text_path.read_text()
-    json_path = tmp_path / "tree.json"
-    with open(json_path, "w") as out:
-        tree.dump_json(out)
-    nodes = json.loads(json_path.read_text())
-    assert nodes[0]["a"] == 0 and nodes[0]["b"] == 4
-
-
 # --------------------------------------------------------------------------
 # Monte Carlo tail
 

