@@ -118,10 +118,10 @@ class ExperimentConfig:
             kind=kind,
             family=dict(parser["family"]) if "family" in parser else {},
             params=dict(parser["params"]) if "params" in parser else {},
-            trials=exp.getint("trials", fallback=10000),
-            seed=exp.getint("seed", fallback=0),
+            trials=_number(int, "trials", exp.get("trials", "10000")),
+            seed=_number(int, "seed", exp.get("seed", "0")),
             output=exp.get("output", fallback=None),
-            workers=exp.getint("workers", fallback=1),
+            workers=_number(int, "workers", exp.get("workers", "1")),
         )
 
     def family_spec(self, n: int | None = None) -> FamilySpec:
@@ -144,10 +144,10 @@ class ExperimentConfig:
         return tokens
 
     def int_list(self, key: str, default: str) -> list[int]:
-        return [int(tok) for tok in self.str_list(key, default)]
+        return [_number(int, key, tok) for tok in self.str_list(key, default)]
 
     def float_list(self, key: str, default: str) -> list[float]:
-        return [float(tok) for tok in self.str_list(key, default)]
+        return [_number(float, key, tok) for tok in self.str_list(key, default)]
 
     def generators(self, default: str) -> list[tuple]:
         """(name, stream generator) per name in the generators param."""
@@ -159,10 +159,18 @@ class ExperimentConfig:
         return [(name, streams.STREAM_GENERATORS[name]) for name in names]
 
     def get_int(self, key: str, default: int) -> int:
-        return int(self.params.get(key, default))
+        return _number(int, key, self.params.get(key, default))
 
     def get_float(self, key: str, default: float) -> float:
-        return float(self.params.get(key, default))
+        return _number(float, key, self.params.get(key, default))
+
+
+def _number(kind, key: str, text):
+    """kind(text), or a ValueError naming the config key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key} needs {kind.__name__} values, got {text!r}") from None
 
 
 def run(config: ExperimentConfig) -> ResultTable:
@@ -190,6 +198,9 @@ def _run_family_verify(config: ExperimentConfig) -> ResultTable:
                                 "seed", "trials"])
     n_values = config.int_list("n_list", "16")
     spec0 = config.family_spec(n=n_values[0]) if config.family else None
+    if spec0 and spec0.kind != ADVERSARIAL_STAGE:
+        raise ValueError(f"family-verify checks {ADVERSARIAL_STAGE} families; "
+                         f"got kind {spec0.kind}")
     stage = spec0.stage if spec0 and spec0.stage else "H"
     if config.trials > 0:
         check_empirical_size(max(n_values))

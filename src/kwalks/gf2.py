@@ -66,17 +66,6 @@ class GF2Field:
             cur = self.xtime(cur)
         return v
 
-    def mul_table(self) -> np.ndarray:
-        """Dense multiplication table; only sensible for small widths."""
-        if self.width > 8:
-            raise ValueError("mul_table is for small fields only")
-        q = self.order
-        tab = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(q):
-                tab[a, b] = self.mul(a, b)
-        return tab
-
 
 def min_width(n: int) -> int:
     """Smallest supported width whose field has at least n elements."""
@@ -186,22 +175,19 @@ def all_polynomial_signs(width: int, n: int, k: int) -> np.ndarray:
 
     Row r holds the signs at points 1..n of the polynomial whose
     coefficients are the base-q digits of r (least significant digit is the
-    constant term).  Shape (q^k, n), entries +-1.
+    constant term).  Shape (q^k, n), entries +-1.  Rows are evaluated in
+    steps of about 2^20 signs, so temporaries stay small beside the result.
     """
     field = GF2Field(width)
     q = field.order
     if q ** k > 1 << 22:
         raise ValueError("enumeration too large; reduce width or k")
-    if q < n:
-        raise ValueError(f"field of order {q} has fewer than {n} points")
-    tab = field.mul_table()
-    idx = np.arange(q ** k, dtype=np.int64)
-    digits = [(idx // q ** j) % q for j in range(k)]
+    tables = parity_tables(point_lsb_vectors(field, n, k), width)
+    shifts = np.arange(0, width * k, width, dtype=np.uint64)
     signs = np.empty((q ** k, n), dtype=np.int8)
-    for i in range(n):
-        x = i
-        val = np.zeros(q ** k, dtype=np.int64)
-        for j in range(k - 1, -1, -1):
-            val = tab[val, x] ^ digits[j]
-        signs[:, i] = 1 - 2 * (val & 1)
+    step = max(1, (1 << 20) // n)
+    for lo in range(0, q ** k, step):
+        rows = np.arange(lo, min(lo + step, q ** k), dtype=np.uint64)[:, None]
+        signs[lo:lo + step] = signs_from_tables(
+            tables, (rows >> shifts) & np.uint64(q - 1), n)
     return signs

@@ -224,15 +224,6 @@ def bad_mass_exact(tree: IntervalTree, q: int) -> Fraction:
     return Fraction(mass, P[-1])
 
 
-def bad_mass(tree: IntervalTree, q: int) -> float:
-    """Total T-mass of rank-q bad intervals; verified against 0.9^q."""
-    total = bad_mass_exact(tree, q)
-    if total > RANK_DECAY ** q:
-        raise AssertionError(
-            f"rank-{q} bad mass {total} exceeds {RANK_DECAY}^{q}")
-    return float(total)
-
-
 def max_rank(tree: IntervalTree) -> int:
     return max((nd.rank for nd in tree.nodes if nd.rank is not None), default=0)
 
@@ -310,17 +301,13 @@ class ChainPath:
 
 
 def chain_path(tree: IntervalTree, S: Sequence[int], i: int) -> ChainPath:
-    """Decompose S_i into interval-endpoint hops.
+    """Decompose S_i into interval-endpoint hops: the climb of a batch of
+    one, read as Hop records.
 
-    Walking up from the leaf [i, i]: an outer endpoint persists (equal
-    hop); the inner endpoint of an abutting pair crosses its bad interval
-    (bad hop); the shared endpoint of a window split hops across whichever
-    sibling increment is smaller in |S| (good-min hop).  If the walk tops
-    out at the right root endpoint, a final whole-domain hop anchors the
-    chain at 0.
+    If the climb tops out at the right root endpoint, a final whole-domain
+    hop anchors the chain at 0; an index dropped as a zero-variance step
+    ends the chain with an equal hop from its reduced position.
     """
-    if not tree.ranked:
-        raise ValueError("classify_and_rank the tree first")
     profile = tree.profile
     if not 0 <= i <= profile.n_original:
         raise ValueError(f"index must lie in 0..{profile.n_original}")
@@ -333,36 +320,27 @@ def chain_path(tree: IntervalTree, S: Sequence[int], i: int) -> ChainPath:
         raise ValueError(
             "realization moves across zero-variance steps; S must be flat there")
 
-    first_leaf = tree.first_leaf_for()
-    node = tree.nodes[int(first_leaf[j])]
-    cur = j
+    S_red = np.asarray(S)[None, [0, *profile.kept]]
     hops_up: list[Hop] = []
-    while node.parent is not None:
-        par = tree.nodes[node.parent]
-        left, right = tree.nodes[par.left], tree.nodes[par.right]
-        if cur == par.a or cur == par.b:
-            hops_up.append(Hop(start=orig(cur), end=orig(cur), kind=HOP_EQUAL,
-                               level=node.level))
-        elif par.shared_split:
-            left_inc = abs(S[orig(left.b)] - S[orig(left.a)])
-            right_inc = abs(S[orig(right.b)] - S[orig(right.a)])
-            prev = par.a if left_inc <= right_inc else par.b
-            hops_up.append(Hop(start=orig(prev), end=orig(cur),
-                               kind=HOP_GOOD_MIN, level=node.level))
-            cur = prev
+    top = j
+    for _, child, ends, starts in _climb(tree, S_red, np.array([j])):
+        node = tree.nodes[int(child[0])]
+        end, top = int(ends[0, 0]), int(starts[0, 0])
+        if top == end:
+            kind, rank = HOP_EQUAL, None
+        elif tree.nodes[node.parent].shared_split:
+            kind, rank = HOP_GOOD_MIN, None
         else:
-            crossed = left if cur == left.b else right
-            prev = par.a if cur == left.b else par.b
-            hops_up.append(Hop(start=orig(prev), end=orig(cur), kind=HOP_BAD,
-                               level=crossed.level, rank=crossed.rank))
-            cur = prev
-        node = par
-    if cur == profile.n_reduced and cur != 0:
-        hops_up.append(Hop(start=0, end=orig(cur), kind=HOP_ROOT, level=0))
-    hops = list(reversed(hops_up))
+            kind, rank = HOP_BAD, node.rank
+        hops_up.append(Hop(start=orig(top), end=orig(end), kind=kind,
+                           level=node.level, rank=rank))
+    if top == profile.n_reduced:
+        hops_up.append(Hop(start=0, end=orig(top), kind=HOP_ROOT, level=0))
+    hops = hops_up[::-1]
     if i != orig(j):
+        # the first wave leaves the leaf [j, j]
         hops.append(Hop(start=orig(j), end=i, kind=HOP_EQUAL,
-                        level=tree.nodes[int(first_leaf[j])].level))
+                        level=hops_up[0].level))
     return ChainPath(index=i, hops=tuple(hops))
 
 
@@ -370,20 +348,42 @@ def telescoping_defect(tree: IntervalTree, S) -> int:
     """max |sum of chain hops - S_i| over all prefixes i; 0 when correct.
 
     S is one realization of prefix sums (length n+1) or a batch of them
-    (rows).  The leaf-to-root node paths are shared by every realization;
-    only the endpoint choices at window splits depend on S, so the whole
-    batch walks up the tree in one vectorized wave.
+    (rows); the whole batch climbs the tree together.
+    """
+    profile = tree.profile
+    S_arr = np.atleast_2d(np.asarray(S, dtype=np.int64))
+    S_red = S_arr[:, [0, *profile.kept]]         # (batch, n_reduced + 1)
+    chains = np.arange(profile.n_reduced + 1)
+    total = np.zeros_like(S_red)
+    top = np.broadcast_to(chains, S_red.shape).copy()
+    rows = np.arange(len(S_red))[:, None]
+    for active, _, end, start in _climb(tree, S_red, chains):
+        total[:, active] += S_red[rows, end] - S_red[rows, start]
+        top[:, active] = start
+    # whole-domain hop when a chain tops out at the right root endpoint
+    total += np.where(top == profile.n_reduced, S_red[:, -1:] - S_red[:, :1], 0)
+    return int(np.abs(total - (S_red - S_red[:, :1])).max())
+
+
+def _climb(tree: IntervalTree, S_red: np.ndarray, chains: np.ndarray):
+    """Walk chains from their leaves to the root, one vectorized wave per
+    step up.  chain_path and telescoping_defect both read this climb, so the
+    hop rule lives here alone.
+
+    S_red holds rows of prefix sums at reduced positions 0..n_reduced, and
+    chains the reduced positions the chains start from.  The node path of a
+    chain is the same in every row; only the choice at window splits reads
+    S_red.  Each wave yields (active, child, end, start): the indices into
+    chains still climbing, the node each one leaves, and per row the
+    positions its hop ends and starts at.  A hop from an endpoint of the
+    parent is equal (start == end).  From the inner endpoint, a window
+    split (shared parent split) crosses whichever sibling has the smaller
+    |increment| (good-min hop); an abutting split crosses the bad child
+    holding that endpoint, which is always the child itself (bad hop).
     """
     if not tree.ranked:
         raise ValueError("classify_and_rank the tree first")
-    profile = tree.profile
-    S_arr = np.atleast_2d(np.asarray(S, dtype=np.int64))
-    orig = np.array([profile.original_position(j)
-                     for j in range(profile.n_reduced + 1)], dtype=np.int64)
-    S_red = S_arr[:, orig]                       # (batch, n_reduced + 1)
-
     nodes = tree.nodes
-    first_leaf = tree.first_leaf_for()
     parent = np.array([-1 if nd.parent is None else nd.parent for nd in nodes])
     a = np.array([nd.a for nd in nodes])
     b = np.array([nd.b for nd in nodes])
@@ -391,41 +391,25 @@ def telescoping_defect(tree: IntervalTree, S) -> int:
     right = np.array([-1 if nd.right is None else nd.right for nd in nodes])
     shared = np.array([bool(nd.shared_split) for nd in nodes])
 
-    chains = profile.n_reduced + 1
-    node_idx = first_leaf.copy()                 # structural, per chain
-    cur = np.broadcast_to(np.arange(chains, dtype=np.int64),
-                          (len(S_red), chains)).copy()
-    total = np.zeros((len(S_red), chains), dtype=np.int64)
-    active = parent[node_idx] >= 0
-    while active.any():
-        par = parent[node_idx[active]]
-        pa, pb = a[par], b[par]
-        c = cur[:, active]
+    node_idx = tree.first_leaf_for()[chains]
+    cur = np.broadcast_to(chains, (len(S_red), len(chains))).copy()
+    active = np.flatnonzero(parent[node_idx] >= 0)
+    while len(active):
+        child = node_idx[active]
+        par = parent[child]
         lft, rgt = left[par], right[par]
-        inner = (c != pa) & (c != pb)
-        prev = c.copy()
-        # window splits: cross the smaller-|increment| sibling
-        win = inner & shared[par]
-        if win.any():
-            li = np.abs(S_red[:, b[lft]] - S_red[:, a[lft]])
-            ri = np.abs(S_red[:, b[rgt]] - S_red[:, a[rgt]])
-            prev[win] = np.where(li <= ri, pa[None, :].repeat(len(S_red), 0),
-                                 pb[None, :].repeat(len(S_red), 0))[win]
-        # abutting splits: cross the bad child whose inner endpoint we hold
-        gap = inner & ~shared[par]
-        if gap.any():
-            prev[gap] = np.where(c == b[lft], pa[None, :].repeat(len(S_red), 0),
-                                 pb[None, :].repeat(len(S_red), 0))[gap]
-        rows = np.arange(len(S_red))[:, None]
-        total[:, active] += S_red[rows, c] - S_red[rows, prev]
-        cur[:, active] = prev
+        end = cur[:, active]
+        cross_left = np.where(
+            shared[par],
+            np.abs(S_red[:, b[lft]] - S_red[:, a[lft]])
+            <= np.abs(S_red[:, b[rgt]] - S_red[:, a[rgt]]),
+            end == b[lft])
+        start = np.where((end == a[par]) | (end == b[par]), end,
+                         np.where(cross_left, a[par], b[par]))
+        yield active, child, end, start
+        cur[:, active] = start
         node_idx[active] = par
-        active = parent[node_idx] >= 0
-    # whole-domain hop when a chain tops out at the right root endpoint
-    total += np.where(cur == profile.n_reduced,
-                      (S_red[:, -1] - S_red[:, 0])[:, None], 0)
-    defect = np.abs(total - (S_red - S_red[:, :1]))
-    return int(defect.max())
+        active = active[parent[par] >= 0]
 
 
 # --------------------------------------------------------------------------

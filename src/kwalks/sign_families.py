@@ -267,6 +267,18 @@ def h2_cross_term_ratio(n: int) -> Fraction:
 # --------------------------------------------------------------------------
 # samplers
 
+# The float tables of AdversarialParams that each kernel (stage or branch)
+# reads.  A sampler builds them at construction, so one built in the parent
+# reaches forked workers complete.
+_KERNEL_TABLES = {
+    "H1": ("h1_bias",), "H2": ("h1_bias",), "drift": ("h1_bias",),
+    "H3": ("h1_bias", "mode_cdf", "pair_modes"),
+    "H": ("h1_bias", "mode_cdf", "pair_modes", "p_float"),
+    "pairs": ("pair_mode_cdf", "pair_modes"),
+    "balanced": (),
+}
+
+
 class AdversarialSampler:
     """Draws from one adversarial stage, or from one branch of stage H.
     Immutable after construction.
@@ -288,6 +300,8 @@ class AdversarialSampler:
         self.stage = stage
         self.branch = branch
         self.n = params.n
+        for table in _KERNEL_TABLES[branch or stage]:
+            getattr(params, table)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size < 0:

@@ -101,6 +101,46 @@ def test_cli_rejects_nonpositive_workers(tmp_path, capsys):
     assert main(["run", cfg, "--workers", "1"]) == 0
 
 
+@pytest.mark.parametrize("kind,experiment,params,message", [
+    ("matrix-check", "", "n_list = 8 abc", "n_list needs int values, got 'abc'"),
+    ("matrix-check", "trials = many", "n_list = 8",
+     "trials needs int values, got 'many'"),
+    ("matrix-check", "seed = 1e3", "n_list = 8", "seed needs int values, got '1e3'"),
+    ("matrix-check", "workers = two", "n_list = 8",
+     "workers needs int values, got 'two'"),
+    ("matrix-check", "", "n_list = 8\ngaussian_vectors = 1.5",
+     "gaussian_vectors needs int values, got '1.5'"),
+    ("net-audit", "", "m_list = 64\nrealizations = ten",
+     "realizations needs int values, got 'ten'"),
+    ("maximal-mc", "", "n = 16\nsigma_decades = lots",
+     "sigma_decades needs float values, got 'lots'"),
+    ("maximal-mc", "", "n = 16\nlambda_mults = 2 four",
+     "lambda_mults needs float values, got 'four'"),
+], ids=["n_list", "trials", "seed", "workers", "gaussian_vectors",
+        "realizations", "sigma_decades", "lambda_mults"])
+def test_cli_number_errors_name_the_key(tmp_path, capsys, kind, experiment,
+                                        params, message):
+    cfg = tmp_path / "numbers.cfg"
+    cfg.write_text(f"[experiment]\nkind = {kind}\n{experiment}\n"
+                   f"[params]\n{params}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family", ["kind = PolynomialKWise\nk = 4",
+                                    "kind = FullyIndependent"],
+                         ids=["PolynomialKWise", "FullyIndependent"])
+def test_family_verify_rejects_other_kinds(tmp_path, capsys, family):
+    cfg = tmp_path / "kwise.cfg"
+    cfg.write_text("[experiment]\nkind = family-verify\ntrials = 0\n"
+                   f"[family]\n{family}\n[params]\nn_list = 16\n")
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: family-verify checks AdversarialStage")
+    assert family.split("\n")[0].split()[-1] in captured.err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.linalg is imported only when a run factors the matrix
     code = ("import sys, kwalks.cli, kwalks.experiments; "

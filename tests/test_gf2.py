@@ -88,6 +88,22 @@ def test_signs_from_tables_matches_direct_evaluation():
             assert fast[row, i] == (1 if val % 2 == 0 else -1)
 
 
+def horner_signs(field, n, k):
+    """Signs of every degree-(k-1) polynomial at points 0..n-1, row r
+    holding the base-q digits of r as coefficients (constant term first),
+    by Horner's rule on scalar field products."""
+    q = field.order
+    digits = [(np.arange(q ** k) // q ** j) % q for j in range(k)]
+    signs = np.empty((q ** k, n), dtype=np.int8)
+    for x in range(n):
+        times_x = np.array([field.mul(a, x) for a in range(q)])
+        val = np.zeros(q ** k, dtype=np.int64)
+        for j in range(k - 1, -1, -1):
+            val = times_x[val] ^ digits[j]
+        signs[:, x] = 1 - 2 * (val & 1)
+    return signs
+
+
 def test_signs_from_tables_every_polynomial_over_gf16():
     n, k = 16, 4
     tables = parity_tables(point_lsb_vectors(GF2Field(4), n, k), 4)
@@ -96,7 +112,22 @@ def test_signs_from_tables_every_polynomial_over_gf16():
                        for j in range(k)], axis=1)
     signs = signs_from_tables(tables, coeffs, n)
     assert signs.dtype == np.int8
-    assert (signs == all_polynomial_signs(4, n, k)).all()
+    assert (signs == horner_signs(GF2Field(4), n, k)).all()
+
+
+@pytest.mark.parametrize("width,n,k", [(2, 4, 2), (4, 16, 4), (4, 16, 2),
+                                       (8, 200, 2), (4, 5, 3), (2, 3, 3)])
+def test_all_polynomial_signs_match_horner(width, n, k):
+    signs = all_polynomial_signs(width, n, k)
+    assert signs.dtype == np.int8
+    assert (signs == horner_signs(GF2Field(width), n, k)).all()
+
+
+def test_all_polynomial_signs_rejects_large_enumerations():
+    with pytest.raises(ValueError, match="enumeration too large"):
+        all_polynomial_signs(8, 16, 3)
+    with pytest.raises(ValueError, match="fewer than 17 points"):
+        all_polynomial_signs(4, 17, 2)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])

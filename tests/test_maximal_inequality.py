@@ -97,8 +97,8 @@ def test_gap_profile_044_056():
     # the unit-length bad child splits again into rank-2 singletons
     inner = [tree.nodes[left.left], tree.nodes[left.right]]
     assert all(node.bad and node.rank == 2 for node in inner)
-    assert mi.bad_mass(tree, 1) <= 0.9
-    assert mi.bad_mass_exact(tree, 1) == F(44, 100) + 0
+    assert mi.bad_mass_exact(tree, 1) == F(44, 100) <= F(9, 10)
+    assert mi.check_invariants(tree) == []
 
 
 def test_geometric_profile_nested_bad_ranks():
@@ -113,18 +113,32 @@ def test_adversarial_geometric_055():
     tree = build([F(55, 100) ** i for i in range(1, 20)])
     assert not mi.check_invariants(tree)
     for q in range(1, mi.max_rank(tree) + 1):
-        mi.bad_mass(tree, q)    # raises if the bound ever fails
+        assert mi.bad_mass_exact(tree, q) <= F(9, 10) ** q
 
 
 def test_bad_mass_empty_rank():
     tree = build([F(1, 16)] * 16)
-    assert mi.bad_mass(tree, 40) == 0.0
+    assert mi.bad_mass_exact(tree, 40) == 0
+
+
+def test_check_invariants_reports_rank_mass_over_bound():
+    tree = build([F(1, 16)] * 16)
+    # mark both halves of the root bad: rank-1 mass 1 > 0.9
+    for idx in (tree.root.left, tree.root.right):
+        tree.nodes[idx].bad, tree.nodes[idx].rank = True, 1
+    assert mi.bad_mass_exact(tree, 1) == 1
+    assert "rank 1 mass exceeds 9/10^1" in mi.check_invariants(tree)
 
 
 def test_rejects_unranked_queries():
     tree = mi.build_tree(mi.VarianceProfile.from_sigmas([F(1, 4)] * 4))
-    with pytest.raises(ValueError):
-        mi.bad_mass(tree, 1)
+    S = np.arange(5)
+    with pytest.raises(ValueError, match="classify_and_rank"):
+        mi.bad_mass_exact(tree, 1)
+    with pytest.raises(ValueError, match="classify_and_rank"):
+        mi.chain_path(tree, S, 2)
+    with pytest.raises(ValueError, match="classify_and_rank"):
+        mi.telescoping_defect(tree, S)
 
 
 @settings(max_examples=30, deadline=None)
@@ -233,6 +247,12 @@ def test_telescoping_defect_matches_chain_path():
         (rng.integers(0, 2, size=(50, 128)) * 2 - 1).astype(np.int64), axis=1)
     S = np.concatenate([np.zeros((50, 1), dtype=np.int64), batch], axis=1)
     assert mi.telescoping_defect(tree, S) == 0
+    for row in S:
+        assert mi.telescoping_defect(tree, row) == 0
+        for i in range(129):
+            path = mi.chain_path(tree, row, i)
+            assert sum(row[h.end] - row[h.start] for h in path.hops) == row[i]
+            validate_path(tree, row, path)
 
 
 def test_chain_path_with_zero_variance_steps():

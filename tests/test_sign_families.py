@@ -842,6 +842,20 @@ def test_make_sampler_rejects_bad_branch():
     assert draws.shape == (0, 16)
 
 
+@pytest.mark.parametrize("stage,branch", [(stage, None) for stage in
+                                          ("H1", "H2", "H3", "H")]
+                         + [("H", branch) for branch in H_BRANCHES])
+def test_sampler_builds_its_tables_at_construction(stage, branch):
+    params = adversarial_params.__wrapped__(64)     # fresh: no table built
+    sampler = AdversarialSampler(params, stage, branch)
+    built = set(vars(params))
+    sampler.sample_batch(substream(3, 0), 20)
+    assert set(vars(params)) == built       # drawing builds nothing more
+    pair_tables = {"mode_cdf", "pair_mode_cdf", "pair_modes"}
+    if stage in ("H1", "H2") or branch in ("drift", "balanced"):
+        assert not built & pair_tables
+
+
 # --------------------------------------------------------------------------
 # determinism
 
