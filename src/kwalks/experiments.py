@@ -184,6 +184,7 @@ def run(config: ExperimentConfig) -> ResultTable:
     table.metadata.setdefault("seed", config.seed)
     table.metadata.setdefault("trials", config.trials)
     table.metadata["version"] = VERSION
+    table.metadata["workers"] = config.workers
     table.metadata["wall_time_s"] = f"{time.time() - started:.3f}"
     if config.output:
         table.write_csv(config.output)

@@ -239,13 +239,11 @@ def check_invariants(tree: IntervalTree) -> list[str]:
     n = tree.profile.n_reduced
     levels = tree.levels()
 
+    # Deeper levels only refine: nodes that stopped splitting earlier still
+    # cover their points, so each level extends with all shallower leaves.
+    leaf_spans: list[tuple[int, int]] = []
     for level, idxs in sorted(levels.items()):
         spans = sorted((tree.nodes[i].a, tree.nodes[i].b) for i in idxs)
-        # Deeper levels only refine: nodes that stopped splitting earlier
-        # still cover their points, so extend with all shallower leaves.
-        leaf_spans = [(tree.nodes[i].a, tree.nodes[i].b)
-                      for i, nd in enumerate(tree.nodes)
-                      if nd.is_leaf and nd.level < level]
         covered = sorted(spans + leaf_spans)
         cursor = -1    # largest integer covered so far; abutting is fine
         for a, b in covered:
@@ -266,6 +264,8 @@ def check_invariants(tree: IntervalTree) -> list[str]:
             if (P[nd.b] - P[nd.a]) * den_pow > num_pow * total:
                 problems.append(
                     f"level {level}: [{nd.a},{nd.b}] longer than 0.55^{level}")
+        leaf_spans += [(tree.nodes[i].a, tree.nodes[i].b) for i in idxs
+                       if tree.nodes[i].is_leaf]
 
     if tree.ranked:
         for nd in tree.nodes:

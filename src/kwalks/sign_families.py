@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -227,8 +228,13 @@ class AdversarialParams:
 
 
 def _exact_cdf(weights: list[Fraction], total: Fraction) -> np.ndarray:
-    """Float boundaries of the exact running sums of weights / total."""
-    return np.array([float(c / total) for c in accumulate(weights)])
+    """Float boundaries of the exact running sums of weights / total, as
+    integer numerators over one common denominator; int / int rounds
+    correctly, as Fraction.__float__ does."""
+    den = lcm(total.denominator, *{w.denominator for w in weights})
+    scale = total.numerator * (den // total.denominator)
+    sums = accumulate(w.numerator * (den // w.denominator) for w in weights)
+    return np.array([c / scale for c in sums])
 
 
 @lru_cache(maxsize=16)

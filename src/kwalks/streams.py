@@ -120,8 +120,13 @@ STREAM_GENERATORS = {
 
 
 def read_stream(path: str | Path, n: int | None = None) -> InsertionStream:
-    items = [int(line) for line in Path(path).read_text().split()]
-    arr = np.array(items, dtype=np.int64)
+    tokens = Path(path).read_text().split()
+    if not tokens:
+        raise ValueError(f"stream file {path} holds no items")
+    try:
+        arr = np.array([int(tok) for tok in tokens], dtype=np.int64)
+    except ValueError:
+        raise ValueError(f"stream file {path} holds a non-integer item") from None
     return InsertionStream(items=arr, n=n if n is not None else int(arr.max()))
 
 
@@ -177,8 +182,7 @@ def _net_times(items: np.ndarray, norm_sq: int, r: int) -> list[int]:
     times = [0]
     deltas: dict[int, int] = {}
     dist_sq = 0
-    for t in range(1, m + 1):
-        c = int(items[t - 1])
+    for t, c in enumerate(items.tolist(), start=1):
         d = deltas.get(c, 0)
         dist_sq += 2 * d + 1
         deltas[c] = d + 1
@@ -189,18 +193,27 @@ def _net_times(items: np.ndarray, norm_sq: int, r: int) -> list[int]:
     return times
 
 
+def _earlier_counts(items: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Per position, how often its item occurs earlier in the same segment
+    (seg nondecreasing): a stable sort by item keeps positions in order, so
+    each (item, segment) group is one run of the sorted order."""
+    order = np.argsort(items, kind="stable")
+    key_i, key_s = items[order], seg[order]
+    idx = np.arange(len(items))
+    starts = np.ones(len(items), dtype=bool)
+    starts[1:] = (key_i[1:] != key_i[:-1]) | (key_s[1:] != key_s[:-1])
+    out = np.empty(len(items), dtype=np.int64)
+    out[order] = idx - np.maximum.accumulate(np.where(starts, idx, 0))
+    return out
+
+
 def build_nets(stream: InsertionStream) -> NetHierarchy:
     """Greedy nets for levels r = 0 .. 2 lg m + 1 with parent maps."""
     m = stream.m
-    counts = stream.counts().astype(np.int64)
-    norm_sq = int((counts.astype(object) ** 2).sum())
     running = np.zeros(m + 1, dtype=np.int64)
-    seen = np.zeros(stream.n + 1, dtype=np.int64)
-    acc = 0
-    for t, c in enumerate(stream.items, start=1):
-        acc += 2 * seen[c] + 1
-        seen[c] += 1
-        running[t] = acc
+    np.cumsum(2 * _earlier_counts(stream.items, np.zeros(m, np.int64)) + 1,
+              out=running[1:])
+    norm_sq = int(running[-1])
 
     levels: list[NetLevel] = []
     for r in range(2 * _lg(m) + 2):
@@ -219,22 +232,16 @@ def coverage_check(nets: NetHierarchy, r: int) -> bool:
     verified on squared distances in integer arithmetic."""
     if not 0 <= r < nets.num_levels:
         raise ValueError(f"level must lie in 0..{nets.num_levels - 1}")
-    items = nets.stream.items
-    m = nets.stream.m
-    net_times = set(int(t) for t in nets.levels[r].times)
-    deltas: dict[int, int] = {}
-    dist_sq = 0
-    for t in range(1, m + 1):
-        c = int(items[t - 1])
-        d = deltas.get(c, 0)
-        dist_sq += 2 * d + 1
-        deltas[c] = d + 1
-        if t in net_times:
-            deltas.clear()
-            dist_sq = 0
-        elif (dist_sq << r) > nets.norm_sq:
-            return False
-    return True
+    times = nets.levels[r].times
+    pos = np.arange(1, nets.stream.m + 1)
+    # prefix t lies in segment #{net times < t}, which a net time t closes
+    seg = np.searchsorted(times, pos, side="left")
+    steps = 2 * _earlier_counts(nets.stream.items, seg) + 1
+    dist_sq = np.cumsum(steps)
+    dist_sq -= (dist_sq - steps)[np.searchsorted(seg, seg, side="left")]
+    at_net = np.searchsorted(times, pos, side="right") > seg
+    # dist_sq * 2^r > norm_sq on integers, without the int64 overflow
+    return not ((dist_sq > nets.norm_sq >> r) & ~at_net).any()
 
 
 def net_point_norm_growth_ok(nets: NetHierarchy) -> bool:
@@ -251,10 +258,14 @@ def net_point_norm_growth_ok(nets: NetHierarchy) -> bool:
 # --------------------------------------------------------------------------
 # chain forms
 
-def _level_diffs(nets: NetHierarchy, w: np.ndarray, r: int) -> np.ndarray:
-    lvl = nets.levels[r]
-    prev = nets.levels[r - 1]
-    return w[..., lvl.times] - w[..., prev.times[lvl.parents]]
+def _level_diffs(nets: NetHierarchy, w: np.ndarray):
+    """(r, level-r net-point differences of w) for r >= 1.  A level whose
+    times equal level r-1's has identity parents and all-zero differences,
+    so it is skipped: adding 0.0 leaves a float total unchanged."""
+    for r in range(1, nets.num_levels):
+        lvl, prev = nets.levels[r], nets.levels[r - 1]
+        if not np.array_equal(lvl.times, prev.times):
+            yield r, w[..., lvl.times] - w[..., prev.times[lvl.parents]]
 
 
 def chain_form_quadratic_rows(nets: NetHierarchy, rows: np.ndarray) -> np.ndarray:
@@ -262,9 +273,9 @@ def chain_form_quadratic_rows(nets: NetHierarchy, rows: np.ndarray) -> np.ndarra
     <a_{r,s} - parent, x>^2."""
     w = nets.stream.prefix_inner_rows(rows)
     total = np.zeros(len(w))
-    for r in range(1, nets.num_levels):
-        diffs = _level_diffs(nets, w, r)
-        total += (diffs ** 2).sum(axis=1)
+    for _, diffs in _level_diffs(nets, w):
+        diffs *= diffs
+        total += diffs.sum(axis=1)
     return total
 
 
@@ -275,9 +286,11 @@ def chain_form_k_rows(nets: NetHierarchy, rows: np.ndarray, k: int) -> np.ndarra
         raise ValueError("k must be even and at least 4")
     w = nets.stream.prefix_inner_rows(rows)
     total = np.zeros(len(w))
-    for r in range(1, nets.num_levels):
-        diffs = _level_diffs(nets, w, r)
-        total += 2 ** (r / 2) * (diffs ** k).sum(axis=1)
+    for r, diffs in _level_diffs(nets, w):
+        # d*d is exact for integer-valued d; numpy's d ** k is slower and
+        # not correctly rounded past 2^53
+        diffs *= diffs
+        total += 2 ** (r / 2) * (diffs ** (k // 2)).sum(axis=1)
     return total
 
 

@@ -377,6 +377,40 @@ def test_dump_net_from_file(tmp_path, capsys):
     assert "level" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "holds no items"),
+    ("  \n\n", "holds no items"),
+    ("1\n2\nx3\n4\n", "holds a non-integer item"),
+])
+def test_dump_net_stream_file_errors_name_the_file(tmp_path, capsys, text,
+                                                   message):
+    path = tmp_path / "stream.txt"
+    path.write_text(text)
+    assert main(["dump-net", "--stream", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: stream file {path} {message}\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_footer_records_workers(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path / "walk.cfg", """
+        [experiment]
+        kind = walk-scaling
+        trials = 300
+        seed = 5
+        [family]
+        kind = FullyIndependent
+        [params]
+        n_list = 16 64 256
+        moment_order = 1
+    """)
+    out = tmp_path / "w.csv"
+    main(["run", cfg, "--output", str(out), "--workers", str(workers),
+          "--json"])
+    assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == workers
+    assert f"# workers={workers}" in out.read_text().splitlines()
+
+
 def test_dump_net_requires_source():
     with pytest.raises(SystemExit):
         main(["dump-net"])

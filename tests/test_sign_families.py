@@ -127,6 +127,18 @@ def test_mode_cdf_ends_at_one(n):
     assert (np.diff(params.mode_cdf) >= 0).all()
     assert len(params.mode_cdf) == 1 + len(params.pair_modes[0])
 
+    def fraction_cdf(weights, total):
+        running, out = Fraction(0), []
+        for w in weights:
+            running += w
+            out.append(float(running / total))
+        return out
+
+    assert params.mode_cdf.tolist() == fraction_cdf(
+        [Fraction(1)] + params.pair_weights, params.g_scale)
+    assert params.pair_mode_cdf.tolist() == fraction_cdf(
+        params.pair_weights, params.g_scale - 1)
+
 
 class _TopUniformFirst:
     """Generator stand-in whose first uniform draw is the largest float

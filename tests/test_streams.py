@@ -207,6 +207,82 @@ def test_coverage_check_detects_missing_point():
     assert not streams.coverage_check(broken, level)
 
 
+def scalar_coverage(nets, r):
+    """The per-prefix scan: running squared distance to the preceding net
+    point, reset at each net time, compared on exact Python integers."""
+    net_times = set(int(t) for t in nets.levels[r].times)
+    deltas, dist_sq = {}, 0
+    for t, c in enumerate(nets.stream.items.tolist(), start=1):
+        d = deltas.get(c, 0)
+        dist_sq += 2 * d + 1
+        deltas[c] = d + 1
+        if t in net_times:
+            deltas, dist_sq = {}, 0
+        elif (dist_sq << r) > nets.norm_sq:
+            return False
+    return True
+
+
+def with_level(nets, r, times, norm_sq=None, num_levels=None):
+    """nets with level r's times replaced (and optionally norm_sq and the
+    number of levels, padded with level 0)."""
+    levels = list(nets.levels)
+    if num_levels is not None:
+        levels = (levels + [levels[0]] * num_levels)[:num_levels]
+    levels[r] = streams.NetLevel(times=np.asarray(times, dtype=np.int64),
+                                 parents=None)
+    return streams.NetHierarchy(
+        stream=nets.stream, norm_sq=nets.norm_sq if norm_sq is None else norm_sq,
+        prefix_norm_sq=nets.prefix_norm_sq, levels=levels)
+
+
+@pytest.mark.parametrize("name", sorted(streams.STREAM_GENERATORS))
+def test_coverage_check_matches_scalar_scan(name):
+    outcomes = set()
+    for lg in range(6, 13):
+        nets = streams.build_nets(streams.STREAM_GENERATORS[name](1 << lg))
+        for r in range(nets.num_levels):
+            times = nets.levels[r].times
+            variants = [times]
+            if len(times) > 2:              # drop one interior net time
+                variants.append(np.delete(times, len(times) // 2))
+            for variant in variants:
+                broken = with_level(nets, r, variant)
+                got = streams.coverage_check(broken, r)
+                assert got == scalar_coverage(broken, r), (lg, r, len(variant))
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_coverage_check_exact_where_shifted_distance_overflows():
+    # norm_sq >> r = 1024, while dist_sq << r passes 2^63 for dist_sq >= 32
+    r, norm_sq = 58, 1 << 68
+    outcomes = []
+    for stream in (streams.identity_stream(4096),
+                   streams.uniform_stream(4096, n=512, seed=3)):
+        nets = streams.build_nets(stream)
+        for step in (256, 512, 1024, 1025, 1026, 2048):
+            times = list(range(0, 4096, step)) + [4096]
+            tall = with_level(nets, r, times, norm_sq=norm_sq, num_levels=r + 1)
+            got = streams.coverage_check(tall, r)
+            assert got == scalar_coverage(tall, r), step
+            outcomes.append(got)
+    assert outcomes == [True, True, True, True, False, False,
+                        True, False, False, False, False, False]
+
+
+def test_prefix_norm_sq_matches_scalar_loop():
+    for name in sorted(streams.STREAM_GENERATORS):
+        stream = streams.STREAM_GENERATORS[name](1024)
+        seen, acc, expected = {}, 0, [0]
+        for c in stream.items.tolist():
+            acc += 2 * seen.get(c, 0) + 1
+            seen[c] = seen.get(c, 0) + 1
+            expected.append(acc)
+        got = streams.build_nets(stream).prefix_norm_sq
+        assert got.dtype == np.int64 and got.tolist() == expected
+
+
 # --------------------------------------------------------------------------
 # chain forms
 
@@ -226,6 +302,32 @@ def test_chain_form_quadratic_hand_enumerated():
     forms = streams.chain_form_quadratic_rows(nets, np.ones((1, 4)))
     assert forms.shape == (1,)
     assert forms[0] == pytest.approx(16.0)
+
+
+def every_level_forms(nets, rows, k):
+    """Quadratic and k-th power chain forms summed over every level r >= 1
+    with plain powers of the differences."""
+    w = nets.stream.prefix_inner_rows(rows)
+    quad, kth = np.zeros(len(w)), np.zeros(len(w))
+    for r in range(1, nets.num_levels):
+        lvl, prev = nets.levels[r], nets.levels[r - 1]
+        diffs = w[..., lvl.times] - w[..., prev.times[lvl.parents]]
+        quad += (diffs ** 2).sum(axis=1)
+        kth += 2 ** (r / 2) * (diffs ** k).sum(axis=1)
+    return quad, kth
+
+
+@pytest.mark.parametrize("name", sorted(streams.STREAM_GENERATORS))
+def test_chain_forms_match_every_level_powers_bitwise(name):
+    for m in (64, 256, 1024, 4096):
+        stream = streams.STREAM_GENERATORS[name](m)
+        nets = streams.build_nets(stream)
+        batch = (make_sampler(FamilySpec(kind="FullyIndependent", n=stream.n))
+                 .sample_batch(substream(74, m), 100))
+        quad, kth = every_level_forms(nets, batch, 4)
+        got_quad = streams.chain_form_quadratic_rows(nets, batch)
+        assert got_quad.tobytes() == quad.tobytes()
+        assert streams.chain_form_k_rows(nets, batch, 4).tobytes() == kth.tobytes()
 
 
 def test_quadratic_dominance_every_prefix():
