@@ -93,9 +93,13 @@ def prefix_quadratic_minima(n: int) -> np.ndarray:
     return 1.0 / quad
 
 
-def corollary_ratio(n: int) -> float:
-    """Tr(A) times the largest v^i A^{-1} v^i over prefix indicators."""
-    minima = prefix_quadratic_minima(n)
+def corollary_ratio(n: int, minima: np.ndarray | None = None) -> float:
+    """Tr(A) times the largest v^i A^{-1} v^i over prefix indicators.
+
+    minima, when given, is prefix_quadratic_minima(n), which is not solved
+    again."""
+    if minima is None:
+        minima = prefix_quadratic_minima(n)
     return trace(n) * float((1.0 / minima).max())
 
 

@@ -305,7 +305,7 @@ def _run_matrix_check(config: ExperimentConfig) -> ResultTable:
                   config.seed)
         table.check(f"n={n} constrained minimum", bool(minima.min() >= floor),
                     f"min {minima.min():.6f} vs 1/lg n {1 / lg:.6f}")
-        ratio = dyadic_matrix.corollary_ratio(n) / (n * lg * lg)
+        ratio = dyadic_matrix.corollary_ratio(n, minima) / (n * lg * lg)
         table.add(n, "corollary_ratio_normalized", ratio, 1.0, config.seed)
         table.check(f"n={n} trace x max inverse-form within (0, 1]",
                     0.0 < ratio <= 1.0 + 1e-12, f"ratio {ratio:.4f}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 from .gf2 import all_polynomial_signs, min_width
 from .parallel import mc_moments
 from .sign_families import FamilySpec
-from .walks import SupEstimate
+from .walks import SupEstimate, _all_signs, sup_abs_prefix_batch
 
 # Exact k-th moment constants for +-1 valued steps.
 MOMENT_CONSTANTS = {2: 1, 4: 3}
@@ -62,12 +63,22 @@ class InsertionStream:
     def norm_sq(self) -> int:
         return int((self.counts().astype(object) ** 2).sum())
 
-    def prefix_inner_rows(self, rows: np.ndarray) -> np.ndarray:
-        """W_t = <x, z^(t)> for t = 0..m, one row per row x of a
-        (count, n) batch."""
+    @cached_property
+    def item_order(self) -> np.ndarray:
+        """Positions 0..m-1 stably sorted by item, computed once."""
+        return np.argsort(self.items, kind="stable")
+
+    def _check_rows(self, rows: np.ndarray) -> np.ndarray:
+        """rows as an array, which must be a (count, n) batch."""
         arr = np.asarray(rows)
         if arr.ndim != 2 or arr.shape[1] != self.n:
             raise ValueError(f"expected shape (count, {self.n})")
+        return arr
+
+    def prefix_inner_rows(self, rows: np.ndarray) -> np.ndarray:
+        """W_t = <x, z^(t)> for t = 0..m, one row per row x of a
+        (count, n) batch."""
+        arr = self._check_rows(rows)
         out = np.zeros((len(arr), self.m + 1))
         np.cumsum(np.take(arr, self.items - 1, axis=1), axis=1,
                   dtype=np.float64, out=out[:, 1:])
@@ -193,16 +204,16 @@ def _net_times(items: np.ndarray, norm_sq: int, r: int) -> list[int]:
     return times
 
 
-def _earlier_counts(items: np.ndarray, seg: np.ndarray) -> np.ndarray:
+def _earlier_counts(stream: InsertionStream, seg: np.ndarray) -> np.ndarray:
     """Per position, how often its item occurs earlier in the same segment
     (seg nondecreasing): a stable sort by item keeps positions in order, so
     each (item, segment) group is one run of the sorted order."""
-    order = np.argsort(items, kind="stable")
-    key_i, key_s = items[order], seg[order]
-    idx = np.arange(len(items))
-    starts = np.ones(len(items), dtype=bool)
+    order = stream.item_order
+    key_i, key_s = stream.items[order], seg[order]
+    idx = np.arange(stream.m)
+    starts = np.ones(stream.m, dtype=bool)
     starts[1:] = (key_i[1:] != key_i[:-1]) | (key_s[1:] != key_s[:-1])
-    out = np.empty(len(items), dtype=np.int64)
+    out = np.empty(stream.m, dtype=np.int64)
     out[order] = idx - np.maximum.accumulate(np.where(starts, idx, 0))
     return out
 
@@ -211,7 +222,7 @@ def build_nets(stream: InsertionStream) -> NetHierarchy:
     """Greedy nets for levels r = 0 .. 2 lg m + 1 with parent maps."""
     m = stream.m
     running = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(2 * _earlier_counts(stream.items, np.zeros(m, np.int64)) + 1,
+    np.cumsum(2 * _earlier_counts(stream, np.zeros(m, np.int64)) + 1,
               out=running[1:])
     norm_sq = int(running[-1])
 
@@ -236,7 +247,7 @@ def coverage_check(nets: NetHierarchy, r: int) -> bool:
     pos = np.arange(1, nets.stream.m + 1)
     # prefix t lies in segment #{net times < t}, which a net time t closes
     seg = np.searchsorted(times, pos, side="left")
-    steps = 2 * _earlier_counts(nets.stream.items, seg) + 1
+    steps = 2 * _earlier_counts(nets.stream, seg) + 1
     dist_sq = np.cumsum(steps)
     dist_sq -= (dist_sq - steps)[np.searchsorted(seg, seg, side="left")]
     at_net = np.searchsorted(times, pos, side="right") > seg
@@ -310,9 +321,24 @@ def chain_dominance_floor(k: int, m: int) -> float:
 
 
 def sup_inner_rows(stream: InsertionStream, rows: np.ndarray) -> np.ndarray:
-    """Row-wise sup over 1 <= t <= m of |<x, z^(t)>| for a (count, n) batch."""
-    inner = stream.prefix_inner_rows(rows)[:, 1:]
-    return np.maximum(inner.max(axis=1), -inner.min(axis=1))
+    """Row-wise sup over 1 <= t <= m of |<x, z^(t)>| for a (count, n) batch,
+    as float64.
+
+    For integer rows of +-1 signs, <x, z^(t)> is the t-th prefix sum of the
+    steps x_{p_1}, ..., x_{p_m}.  The gathered (count, m) steps go through
+    walks.sup_abs_prefix_batch, which packs them 16 to a word and reads
+    each word's total and extreme prefix sums from tables; its offsets are
+    int16 below m = 2^15 and int32 from there.  The sups are integers <= m,
+    exact in float64, so they are the bytes the float cumsum gives, and no
+    (count, m + 1) float W array is built.  Any other rows take the float
+    prefix_inner_rows path.
+    """
+    arr = stream._check_rows(rows)
+    if arr.dtype.kind in "iu" and _all_signs(arr):
+        steps = np.take(arr, stream.items - 1, axis=1)
+        return sup_abs_prefix_batch(steps).astype(np.float64)
+    inner = stream.prefix_inner_rows(arr)[:, 1:]
+    return np.abs(inner).max(axis=1)
 
 
 # --------------------------------------------------------------------------

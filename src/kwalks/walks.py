@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -26,16 +27,77 @@ def prefix_sums(v: Sequence[int] | np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per 16-step word (first step in the top bit, 1 for +1): its total
+    T, and its largest and smallest prefix sum minus T, as int8.
+
+    Composed from the same three values of each byte: a word is its high
+    byte's steps followed by its low byte's.
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    sums = np.cumsum(2 * bits.astype(np.int8) - 1, axis=1, dtype=np.int8)
+    tot, top, bottom = sums[:, -1], sums.max(axis=1), sums.min(axis=1)
+    hi_tot = tot[:, None]
+    total = (hi_tot + tot).ravel()
+    up = np.maximum(top[:, None], hi_tot + top).ravel() - total
+    down = np.minimum(bottom[:, None], hi_tot + bottom).ravel() - total
+    for table in (total, up, down):
+        table.flags.writeable = False       # shared by every caller
+    return total, up, down
+
+
+def _all_signs(arr: np.ndarray) -> bool:
+    """Whether every entry is +1 or -1: three cheap reductions for integer
+    dtypes, an exact comparison for any other."""
+    if arr.size == 0:
+        return True
+    if arr.dtype.kind not in "iu":
+        return bool(((arr == 1) | (arr == -1)).all())
+    return bool(arr.max() <= 1 and arr.min() >= -1
+                and np.count_nonzero(arr) == arr.size)
+
+
 def sup_abs_prefix_batch(batch: np.ndarray) -> np.ndarray:
     """Row-wise largest |S_i| over 1 <= i <= n for a (rows, n) batch of
-    sign vectors; at least 1 for any sign row.
+    sign vectors; at least 1 for any sign row.  The result is int64.
 
-    The prefix sums are held in int32 and the supremum is max(max S, -min S).
-    Both are exact for sign rows: every sampler yields int8 +-1, so
-    |S_i| <= n < 2^31.  The result is int64.
+    Each row's steps are packed 16 to a word (np.packbits of x > 0, viewed
+    as big-endian uint16).  Three 65536-entry tables give each word's total
+    and its largest and smallest prefix sum relative to that total; the
+    cumulative word totals place every word, so adding them to the table
+    values gives each word's largest and smallest S_i exactly, and the
+    supremum is max(max S, -min S).  The last n % 16 steps take a plain
+    cumsum from the last word's end.  Every value held is some S_i, so
+    |value| <= n: the offsets are int16 below n = 2^15 and int32 from there.
+
+    Raises ValueError unless every entry is +1 or -1.
     """
-    sums = np.cumsum(batch, axis=1, dtype=np.int32)
-    return np.maximum(sums.max(axis=1), -sums.min(axis=1)).astype(np.int64)
+    x = np.asarray(batch)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("expected a (rows, n) batch with n >= 1")
+    if not _all_signs(x):
+        raise ValueError("sign rows must hold only +1 and -1")
+    rows, n = x.shape
+    whole = n - n % 16
+    up = x > 0
+    if whole == n:      # one flat pack, no per-row padding
+        packed = np.packbits(up.ravel())
+    else:
+        packed = np.packbits(up[:, :whole], axis=1)
+    words = packed.view(">u2").reshape(rows, whole // 16)
+    total, top, bottom = _word_tables()
+    ends = np.cumsum(np.take(total, words), axis=1,
+                     dtype=np.int16 if n < 1 << 15 else np.int32)
+    hi = (ends + np.take(top, words)).max(axis=1, initial=-n)
+    lo = (ends + np.take(bottom, words)).min(axis=1, initial=n)
+    if whole < n:
+        tail = np.cumsum(np.where(up[:, whole:], 1, -1), axis=1)
+        if whole:
+            tail += ends[:, -1:]
+        hi = np.maximum(hi, tail.max(axis=1))
+        lo = np.minimum(lo, tail.min(axis=1))
+    return np.maximum(hi, -lo).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -114,26 +114,35 @@ def float_first_prefix_inner(stream, rows):
     return np.cumsum(arr[:, stream.items - 1], axis=1)
 
 
-@pytest.mark.parametrize("name",
-                         ["identity", "uniform", "two-phase", "single-item"])
+@pytest.mark.parametrize("name", ["identity", "uniform", "two-phase",
+                                  "single-item", "dyadic-bursts"])
 def test_stream_reduction_matches_float_copy_formula(name):
-    stream = streams.STREAM_GENERATORS[name](256)
-    n = stream.n
+    # int8 sign rows take the packed-word kernel, the others the float
+    # cumsum; both must give the float formula's bytes
     rng = substream(72, 0)
-    batches = [
-        (rng.integers(0, 2, size=(20, n)) * 2 - 1).astype(np.int8),
-        rng.standard_normal((5, n)),
-        np.ones((3, n), dtype=np.int8),
-        -np.ones((3, n), dtype=np.int8),
-        np.ones((0, n), dtype=np.int8),
-    ]
-    for batch in batches:
-        old = float_first_prefix_inner(stream, batch)
-        w = stream.prefix_inner_rows(batch)
-        assert w.dtype == np.float64
-        assert w[:, 1:].tobytes() == old.tobytes() and (w[:, 0] == 0).all()
-        sups = streams.sup_inner_rows(stream, batch)
-        assert sups.tobytes() == np.abs(old).max(axis=1).tobytes()
+    for m in (64, 256, 4096):
+        stream = streams.STREAM_GENERATORS[name](m)
+        n = stream.n
+        with_zero = (rng.integers(0, 2, size=(4, n)) * 2 - 1).astype(np.int8)
+        with_zero[1, stream.items[-1] - 1] = 0
+        batches = [
+            (rng.integers(0, 2, size=(20, n)) * 2 - 1).astype(np.int8),
+            rng.standard_normal((5, n)),
+            np.ones((3, n), dtype=np.int8),
+            -np.ones((3, n), dtype=np.int8),
+            np.ones((0, n), dtype=np.int8),
+            with_zero,
+        ]
+        # the kernel cannot serve the row with a 0, so it takes the float path
+        with pytest.raises(ValueError):
+            sup_abs_prefix_batch(with_zero[:, stream.items - 1])
+        for batch in batches:
+            old = float_first_prefix_inner(stream, batch)
+            w = stream.prefix_inner_rows(batch)
+            assert w.dtype == np.float64
+            assert w[:, 1:].tobytes() == old.tobytes() and (w[:, 0] == 0).all()
+            sups = streams.sup_inner_rows(stream, batch)
+            assert sups.tobytes() == np.abs(old).max(axis=1).tobytes()
 
 
 # --------------------------------------------------------------------------

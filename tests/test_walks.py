@@ -57,20 +57,38 @@ def test_sup_abs_prefix_batch_matches_int64_abs_formula():
     rng = substream(90, 0)
     n = 777
     batches = [
-        (rng.integers(0, 2, size=(50, n)) * 2 - 1).astype(np.int8),
         make_sampler(FamilySpec(kind="PolynomialKWise", n=n, k=4)
                      ).sample_batch(rng, 50),
         make_sampler(FamilySpec(kind="AdversarialStage", n=1024, stage="H1")
                      ).sample_batch(rng, 50),
-        np.ones((3, n), dtype=np.int8),
-        -np.ones((3, n), dtype=np.int8),
-        np.ones((0, n), dtype=np.int8),
     ]
+    # n = 1..70 covers every n % 16 tail with zero to four whole words;
+    # 2^15 + 5 widens the word offsets to int32 and has a tail
+    for n in [*range(1, 71), 777, (1 << 15) + 5]:
+        signs = (rng.integers(0, 2, size=(12, n)) * 2 - 1).astype(np.int8)
+        wide = np.empty((12, 2 * n), dtype=np.int8)
+        wide[:, ::2] = signs
+        wide[:, 1::2] = 1
+        assert not wide[:, ::2].flags.c_contiguous
+        batches += [signs, signs.astype(np.int64), signs.tolist(),
+                    np.ones((3, n), dtype=np.int8), -np.ones((3, n), dtype=np.int8),
+                    np.ones((0, n), dtype=np.int8), wide[:, ::2]]
     for batch in batches:
         got = sup_abs_prefix_batch(batch)
-        want = int64_abs_sup(batch)
+        want = int64_abs_sup(np.asarray(batch))
         assert got.dtype == np.int64 and got.shape == (len(batch),)
         assert (got == want).all()
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_packed_kernel_rejects_non_sign_entries(bad):
+    for n in (16, 37):
+        batch = np.ones((3, n), dtype=np.int8)
+        batch[1, n - 2] = bad
+        with pytest.raises(ValueError):
+            sup_abs_prefix_batch(batch)
+    with pytest.raises(ValueError):
+        sup_abs_prefix_batch([[1.0, 0.5, -1.0]])
 
 
 def test_estimate_requires_trials():
