@@ -394,9 +394,9 @@ def _run_net_audit(config: ExperimentConfig) -> ResultTable:
             batch = (make_sampler(FamilySpec(kind=FULLY_INDEPENDENT, n=stream.n))
                      .sample_batch(rng, realizations))
             sups = streams.sup_inner_rows(stream, batch)
-            quad = streams.chain_form_quadratic_rows(nets, batch)
+            quad, form4 = streams.chain_forms(
+                nets, stream.prefix_inner_rows(batch), 4)
             dom_q = bool((quad >= sups ** 2 / (2 * np.log2(m) + 1) - 1e-9).all())
-            form4 = streams.chain_form_k_rows(nets, batch, 4)
             floor = streams.chain_dominance_floor(4, m)
             dom_4 = bool((form4 >= floor * sups ** 4 - 1e-9).all())
             table.check(f"{gen_name} m={m} quadratic dominance", dom_q)

@@ -15,7 +15,7 @@ boundary noise.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -59,9 +59,10 @@ class VarianceProfile:
         sigmas = tuple(Fraction(v) for v in values)
         if not sigmas:
             raise InvalidProfileError("profile is empty")
-        if any(s < 0 for s in sigmas):
+        # a Fraction's sign is its numerator's
+        if any(s.numerator < 0 for s in sigmas):
             raise InvalidProfileError("variances must be nonnegative")
-        kept = tuple(i + 1 for i, s in enumerate(sigmas) if s > 0)
+        kept = tuple(i + 1 for i, s in enumerate(sigmas) if s.numerator > 0)
         if not kept:
             raise InvalidProfileError("all variances are zero")
         # Rescale the kept variances to a common denominator; prefix sums of
@@ -117,31 +118,53 @@ class IntervalNode:
         return self.left is None
 
 
+@dataclass(frozen=True)
+class NodeTable:
+    """A tree's nodes as arrays indexed like tree.nodes, built once.
+
+    parent, left and right hold -1 where there is none; shared is False at
+    leaves.  levels[l] lists the level-l nodes in index order, and
+    first_leaf[j] is the first-built leaf [j, j] per reduced position j.
+    """
+
+    parent: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    shared: np.ndarray
+    levels: tuple[np.ndarray, ...]
+    first_leaf: np.ndarray
+
+    @classmethod
+    def of(cls, nodes: list[IntervalNode], n_reduced: int) -> "NodeTable":
+        parent, a, b, left, right, level = np.array(
+            [(-1 if nd.parent is None else nd.parent, nd.a, nd.b,
+              -1 if nd.left is None else nd.left,
+              -1 if nd.right is None else nd.right, nd.level)
+             for nd in nodes], dtype=np.int64).T
+        shared = np.array([bool(nd.shared_split) for nd in nodes])
+        order = np.argsort(level, kind="stable")
+        levels = tuple(np.split(order, np.cumsum(np.bincount(level))[:-1]))
+        leaves = np.flatnonzero(left < 0)
+        # np.unique returns each position's first occurrence among leaves
+        positions, first = np.unique(a[leaves], return_index=True)
+        if len(positions) != n_reduced + 1:
+            raise RuntimeError("some positions never reached a singleton leaf")
+        return cls(parent=parent, a=a, b=b, left=left, right=right,
+                   shared=shared, levels=levels, first_leaf=leaves[first])
+
+
 @dataclass
 class IntervalTree:
     profile: VarianceProfile
-    nodes: list[IntervalNode] = field(default_factory=list)
+    nodes: list[IntervalNode]
+    table: NodeTable
     ranked: bool = False
 
     @property
     def root(self) -> IntervalNode:
         return self.nodes[0]
-
-    def levels(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for idx, node in enumerate(self.nodes):
-            out.setdefault(node.level, []).append(idx)
-        return out
-
-    def first_leaf_for(self) -> np.ndarray:
-        """Index of the first-built leaf [j, j] per reduced position j."""
-        out = np.full(self.profile.n_reduced + 1, -1, dtype=np.int64)
-        for idx, node in enumerate(self.nodes):
-            if node.is_leaf and out[node.a] < 0:
-                out[node.a] = idx
-        if (out < 0).any():
-            raise RuntimeError("some positions never reached a singleton leaf")
-        return out
 
 
 def build_tree(profile: VarianceProfile) -> IntervalTree:
@@ -156,9 +179,7 @@ def build_tree(profile: VarianceProfile) -> IntervalTree:
     P = list(profile.nums)
     if any(y <= x for x, y in zip(P, P[1:])):
         raise InvalidProfileError("prefix variances must be strictly increasing")
-    tree = IntervalTree(profile=profile)
-    nodes = tree.nodes
-    nodes.append(IntervalNode(a=0, b=profile.n_reduced, level=0, pos=1))
+    nodes = [IntervalNode(a=0, b=profile.n_reduced, level=0, pos=1)]
     stack = [0]
     while stack:
         idx = stack.pop()
@@ -188,7 +209,8 @@ def build_tree(profile: VarianceProfile) -> IntervalTree:
         nodes.append(right)
         stack.append(node.right)
         stack.append(node.left)
-    return tree
+    return IntervalTree(profile=profile, nodes=nodes,
+                        table=NodeTable.of(nodes, profile.n_reduced))
 
 
 def classify_and_rank(tree: IntervalTree) -> IntervalTree:
@@ -237,12 +259,12 @@ def check_invariants(tree: IntervalTree) -> list[str]:
     P = tree.profile.nums
     total = P[-1]
     n = tree.profile.n_reduced
-    levels = tree.levels()
 
     # Deeper levels only refine: nodes that stopped splitting earlier still
     # cover their points, so each level extends with all shallower leaves.
     leaf_spans: list[tuple[int, int]] = []
-    for level, idxs in sorted(levels.items()):
+    for level, idxs in enumerate(tree.table.levels):
+        idxs = idxs.tolist()
         spans = sorted((tree.nodes[i].a, tree.nodes[i].b) for i in idxs)
         covered = sorted(spans + leaf_spans)
         cursor = -1    # largest integer covered so far; abutting is fine
@@ -274,8 +296,15 @@ def check_invariants(tree: IntervalTree) -> list[str]:
             left, right = tree.nodes[nd.left], tree.nodes[nd.right]
             if left.bad != right.bad:
                 problems.append(f"siblings of [{nd.a},{nd.b}] differ in badness")
-        for q in range(1, max_rank(tree) + 1):
-            if bad_mass_exact(tree, q) > RANK_DECAY ** q:
+        # integer mass per rank in one pass; mass / total > 0.9^q is
+        # decided on numerators
+        mass: dict[int, int] = {}
+        for nd in tree.nodes:
+            if nd.bad:
+                mass[nd.rank] = mass.get(nd.rank, 0) + P[nd.b] - P[nd.a]
+        num, den = RANK_DECAY.numerator, RANK_DECAY.denominator
+        for q in sorted(mass):
+            if mass[q] * den ** q > num ** q * total:
                 problems.append(f"rank {q} mass exceeds {RANK_DECAY}^{q}")
     return problems
 
@@ -301,8 +330,8 @@ class ChainPath:
 
 
 def chain_path(tree: IntervalTree, S: Sequence[int], i: int) -> ChainPath:
-    """Decompose S_i into interval-endpoint hops: the climb of a batch of
-    one, read as Hop records.
+    """Decompose S_i into interval-endpoint hops, climbing from the first
+    leaf [j, j] of i's reduced position j to the root.
 
     If the climb tops out at the right root endpoint, a final whole-domain
     hop anchors the chain at 0; an index dropped as a zero-variance step
@@ -311,34 +340,28 @@ def chain_path(tree: IntervalTree, S: Sequence[int], i: int) -> ChainPath:
     profile = tree.profile
     if not 0 <= i <= profile.n_original:
         raise ValueError(f"index must lie in 0..{profile.n_original}")
-    if len(S) != profile.n_original + 1:
-        raise ValueError("S must have length n + 1")
-
+    S_red = _reduced_sums(tree, S, [i])
+    tab = tree.table
     orig = profile.original_position
     j = profile.reduced_position(i)
-    if S[i] != S[orig(j)]:
-        raise ValueError(
-            "realization moves across zero-variance steps; S must be flat there")
-
-    S_red = np.asarray(S)[None, [0, *profile.kept]]
     hops_up: list[Hop] = []
-    top = j
-    for _, child, ends, starts in _climb(tree, S_red, np.array([j])):
-        node = tree.nodes[int(child[0])]
-        end, top = int(ends[0, 0]), int(starts[0, 0])
+    node, top = int(tab.first_leaf[j]), j
+    while (par := int(tab.parent[node])) >= 0:
+        end, top = top, int(_hop_start(tab, S_red, np.array([par]), top)[0, 0])
         if top == end:
             kind, rank = HOP_EQUAL, None
-        elif tree.nodes[node.parent].shared_split:
+        elif tab.shared[par]:
             kind, rank = HOP_GOOD_MIN, None
         else:
-            kind, rank = HOP_BAD, node.rank
+            kind, rank = HOP_BAD, tree.nodes[node].rank
         hops_up.append(Hop(start=orig(top), end=orig(end), kind=kind,
-                           level=node.level, rank=rank))
+                           level=tree.nodes[node].level, rank=rank))
+        node = par
     if top == profile.n_reduced:
         hops_up.append(Hop(start=0, end=orig(top), kind=HOP_ROOT, level=0))
     hops = hops_up[::-1]
     if i != orig(j):
-        # the first wave leaves the leaf [j, j]
+        # the first hop leaves the leaf [j, j]
         hops.append(Hop(start=orig(j), end=i, kind=HOP_EQUAL,
                         level=hops_up[0].level))
     return ChainPath(index=i, hops=tuple(hops))
@@ -348,68 +371,76 @@ def telescoping_defect(tree: IntervalTree, S) -> int:
     """max |sum of chain hops - S_i| over all prefixes i; 0 when correct.
 
     S is one realization of prefix sums (length n+1) or a batch of them
-    (rows); the whole batch climbs the tree together.
+    (rows), flat across zero-variance steps.  A chain sits on an endpoint
+    of its node after every hop, so the rest of its climb depends only on
+    (node, endpoint) and the row.  One pass over the levels, root first,
+    gives every node the hop totals from its a and from its b endpoint to
+    the root, for the whole batch; each chain's total is then read at its
+    first leaf, in O(rows x nodes) work.
     """
-    profile = tree.profile
-    S_arr = np.atleast_2d(np.asarray(S, dtype=np.int64))
-    S_red = S_arr[:, [0, *profile.kept]]         # (batch, n_reduced + 1)
-    chains = np.arange(profile.n_reduced + 1)
-    total = np.zeros_like(S_red)
-    top = np.broadcast_to(chains, S_red.shape).copy()
-    rows = np.arange(len(S_red))[:, None]
-    for active, _, end, start in _climb(tree, S_red, chains):
-        total[:, active] += S_red[rows, end] - S_red[rows, start]
-        top[:, active] = start
-    # whole-domain hop when a chain tops out at the right root endpoint
-    total += np.where(top == profile.n_reduced, S_red[:, -1:] - S_red[:, :1], 0)
-    return int(np.abs(total - (S_red - S_red[:, :1])).max())
+    S_red = _reduced_sums(tree, S, np.arange(tree.profile.n_original + 1))
+    tab = tree.table
+    # totals per (node, row) from the node's a and b endpoints; at the
+    # root, the right endpoint takes the whole-domain hop
+    from_a = np.zeros((len(tab.a), S_red.shape[1]), dtype=np.int64)
+    from_b = np.zeros_like(from_a)
+    from_b[0] = S_red[-1] - S_red[0]
+    for idxs in tab.levels:
+        par = idxs[tab.left[idxs] >= 0]
+        lft, rgt = tab.left[par], tab.right[par]
+        ends = np.stack([tab.a[lft], tab.b[lft], tab.a[rgt], tab.b[rgt]])
+        start = _hop_start(tab, S_red, par, ends[..., None])
+        # every hop starts at an endpoint of the parent
+        total = S_red[ends] + np.where(start == tab.a[par, None],
+                                       from_a[par] - S_red[tab.a[par]],
+                                       from_b[par] - S_red[tab.b[par]])
+        from_a[lft], from_b[lft], from_a[rgt], from_b[rgt] = total
+    chains = from_a[tab.first_leaf]
+    return int(np.abs(chains - (S_red - S_red[0])).max())
 
 
-def _climb(tree: IntervalTree, S_red: np.ndarray, chains: np.ndarray):
-    """Walk chains from their leaves to the root, one vectorized wave per
-    step up.  chain_path and telescoping_defect both read this climb, so the
-    hop rule lives here alone.
+def _reduced_sums(tree: IntervalTree, S, at) -> np.ndarray:
+    """S at reduced positions 0..n_reduced, one column per realization.
 
-    S_red holds rows of prefix sums at reduced positions 0..n_reduced, and
-    chains the reduced positions the chains start from.  The node path of a
-    chain is the same in every row; only the choice at window splits reads
-    S_red.  Each wave yields (active, child, end, start): the indices into
-    chains still climbing, the node each one leaves, and per row the
-    positions its hop ends and starts at.  A hop from an endpoint of the
-    parent is equal (start == end).  From the inner endpoint, a window
-    split (shared parent split) crosses whichever sibling has the smaller
-    |increment| (good-min hop); an abutting split crosses the bad child
-    holding that endpoint, which is always the child itself (bad hop).
+    Rejects an unranked tree, an S whose length is not n + 1, and an S that
+    moves across a zero-variance step before any original position in at.
     """
     if not tree.ranked:
         raise ValueError("classify_and_rank the tree first")
-    nodes = tree.nodes
-    parent = np.array([-1 if nd.parent is None else nd.parent for nd in nodes])
-    a = np.array([nd.a for nd in nodes])
-    b = np.array([nd.b for nd in nodes])
-    left = np.array([-1 if nd.left is None else nd.left for nd in nodes])
-    right = np.array([-1 if nd.right is None else nd.right for nd in nodes])
-    shared = np.array([bool(nd.shared_split) for nd in nodes])
+    profile = tree.profile
+    S_arr = np.atleast_2d(np.asarray(S, dtype=np.int64))
+    if S_arr.shape[-1] != profile.n_original + 1:
+        raise ValueError("S must have length n + 1")
+    reduced = np.array([0, *profile.kept])
+    # S_i must equal S at the original position of i's reduced position
+    anchor = reduced[np.searchsorted(profile.kept, at, side="right")]
+    if (S_arr[:, at] != S_arr[:, anchor]).any():
+        raise ValueError(
+            "realization moves across zero-variance steps; S must be flat there")
+    return S_arr.T[reduced]
 
-    node_idx = tree.first_leaf_for()[chains]
-    cur = np.broadcast_to(chains, (len(S_red), len(chains))).copy()
-    active = np.flatnonzero(parent[node_idx] >= 0)
-    while len(active):
-        child = node_idx[active]
-        par = parent[child]
-        lft, rgt = left[par], right[par]
-        end = cur[:, active]
-        cross_left = np.where(
-            shared[par],
-            np.abs(S_red[:, b[lft]] - S_red[:, a[lft]])
-            <= np.abs(S_red[:, b[rgt]] - S_red[:, a[rgt]]),
-            end == b[lft])
-        start = np.where((end == a[par]) | (end == b[par]), end,
-                         np.where(cross_left, a[par], b[par]))
-        yield active, child, end, start
-        cur[:, active] = start
-        node_idx[active] = par
-        active = active[parent[par] >= 0]
+
+def _hop_start(tab: NodeTable, S_red: np.ndarray, par: np.ndarray, end):
+    """Where the hop starts that lifts a chain at position end from a child
+    of par to par itself: the one copy of the hop rule.
+
+    S_red holds prefix sums at reduced positions, one column per
+    realization; par holds k parent nodes and end their chains' positions,
+    broadcast against (k, realizations).  A hop from an endpoint of the
+    parent is equal (start == end).  From the inner endpoint, a window
+    split (shared parent split) crosses whichever sibling has the smaller
+    |increment| (good-min hop), a choice made once per parent and
+    realization; an abutting split crosses the bad child holding that
+    endpoint, which is always the child itself (bad hop).
+    """
+    lft, rgt = tab.left[par], tab.right[par]
+    cross_left = np.where(
+        tab.shared[par, None],
+        np.abs(S_red[tab.b[lft]] - S_red[tab.a[lft]])
+        <= np.abs(S_red[tab.b[rgt]] - S_red[tab.a[rgt]]),
+        end == tab.b[lft, None])
+    a, b = tab.a[par, None], tab.b[par, None]
+    return np.where((end == a) | (end == b), end, np.where(cross_left, a, b))
 
 
 # --------------------------------------------------------------------------

@@ -269,40 +269,32 @@ def net_point_norm_growth_ok(nets: NetHierarchy) -> bool:
 # --------------------------------------------------------------------------
 # chain forms
 
-def _level_diffs(nets: NetHierarchy, w: np.ndarray):
-    """(r, level-r net-point differences of w) for r >= 1.  A level whose
-    times equal level r-1's has identity parents and all-zero differences,
-    so it is skipped: adding 0.0 leaves a float total unchanged."""
-    for r in range(1, nets.num_levels):
-        lvl, prev = nets.levels[r], nets.levels[r - 1]
-        if not np.array_equal(lvl.times, prev.times):
-            yield r, w[..., lvl.times] - w[..., prev.times[lvl.parents]]
+def chain_forms(nets: NetHierarchy, w: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both chain forms, row-wise, from one pass over the levels r >= 1.
 
-
-def chain_form_quadratic_rows(nets: NetHierarchy, rows: np.ndarray) -> np.ndarray:
-    """Row-wise sum over levels r >= 1 and net points of
-    <a_{r,s} - parent, x>^2."""
-    w = nets.stream.prefix_inner_rows(rows)
-    total = np.zeros(len(w))
-    for _, diffs in _level_diffs(nets, w):
-        diffs *= diffs
-        total += diffs.sum(axis=1)
-    return total
-
-
-def chain_form_k_rows(nets: NetHierarchy, rows: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise weighted form: sum over r of 2^(r/2) times the k-th power
-    sums of the level-r differences."""
+    w holds rows W_t = <x, z^(t)> from stream.prefix_inner_rows.  Each
+    level-r net-point difference <a_{r,s} - parent, x> is squared once and
+    added to the quadratic form, the sum of the squares, and to the k-th
+    power form, the sum over r of 2^(r/2) times the k-th power sums.  A
+    level whose times equal level r-1's has identity parents and all-zero
+    differences, so it is skipped: adding 0.0 leaves a float total
+    unchanged.  Returns (quadratic, k-th power).
+    """
     if k < 4 or k % 2:
         raise ValueError("k must be even and at least 4")
-    w = nets.stream.prefix_inner_rows(rows)
-    total = np.zeros(len(w))
-    for r, diffs in _level_diffs(nets, w):
+    quad, kth = np.zeros(len(w)), np.zeros(len(w))
+    for r in range(1, nets.num_levels):
+        lvl, prev = nets.levels[r], nets.levels[r - 1]
+        if np.array_equal(lvl.times, prev.times):
+            continue
+        sq = w[..., lvl.times] - w[..., prev.times[lvl.parents]]
         # d*d is exact for integer-valued d; numpy's d ** k is slower and
         # not correctly rounded past 2^53
-        diffs *= diffs
-        total += 2 ** (r / 2) * (diffs ** (k // 2)).sum(axis=1)
-    return total
+        sq *= sq
+        quad += sq.sum(axis=1)
+        kth += 2 ** (r / 2) * (sq ** (k // 2)).sum(axis=1)
+    return quad, kth
 
 
 def chain_dominance_floor(k: int, m: int) -> float:

@@ -335,10 +335,9 @@ def test_criterion_7_nets_and_chaining():
                      .sample_batch(rng, 100))
             w = stream.prefix_inner_rows(batch)
             sups = np.abs(w[:, 1:]).max(axis=1)
-            forms2 = streams.chain_form_quadratic_rows(nets, batch)
+            forms2, forms4 = streams.chain_forms(nets, w, 4)
             dom2_ok &= bool(
                 (forms2[:, None] >= w ** 2 / (2 * np.log2(m) + 1) - 1e-9).all())
-            forms4 = streams.chain_form_k_rows(nets, batch, 4)
             floor = streams.chain_dominance_floor(4, m)
             dom4_ok &= bool((forms4 >= floor * sups ** 4 - 1e-9).all())
         for label, ok in [("net sizes d_r <= 2^r", sizes_ok),

@@ -239,20 +239,32 @@ def test_good_min_hops_take_the_smaller_sibling():
             assert inc == min(abs(S[lb] - S[la]), abs(S[rb] - S[ra]))
 
 
+# zero-variance steps; n_reduced of 1, 2 (window and abutting root split)
+# and 3; both shared and abutting splits in one tree
+SMALL_PROFILES = [[1, 0, 1, 0, 1], [0, 1, 0], [1, 1], [F(44, 100), F(56, 100)],
+                  [1, 0, 2, 0, 4], [F(55, 100) ** i for i in range(1, 20)]]
+
+
 def test_telescoping_defect_matches_chain_path():
     rng = substream(53, 0)
     profile = mi.random_profile(128, 4.0, rng)
-    tree = mi.classify_and_rank(mi.build_tree(profile))
     batch = np.cumsum(
         (rng.integers(0, 2, size=(50, 128)) * 2 - 1).astype(np.int64), axis=1)
     S = np.concatenate([np.zeros((50, 1), dtype=np.int64), batch], axis=1)
-    assert mi.telescoping_defect(tree, S) == 0
-    for row in S:
-        assert mi.telescoping_defect(tree, row) == 0
-        for i in range(129):
-            path = mi.chain_path(tree, row, i)
-            assert sum(row[h.end] - row[h.start] for h in path.hops) == row[i]
-            validate_path(tree, row, path)
+    cases = [(profile, S)]
+    for sigmas in SMALL_PROFILES:
+        small = mi.VarianceProfile.from_sigmas(sigmas)
+        cases.append((small, np.array([realization(small, rng)
+                                       for _ in range(20)])))
+    for profile, S in cases:
+        tree = mi.classify_and_rank(mi.build_tree(profile))
+        per_row = [mi.telescoping_defect(tree, row) for row in S]
+        assert mi.telescoping_defect(tree, S) == max(per_row) == 0
+        for row in S:
+            for i in range(profile.n_original + 1):
+                path = mi.chain_path(tree, row, i)
+                assert sum(row[h.end] - row[h.start] for h in path.hops) == row[i]
+                validate_path(tree, row, path)
 
 
 def test_chain_path_with_zero_variance_steps():
@@ -271,6 +283,21 @@ def test_chain_path_with_zero_variance_steps():
     bad_S = np.concatenate([[0], np.cumsum([1, 1, -1, 0, 1])])
     with pytest.raises(ValueError):
         mi.chain_path(tree, bad_S, 2)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["row", "batch"])
+def test_telescoping_defect_rejects_bad_realizations(batch):
+    tree = build([1, 0, 1, 0, 1])
+    S = np.concatenate([[0], np.cumsum([1, 0, -1, 0, 1])])
+    moves = np.concatenate([[0], np.cumsum([1, 1, -1, 0, 1])])
+    cases = [(moves, "flat there"), (np.append(S, 1), r"length n \+ 1"),
+             (S[:-1], r"length n \+ 1")]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            mi.telescoping_defect(tree, np.stack([bad, bad]) if batch else bad)
+    with pytest.raises(ValueError, match="flat there"):
+        mi.telescoping_defect(tree, np.stack([S, moves]))
+    assert mi.telescoping_defect(tree, np.stack([S, S]) if batch else S) == 0
 
 
 # --------------------------------------------------------------------------

@@ -297,9 +297,9 @@ def test_prefix_norm_sq_matches_scalar_loop():
 
 def test_chain_form_zero_vector():
     nets = streams.build_nets(streams.identity_stream(16))
-    zeros = np.zeros((2, 16))
-    assert streams.chain_form_quadratic_rows(nets, zeros).tolist() == [0.0, 0.0]
-    assert streams.chain_form_k_rows(nets, zeros, 4).tolist() == [0.0, 0.0]
+    w = nets.stream.prefix_inner_rows(np.zeros((2, 16)))
+    quad, kth = streams.chain_forms(nets, w, 4)
+    assert quad.tolist() == kth.tolist() == [0.0, 0.0]
 
 
 def test_chain_form_quadratic_hand_enumerated():
@@ -308,7 +308,8 @@ def test_chain_form_quadratic_hand_enumerated():
     nets = streams.build_nets(streams.identity_stream(4))
     assert nets.levels[1].times.tolist() == [0, 3]
     assert nets.levels[2].times.tolist() == [0, 2, 4]
-    forms = streams.chain_form_quadratic_rows(nets, np.ones((1, 4)))
+    forms, _ = streams.chain_forms(
+        nets, nets.stream.prefix_inner_rows(np.ones((1, 4))), 4)
     assert forms.shape == (1,)
     assert forms[0] == pytest.approx(16.0)
 
@@ -334,9 +335,10 @@ def test_chain_forms_match_every_level_powers_bitwise(name):
         batch = (make_sampler(FamilySpec(kind="FullyIndependent", n=stream.n))
                  .sample_batch(substream(74, m), 100))
         quad, kth = every_level_forms(nets, batch, 4)
-        got_quad = streams.chain_form_quadratic_rows(nets, batch)
+        got_quad, got_kth = streams.chain_forms(
+            nets, stream.prefix_inner_rows(batch), 4)
         assert got_quad.tobytes() == quad.tobytes()
-        assert streams.chain_form_k_rows(nets, batch, 4).tobytes() == kth.tobytes()
+        assert got_kth.tobytes() == kth.tobytes()
 
 
 def test_quadratic_dominance_every_prefix():
@@ -347,7 +349,7 @@ def test_quadratic_dominance_every_prefix():
         sampler = make_sampler(FamilySpec(kind="FullyIndependent", n=stream.n))
         batch = sampler.sample_batch(rng, 50)
         w = stream.prefix_inner_rows(batch)
-        forms = streams.chain_form_quadratic_rows(nets, batch)
+        forms, _ = streams.chain_forms(nets, w, 4)
         cap = 2 * np.log2(stream.m) + 1
         assert (forms[:, None] >= w ** 2 / cap - 1e-9).all()
 
@@ -362,7 +364,7 @@ def test_kth_dominance_with_explicit_floor():
         batch = sampler.sample_batch(rng, 50)
         w = stream.prefix_inner_rows(batch)
         sups = np.abs(w[:, 1:]).max(axis=1)
-        forms = streams.chain_form_k_rows(nets, batch, 4)
+        _, forms = streams.chain_forms(nets, w, 4)
         assert (forms >= floor * sups ** 4 - 1e-9).all()
 
 
@@ -372,7 +374,7 @@ def test_single_item_dominance_exact():
     rows = np.array([[1.0], [-1.0]])
     sups = streams.sup_inner_rows(stream, rows)
     assert sups.tolist() == [16.0, 16.0]
-    forms = streams.chain_form_k_rows(nets, rows, 4)
+    _, forms = streams.chain_forms(nets, stream.prefix_inner_rows(rows), 4)
     assert (forms >= streams.chain_dominance_floor(4, 16) * sups ** 4).all()
 
 
@@ -384,8 +386,8 @@ def test_chain_dominance_floor_formula():
     with pytest.raises(ValueError):
         streams.chain_dominance_floor(3, 64)
     with pytest.raises(ValueError):
-        streams.chain_form_k_rows(streams.build_nets(streams.identity_stream(4)),
-                                  np.ones((1, 4)), 2)
+        streams.chain_forms(streams.build_nets(streams.identity_stream(4)),
+                            np.zeros((1, 5)), 2)
 
 
 def test_expected_chain_form_contract():
@@ -395,7 +397,7 @@ def test_expected_chain_form_contract():
     nets = streams.build_nets(stream)
     spec = FamilySpec(kind="AdversarialStage", n=m, stage="H", seed=4)
     batch = make_sampler(spec).sample_batch(substream(4, 0), 4000)
-    forms = streams.chain_form_quadratic_rows(nets, batch)
+    forms, _ = streams.chain_forms(nets, stream.prefix_inner_rows(batch), 4)
     cap = 2 * (2 * np.log2(m) + 1) * stream.norm_sq()
     stderr = forms.std(ddof=1) / len(forms) ** 0.5
     assert forms.mean() <= cap + 4 * stderr
