@@ -186,9 +186,20 @@ def run(config: ExperimentConfig) -> ResultTable:
     table.metadata["version"] = VERSION
     table.metadata["workers"] = config.workers
     table.metadata["wall_time_s"] = f"{time.time() - started:.3f}"
+    table.metadata["peak_rss_mb"] = _peak_rss_mb()
     if config.output:
         table.write_csv(config.output)
     return table
+
+
+def _peak_rss_mb() -> str:
+    """Peak RSS in MB of this process or of its largest finished child, such
+    as a pool worker; ru_maxrss is in KB on Linux."""
+    import resource
+
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return f"{peak / 1024:.1f}"
 
 
 # --------------------------------------------------------------------------

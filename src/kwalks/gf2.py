@@ -133,11 +133,14 @@ def parity_tables(vectors: np.ndarray, width: int) -> np.ndarray:
     n, k = vectors.shape
     nibbles = -(-width // 4)
     nbytes = -(-n // 8)
-    values = np.arange(16, dtype=np.uint64)[:, None]
+    # the (16, n) bit rows are built in uint8: a nibble fits, and the
+    # temporaries take n bytes per row, not 8n
+    values = np.arange(16, dtype=np.uint8)[:, None]
     packed = np.zeros((k * nibbles, 16, 8 * -(-n // 64)), dtype=np.uint8)
     for j in range(k):
         for t in range(nibbles):
-            nibble = (vectors[:, j] >> np.uint64(4 * t)) & np.uint64(15)
+            nibble = ((vectors[:, j] >> np.uint64(4 * t))
+                      & np.uint64(15)).astype(np.uint8)
             bits = np.bitwise_count(values & nibble) & 1
             packed[j * nibbles + t, :, :nbytes] = np.packbits(
                 bits, axis=1, bitorder="little")

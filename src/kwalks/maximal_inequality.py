@@ -262,32 +262,40 @@ def check_invariants(tree: IntervalTree) -> list[str]:
 
     # Deeper levels only refine: nodes that stopped splitting earlier still
     # cover their points, so each level extends with all shallower leaves.
-    leaf_spans: list[tuple[int, int]] = []
+    # Spans are (a, b) columns sorted by a, then b.
+    leaf_a = leaf_b = np.zeros(0, dtype=np.int64)
     for level, idxs in enumerate(tree.table.levels):
-        idxs = idxs.tolist()
-        spans = sorted((tree.nodes[i].a, tree.nodes[i].b) for i in idxs)
-        covered = sorted(spans + leaf_spans)
-        cursor = -1    # largest integer covered so far; abutting is fine
-        for a, b in covered:
-            if a > cursor + 1:
-                problems.append(f"level {level}: gap before {a}")
-                break
-            cursor = max(cursor, b)
+        nodes = [tree.nodes[i] for i in idxs.tolist()]
+        a, b = np.array([(nd.a, nd.b) for nd in nodes],
+                        dtype=np.int64).reshape(-1, 2).T
+        leaf = np.array([nd.is_leaf for nd in nodes], dtype=bool)
+        cov_a, cov_b = np.concatenate([a, leaf_a]), np.concatenate([b, leaf_b])
+        order = np.lexsort((cov_b, cov_a))
+        cov_a, cov_b = cov_a[order], cov_b[order]
+        # largest integer covered before each span; abutting is fine
+        before = np.concatenate(([-1], np.maximum.accumulate(cov_b)[:-1]))
+        gaps = np.flatnonzero(cov_a > before + 1)
+        if gaps.size:
+            problems.append(f"level {level}: gap before {cov_a[gaps[0]]}")
+            cursor = before[gaps[0]]
+        else:
+            cursor = cov_b.max()
         if cursor < n:
             problems.append(f"level {level}: coverage stops at {cursor}")
-        for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-            if b1 > a2:
-                problems.append(f"level {level}: [{a1},{b1}] overlaps [{a2},{b2}]")
+        order = np.lexsort((b, a))
+        sa, sb = a[order], b[order]
+        for i in np.flatnonzero(sb[:-1] > sa[1:]):
+            problems.append(f"level {level}: [{sa[i]},{sb[i]}] overlaps "
+                            f"[{sa[i + 1]},{sb[i + 1]}]")
         # T-length cap 0.55^level, on integer numerators
         den_pow = LENGTH_DECAY.denominator ** level
         num_pow = LENGTH_DECAY.numerator ** level
-        for i in idxs:
-            nd = tree.nodes[i]
+        for nd in nodes:
             if (P[nd.b] - P[nd.a]) * den_pow > num_pow * total:
                 problems.append(
                     f"level {level}: [{nd.a},{nd.b}] longer than 0.55^{level}")
-        leaf_spans += [(tree.nodes[i].a, tree.nodes[i].b) for i in idxs
-                       if tree.nodes[i].is_leaf]
+        leaf_a = np.concatenate([leaf_a, a[leaf]])
+        leaf_b = np.concatenate([leaf_b, b[leaf]])
 
     if tree.ranked:
         for nd in tree.nodes:

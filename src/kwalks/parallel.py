@@ -18,7 +18,7 @@ import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .rng import chunk_layout, substream
-from .sign_families import FamilySpec, make_sampler
+from .sign_families import FamilySpec, make_sampler, tile_rows
 
 
 def _run_chunk(task):
@@ -62,12 +62,24 @@ class ColumnMoments:
 
 
 def _moment_chunk(args, rng, count):
+    """Column sums and sums of squares of stat over count sampled rows.
+
+    A tileable sampler draws the rows in tiles of tile_rows(n) and stat
+    runs per tile, so memory stays bounded as n grows; any other sampler
+    draws the chunk as one tile.  The per-row values are joined into one
+    (count, columns) array, so the sums are those of a single tile.
+    """
     spec, branch, stat, stat_args = args
-    batch = make_sampler(spec, branch).sample_batch(rng, count)
+    sampler = make_sampler(spec, branch)
+    step = tile_rows(spec.n) if sampler.tileable else count
+    values = []
+    for lo in range(0, count, step):
+        batch = sampler.sample_batch(rng, min(step, count - lo))
+        values.append(np.asarray(stat(batch, *stat_args),
+                                 dtype=np.float64).reshape(len(batch), -1))
     # each column is summed as its own 1-d array, so a column's sums do not
     # depend on how many columns the statistic has
-    columns = np.asarray(stat(batch, *stat_args), dtype=np.float64)
-    columns = columns.reshape(count, -1).T
+    columns = np.concatenate(values).T
     return (tuple(float(col.sum()) for col in columns)
             + tuple(float((col ** 2).sum()) for col in columns))
 
@@ -78,7 +90,9 @@ def mc_moments(stat: Callable, stat_args: tuple, spec: FamilySpec, trials: int,
     """Column means and standard errors of stat(batch, *stat_args).
 
     stat is a module-level function mapping a (count, n) batch of sign
-    rows to count values or a (count, columns) array.  branch is passed
+    rows to count values or a (count, columns) array; each row's values
+    must not depend on the other rows, since a chunk may reach stat in
+    row tiles.  branch is passed
     to make_sampler: one of H_BRANCHES draws the rows from that branch of a
     stage-H family.
     """

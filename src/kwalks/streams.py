@@ -24,7 +24,7 @@ import numpy as np
 
 from .gf2 import all_polynomial_signs, min_width
 from .parallel import mc_moments
-from .sign_families import FamilySpec
+from .sign_families import FamilySpec, tile_rows
 from .walks import SupEstimate, _all_signs, sup_abs_prefix_batch
 
 # Exact k-th moment constants for +-1 valued steps.
@@ -317,18 +317,23 @@ def sup_inner_rows(stream: InsertionStream, rows: np.ndarray) -> np.ndarray:
     as float64.
 
     For integer rows of +-1 signs, <x, z^(t)> is the t-th prefix sum of the
-    steps x_{p_1}, ..., x_{p_m}.  The gathered (count, m) steps go through
-    walks.sup_abs_prefix_batch, which packs them 16 to a word and reads
-    each word's total and extreme prefix sums from tables; its offsets are
-    int16 below m = 2^15 and int32 from there.  The sups are integers <= m,
-    exact in float64, so they are the bytes the float cumsum gives, and no
-    (count, m + 1) float W array is built.  Any other rows take the float
-    prefix_inner_rows path.
+    steps x_{p_1}, ..., x_{p_m}.  The steps are gathered tile_rows(m) rows
+    at a time, so the (rows, m) gathers stay bounded however long the
+    stream, and go through walks.sup_abs_prefix_batch, which packs them 16
+    to a word and reads each word's total and extreme prefix sums from
+    tables; its offsets are int16 below m = 2^15 and int32 from there.  The
+    sups are integers <= m, exact in float64, so they are the bytes the
+    float cumsum gives, and no (count, m + 1) float W array is built.  Any
+    other rows take the float prefix_inner_rows path.
     """
     arr = stream._check_rows(rows)
     if arr.dtype.kind in "iu" and _all_signs(arr):
-        steps = np.take(arr, stream.items - 1, axis=1)
-        return sup_abs_prefix_batch(steps).astype(np.float64)
+        out = np.empty(len(arr))
+        step = tile_rows(stream.m)
+        for lo in range(0, len(arr), step):
+            steps = np.take(arr[lo:lo + step], stream.items - 1, axis=1)
+            out[lo:lo + step] = sup_abs_prefix_batch(steps)
+        return out
     inner = stream.prefix_inner_rows(arr)[:, 1:]
     return np.abs(inner).max(axis=1)
 
@@ -380,8 +385,13 @@ def mz_moment_check(v: Sequence[float], k: int, trials: int | None = None,
 
 def inner_power_rows(batch: np.ndarray, vec: tuple[float, ...],
                      k: int) -> np.ndarray:
-    """Row-wise <x, vec>^k for a (count, n) batch of sign rows x."""
-    return (batch.astype(np.float64) @ np.asarray(vec)) ** k
+    """Row-wise <x, vec>^k for a (count, n) batch of sign rows x.
+
+    Each row is summed on its own by numpy's pairwise reduction.  A BLAS
+    matrix-vector product would round a row differently depending on how
+    many rows it is given and on the BLAS thread count.
+    """
+    return (batch * np.asarray(vec)).sum(axis=1) ** k
 
 
 def sup_inner_power_rows(batch: np.ndarray, stream: InsertionStream,

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -393,10 +394,12 @@ def test_dump_net_stream_file_errors_name_the_file(tmp_path, capsys, text,
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_footer_records_workers(tmp_path, capsys, workers):
+    own_peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    # 1100 trials make two chunks, so workers=2 starts a pool
     cfg = write_config(tmp_path / "walk.cfg", """
         [experiment]
         kind = walk-scaling
-        trials = 300
+        trials = 1100
         seed = 5
         [family]
         kind = FullyIndependent
@@ -407,8 +410,12 @@ def test_footer_records_workers(tmp_path, capsys, workers):
     out = tmp_path / "w.csv"
     main(["run", cfg, "--output", str(out), "--workers", str(workers),
           "--json"])
-    assert json.loads(capsys.readouterr().out)["metadata"]["workers"] == workers
-    assert f"# workers={workers}" in out.read_text().splitlines()
+    metadata = json.loads(capsys.readouterr().out)["metadata"]
+    footer = out.read_text().splitlines()
+    assert metadata["workers"] == workers
+    assert f"# workers={workers}" in footer
+    assert f"# peak_rss_mb={metadata['peak_rss_mb']}" in footer
+    assert float(metadata["peak_rss_mb"]) >= round(own_peak_mb, 1)
 
 
 def test_dump_net_requires_source():

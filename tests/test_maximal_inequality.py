@@ -149,6 +149,72 @@ def test_invariants_on_arbitrary_profiles(raw):
     assert mi.check_invariants(tree) == []
 
 
+def _reference_problems(tree):
+    """check_invariants as a per-level loop that re-sorts every shallower
+    leaf span: the reference the array version must match exactly."""
+    problems = []
+    P = tree.profile.nums
+    total = P[-1]
+    n = tree.profile.n_reduced
+    leaf_spans = []
+    for level, idxs in enumerate(tree.table.levels):
+        idxs = idxs.tolist()
+        spans = sorted((tree.nodes[i].a, tree.nodes[i].b) for i in idxs)
+        cursor = -1
+        for a, b in sorted(spans + leaf_spans):
+            if a > cursor + 1:
+                problems.append(f"level {level}: gap before {a}")
+                break
+            cursor = max(cursor, b)
+        if cursor < n:
+            problems.append(f"level {level}: coverage stops at {cursor}")
+        for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
+            if b1 > a2:
+                problems.append(f"level {level}: [{a1},{b1}] overlaps [{a2},{b2}]")
+        den_pow = mi.LENGTH_DECAY.denominator ** level
+        num_pow = mi.LENGTH_DECAY.numerator ** level
+        for i in idxs:
+            nd = tree.nodes[i]
+            if (P[nd.b] - P[nd.a]) * den_pow > num_pow * total:
+                problems.append(
+                    f"level {level}: [{nd.a},{nd.b}] longer than 0.55^{level}")
+        leaf_spans += [(tree.nodes[i].a, tree.nodes[i].b) for i in idxs
+                       if tree.nodes[i].is_leaf]
+    if tree.ranked:
+        for nd in tree.nodes:
+            if nd.is_leaf or nd.shared_split is None:
+                continue
+            if tree.nodes[nd.left].bad != tree.nodes[nd.right].bad:
+                problems.append(f"siblings of [{nd.a},{nd.b}] differ in badness")
+        mass = {}
+        for nd in tree.nodes:
+            if nd.bad:
+                mass[nd.rank] = mass.get(nd.rank, 0) + P[nd.b] - P[nd.a]
+        num, den = mi.RANK_DECAY.numerator, mi.RANK_DECAY.denominator
+        for q in sorted(mass):
+            if mass[q] * den ** q > num ** q * total:
+                problems.append(f"rank {q} mass exceeds {mi.RANK_DECAY}^{q}")
+    return problems
+
+
+def test_check_invariants_matches_reference_on_corrupted_trees():
+    rng = substream(2718, 0)
+    reported = 0
+    for trial in range(40):
+        tree = mi.classify_and_rank(
+            mi.build_tree(mi.random_profile(128, 4.0, rng)))
+        n = tree.profile.n_reduced
+        # move a few endpoints: gaps, overlaps, short coverage, long spans
+        for i in rng.choice(len(tree.nodes), size=trial % 5, replace=False):
+            nd = tree.nodes[int(i)]
+            nd.a = int(np.clip(nd.a + rng.integers(-3, 4), 0, n))
+            nd.b = int(np.clip(nd.b + rng.integers(-3, 4), nd.a, n))
+        problems = mi.check_invariants(tree)
+        assert problems == _reference_problems(tree)
+        reported += bool(problems)
+    assert reported >= 20
+
+
 def test_invariants_on_seeded_profiles():
     rng = substream(12345, 0)
     for _ in range(20):     # the acceptance suite runs the full 200

@@ -1,10 +1,13 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from kwalks import maximal_inequality as mi
-from kwalks import parallel, streams, walks
+from kwalks import parallel, sign_families, streams, walks
 from kwalks.parallel import map_reduce_chunks, mc_moments
 from kwalks.rng import substream
-from kwalks.sign_families import FamilySpec
+from kwalks.sign_families import FamilySpec, make_sampler, tile_rows
 from kwalks.walks import estimate_sup_moment
 
 # 1500 trials span two chunks (1024 + 476).
@@ -66,3 +69,108 @@ def test_pinned_mc_tail():
     assert [(r.hits, r.trials, r.empirical_p, r.stderr) for r in rows] == [
         (879, TWO_CHUNKS, 0.586, 0.012717546933272941),
         (235, TWO_CHUNKS, 0.15666666666666668, 0.009385173492348528)]
+
+
+# --------------------------------------------------------------------------
+# row tiles
+
+# spec, branch and whether the sampler is tileable, per sampler
+SAMPLERS = {
+    "kwise": (FamilySpec(kind="PolynomialKWise", n=1024, k=4), None, True),
+    "independent": (FamilySpec(kind="FullyIndependent", n=1024), None, True),
+    "H1": (FamilySpec(kind="AdversarialStage", n=1024, stage="H1"), None, True),
+    "balanced": (FamilySpec(kind="AdversarialStage", n=1024, stage="H"),
+                 "balanced", True),
+    "H2": (FamilySpec(kind="AdversarialStage", n=1024, stage="H2"), None, False),
+    "H3": (FamilySpec(kind="AdversarialStage", n=1024, stage="H3"), None, False),
+    "H": (FamilySpec(kind="AdversarialStage", n=1024, stage="H"), None, False),
+    "drift": (FamilySpec(kind="AdversarialStage", n=1024, stage="H"), "drift",
+              False),
+    "pairs": (FamilySpec(kind="AdversarialStage", n=1024, stage="H"), "pairs",
+              False),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+@pytest.mark.parametrize("rows", [1, 7, tile_rows(1024)])
+def test_only_tileable_samplers_draw_the_same_rows_in_tiles(name, rows):
+    spec, branch, tiled = SAMPLERS[name]
+    sampler = make_sampler(spec, branch)
+    assert sampler.tileable is tiled
+    count = 2 * tile_rows(spec.n) + 88
+    whole = sampler.sample_batch(substream(5, 0), count)
+    rng = substream(5, 0)
+    tiles = [sampler.sample_batch(rng, min(rows, count - lo))
+             for lo in range(0, count, rows)]
+    assert (np.concatenate(tiles).tobytes() == whole.tobytes()) is tiled
+
+
+def _recording_stat(sizes):
+    def stat(batch):
+        sizes.append(len(batch))
+        return np.zeros(len(batch))
+    return stat
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_moment_chunk_tiles_only_tileable_samplers(name):
+    spec, branch, tiled = SAMPLERS[name]
+    sizes = []
+    parallel._moment_chunk((spec, branch, _recording_stat(sizes), ()),
+                           substream(1, 0), 600)
+    step = tile_rows(spec.n)
+    assert sizes == ([step, step, 600 - 2 * step] if tiled else [600])
+
+
+STREAM = streams.uniform_stream(256, n=64, seed=1)
+STATISTICS = {
+    "sup_moment_rows": (walks.sup_moment_rows, (2,)),
+    "sup_inner_power_rows": (streams.sup_inner_power_rows, (STREAM, 4)),
+    "tail_hit_rows": (mi.tail_hit_rows, (tuple(np.linspace(0.1, 2.0, 64)),
+                                         (4.0, 8.0, 12.0))),
+    "inner_power_rows": (streams.inner_power_rows,
+                         (tuple(substream(75, 0).standard_normal(64)), 4)),
+}
+
+
+@pytest.mark.parametrize("name", STATISTICS)
+def test_chunk_totals_do_not_depend_on_the_tile_size(monkeypatch, name):
+    stat, stat_args = STATISTICS[name]
+    spec = FamilySpec(kind="PolynomialKWise", n=64, k=4)
+    count = 300
+    totals = []
+    for rows in (1, 7, count):
+        monkeypatch.setattr(sign_families, "TILE_SIGNS", rows * spec.n)
+        totals.append(parallel._moment_chunk((spec, None, stat, stat_args),
+                                             substream(2, 0), count))
+    assert totals[0] == totals[1] == totals[2]
+
+
+@pytest.mark.parametrize("n", [7, 16, 64, 1024])
+def test_inner_power_rows_rounds_each_row_alone(n):
+    # a BLAS matrix-vector product rounds some rows differently at 1, 2, 3
+    # or 7 rows than within a larger batch
+    batch = make_sampler(FamilySpec(kind="FullyIndependent", n=n)).sample_batch(
+        substream(9, 0), 64)
+    vec = tuple(substream(9, 1).standard_normal(n))
+    whole = streams.inner_power_rows(batch, vec, 1)
+    for rows in (1, 2, 3, 7):
+        parts = [streams.inner_power_rows(batch[lo:lo + rows], vec, 1)
+                 for lo in range(0, 64, rows)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_kwise_estimate_memory_stays_bounded_at_large_n():
+    # One 1024-row chunk at n = 2^16 is 64 MiB as a single int8 sign matrix,
+    # and its sup kernel adds as much again; in row tiles of TILE_SIGNS
+    # signs the estimate needs under 8 MiB beyond the sampler's tables.
+    spec = FamilySpec(kind="PolynomialKWise", n=1 << 16, k=4, seed=1)
+    make_sampler(spec)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        estimate_sup_moment(spec, 1, 1024, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 * 2 ** 20
