@@ -31,6 +31,22 @@ VERSION = "0.1.0"
 EXPERIMENT_KINDS = ("family-verify", "walk-scaling", "matrix-check",
                     "maximal-mc", "stream-track", "net-audit")
 
+# The sections a config may hold, the [experiment] keys every kind reads,
+# and the [params] keys each kind reads ([family] keys are FamilySpec's).
+# Anything else is rejected, so a misspelled key or section cannot
+# silently drop a check or change the family.
+_SECTIONS = ("experiment", "family", "params")
+_EXPERIMENT_KEYS = ("kind", "trials", "seed", "output", "workers")
+_PARAM_KEYS = {
+    "family-verify": ("n_list",),
+    "walk-scaling": ("n_list", "moment_order", "min_slope", "min_r2",
+                     "max_slope_se_mult", "max_norm_ratio"),
+    "matrix-check": ("n_list", "gaussian_vectors"),
+    "maximal-mc": ("n", "k", "sigma_decades", "lambda_mults"),
+    "stream-track": ("generators", "m_list", "k", "max_norm_ratio"),
+    "net-audit": ("generators", "m_list", "realizations"),
+}
+
 
 @dataclass
 class Check:
@@ -114,6 +130,10 @@ class ExperimentConfig:
         if kind not in EXPERIMENT_KINDS:
             raise ValueError(
                 f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
+        _reject_unknown("sections", parser.sections(), _SECTIONS, kind)
+        _reject_unknown("experiment keys", exp, _EXPERIMENT_KEYS, kind)
+        if "params" in parser:
+            _reject_unknown("params keys", parser["params"], _PARAM_KEYS[kind], kind)
         return cls(
             kind=kind,
             family=dict(parser["family"]) if "family" in parser else {},
@@ -163,6 +183,12 @@ class ExperimentConfig:
 
     def get_float(self, key: str, default: float) -> float:
         return _number(float, key, self.params.get(key, default))
+
+
+def _reject_unknown(what: str, names, known, kind: str) -> None:
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} for {kind}: {unknown}")
 
 
 def _number(kind, key: str, text):
@@ -217,8 +243,7 @@ def _run_family_verify(config: ExperimentConfig) -> ResultTable:
     if config.trials > 0:
         check_empirical_size(max(n_values))
     for n in n_values:
-        spec = FamilySpec(kind=ADVERSARIAL_STAGE, n=n, stage=stage,
-                          seed=config.seed)
+        spec = FamilySpec(kind=ADVERSARIAL_STAGE, n=n, stage=stage)
         moments = exact_moments(spec)
         params = adversarial_params(n)
         mean, pair = moments.block_mean, moments.block_pair
@@ -343,7 +368,7 @@ def _run_maximal_mc(config: ExperimentConfig) -> ResultTable:
     mults = config.float_list("lambda_mults", "2 4 8")
     lambdas = [m * total_var ** 0.5 for m in mults]
     spec = (config.family_spec(n=n) if config.family
-            else FamilySpec(kind=POLYNOMIAL_KWISE, n=n, k=k, seed=config.seed))
+            else FamilySpec(kind=POLYNOMIAL_KWISE, n=n, k=k))
     rows = mi.mc_tail(spec, sigmas, lambdas, config.trials, config.seed,
                       workers=config.workers)
     for mult, row in zip(mults, rows):

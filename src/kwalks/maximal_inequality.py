@@ -105,7 +105,6 @@ class IntervalNode:
     a: int
     b: int
     level: int
-    pos: int                      # 1-based position within the level
     parent: int | None = None
     left: int | None = None
     right: int | None = None
@@ -179,7 +178,7 @@ def build_tree(profile: VarianceProfile) -> IntervalTree:
     P = list(profile.nums)
     if any(y <= x for x, y in zip(P, P[1:])):
         raise InvalidProfileError("prefix variances must be strictly increasing")
-    nodes = [IntervalNode(a=0, b=profile.n_reduced, level=0, pos=1)]
+    nodes = [IntervalNode(a=0, b=profile.n_reduced, level=0)]
     stack = [0]
     while stack:
         idx = stack.pop()
@@ -199,10 +198,8 @@ def build_tree(profile: VarianceProfile) -> IntervalTree:
             split_right = t0
             shared = False
         node.shared_split = shared
-        left = IntervalNode(a=a, b=split_left, level=node.level + 1,
-                            pos=2 * node.pos - 1, parent=idx)
-        right = IntervalNode(a=split_right, b=b, level=node.level + 1,
-                             pos=2 * node.pos, parent=idx)
+        left = IntervalNode(a=a, b=split_left, level=node.level + 1, parent=idx)
+        right = IntervalNode(a=split_right, b=b, level=node.level + 1, parent=idx)
         node.left = len(nodes)
         nodes.append(left)
         node.right = len(nodes)

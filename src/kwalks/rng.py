@@ -40,9 +40,10 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=mix64(seed, index)))
 
 
-def chunk_layout(trials: int, chunk: int = TRIAL_CHUNK) -> Iterator[tuple[int, int]]:
-    """Yield (chunk_index, trial_count) pairs covering `trials` trials."""
+def chunk_layout(trials: int) -> Iterator[tuple[int, int]]:
+    """Yield (chunk_index, trial_count) pairs covering `trials` trials in
+    chunks of TRIAL_CHUNK."""
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    for c in range((trials + chunk - 1) // chunk):
-        yield c, min(chunk, trials - c * chunk)
+    for c in range(-(-trials // TRIAL_CHUNK)):
+        yield c, min(TRIAL_CHUNK, trials - c * TRIAL_CHUNK)

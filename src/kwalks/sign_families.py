@@ -52,9 +52,9 @@ EXACT_MOMENT_LIMIT = 4 ** 8
 EMPIRICAL_MOMENT_LIMIT = 4096
 
 _BATCH = 1 << 14
-# Signs per row tile.  Monte Carlo chunks, stream gathers and KWiseSampler
-# steps handle their rows in tiles of at most this many signs (one row if a
-# row is longer), so their temporaries stay bounded as n grows.
+# Signs per row tile.  Monte Carlo chunks and stream gathers handle their
+# rows in tiles of at most this many signs (one row if a row is longer), so
+# their temporaries stay bounded as n grows.
 TILE_SIGNS = 1 << 18
 # Random values per generator call in _chunked_signs, sized to stay in cache.
 _DRAW_VALUES = 1 << 16
@@ -83,22 +83,19 @@ class FamilySpec:
 
     kind selects the construction; n is the domain size; k is the
     independence order (polynomial families only); stage picks one of the
-    adversarial stages; seed is the default master seed for experiments.
+    adversarial stages.  The seed belongs to the experiment drawing from it.
     """
 
     kind: str
     n: int
     k: int | None = None
     stage: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in 64 bits")
         if self.kind == POLYNOMIAL_KWISE:
             if self.k is None or not 2 <= self.k <= self.n:
                 raise ValueError("polynomial family needs 2 <= k <= n")
@@ -119,7 +116,7 @@ class FamilySpec:
 
     @classmethod
     def from_config(cls, mapping: dict[str, str]) -> "FamilySpec":
-        known = {"kind", "n", "k", "stage", "seed"}
+        known = {"kind", "n", "k", "stage"}
         unknown = set(mapping) - known
         if unknown:
             raise ValueError(f"unknown family keys: {sorted(unknown)}")
@@ -130,7 +127,6 @@ class FamilySpec:
             n=int(mapping["n"]),
             k=int(mapping["k"]) if "k" in mapping else None,
             stage=mapping.get("stage"),
-            seed=int(mapping.get("seed", "0")),
         )
 
     def with_n(self, n: int) -> "FamilySpec":
@@ -423,36 +419,24 @@ def _rotate_blocks(rows: np.ndarray, shifts: np.ndarray, root: int) -> np.ndarra
 
 
 class KWiseSampler:
-    """Exactly k-wise independent signs from random field polynomials."""
+    """Exactly k-wise independent signs from random polynomials over
+    GF(2^64).  A batch draws its coefficients in one call; full-range uint64
+    draws split by rows give the same stream, so the sampler is tileable."""
 
-    tileable = True     # coefficients are drawn row by row
+    tileable = True
 
-    def __init__(self, n: int, k: int, width: int = 64):
+    def __init__(self, n: int, k: int):
         if not 2 <= k <= n:
             raise ValueError("need 2 <= k <= n")
         self.n = n
         self.k = k
-        self.field = GF2Field(width)
-        if self.field.order < n:
-            raise ValueError(f"field of order {self.field.order} too small for n={n}")
-        vectors = point_lsb_vectors(self.field, n, k)
-        self.tables = parity_tables(vectors, width)
+        self.tables = parity_tables(point_lsb_vectors(GF2Field(64), n, k), 64)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size < 0:
             raise ValueError("size must be nonnegative")
-        out = np.empty((size, self.n), dtype=np.int8)
-        step = tile_rows(self.n)
-        for lo in range(0, size, step):
-            hi = min(lo + step, size)
-            coeffs = self._draw_coefficients(rng, hi - lo)
-            out[lo:hi] = signs_from_tables(self.tables, coeffs, self.n)
-        return out
-
-    def _draw_coefficients(self, rng, count):
-        if self.field.width == 64:
-            return rng.integers(0, 1 << 64, size=(count, self.k), dtype=np.uint64)
-        return rng.integers(0, self.field.order, size=(count, self.k)).astype(np.uint64)
+        coeffs = rng.integers(0, 1 << 64, size=(size, self.k), dtype=np.uint64)
+        return signs_from_tables(self.tables, coeffs, self.n)
 
 
 class IndependentSampler:
@@ -471,24 +455,22 @@ class IndependentSampler:
 
 def make_sampler(spec: FamilySpec, branch: str | None = None):
     """Sampler for any family spec, or for one branch (of H_BRANCHES) of a
-    stage-H family.  Samplers are stateless between calls."""
+    stage-H family.  Samplers are stateless between calls and built once
+    per (spec, branch)."""
+    # positional, so make_sampler(spec) and make_sampler(spec, None) share
+    # one cache entry
+    return _build_sampler(spec, branch)
+
+
+@lru_cache(maxsize=16)
+def _build_sampler(spec: FamilySpec, branch: str | None):
     if spec.kind == ADVERSARIAL_STAGE:
-        return _cached_adversarial(spec.n, spec.stage, branch)
+        return AdversarialSampler(adversarial_params(spec.n), spec.stage, branch)
     if branch is not None:
         raise ValueError("branches are defined for adversarial stage H only")
     if spec.kind == FULLY_INDEPENDENT:
         return IndependentSampler(spec.n)
-    return _cached_kwise(spec.n, spec.k)
-
-
-@lru_cache(maxsize=8)
-def _cached_kwise(n: int, k: int) -> KWiseSampler:
-    return KWiseSampler(n, k)
-
-
-@lru_cache(maxsize=16)
-def _cached_adversarial(n: int, stage: str, branch: str | None) -> AdversarialSampler:
-    return AdversarialSampler(adversarial_params(n), stage, branch)
+    return KWiseSampler(spec.n, spec.k)
 
 
 # --------------------------------------------------------------------------
@@ -510,15 +492,6 @@ class MomentSummary:
     @property
     def n(self) -> int:
         return self.root * self.root
-
-    def mean_at(self, i: int) -> Fraction:
-        """E[h_i]."""
-        return self.block_mean[i // self.root]
-
-    def second_moment(self, i: int, j: int) -> Fraction:
-        """E[h_i h_j]."""
-        root = self.root
-        return Fraction(1) if i == j else self.block_pair[i // root][j // root]
 
     def second_moments_float(self) -> np.ndarray:
         """The n x n table of E[h_i h_j] as float64, for empirical checks."""

@@ -25,7 +25,7 @@ import numpy as np
 from .gf2 import all_polynomial_signs, min_width
 from .parallel import mc_moments
 from .sign_families import FamilySpec, tile_rows
-from .walks import SupEstimate, _all_signs, sup_abs_prefix_batch
+from .walks import SupEstimate, sup_abs_prefix_batch
 
 # Exact k-th moment constants for +-1 valued steps.
 MOMENT_CONSTANTS = {2: 1, 4: 3}
@@ -255,17 +255,6 @@ def coverage_check(nets: NetHierarchy, r: int) -> bool:
     return not ((dist_sq > nets.norm_sq >> r) & ~at_net).any()
 
 
-def net_point_norm_growth_ok(nets: NetHierarchy) -> bool:
-    """Each new net point at level r grows ||z^(t)||^2 by more than
-    2^(-r)||z||^2; this is what caps level sizes at 2^r."""
-    for r, lvl in enumerate(nets.levels):
-        norms = nets.prefix_norm_sq[lvl.times]
-        growth = np.diff(norms.astype(object))
-        if any((int(g) << r) <= nets.norm_sq for g in growth):
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # chain forms
 
@@ -313,29 +302,22 @@ def chain_dominance_floor(k: int, m: int) -> float:
 
 
 def sup_inner_rows(stream: InsertionStream, rows: np.ndarray) -> np.ndarray:
-    """Row-wise sup over 1 <= t <= m of |<x, z^(t)>| for a (count, n) batch,
-    as float64.
+    """Row-wise sup over 1 <= t <= m of |<x, z^(t)>| for a (count, n) batch
+    of +-1 sign rows x, as float64.
 
-    For integer rows of +-1 signs, <x, z^(t)> is the t-th prefix sum of the
-    steps x_{p_1}, ..., x_{p_m}.  The steps are gathered tile_rows(m) rows
-    at a time, so the (rows, m) gathers stay bounded however long the
-    stream, and go through walks.sup_abs_prefix_batch, which packs them 16
-    to a word and reads each word's total and extreme prefix sums from
-    tables; its offsets are int16 below m = 2^15 and int32 from there.  The
-    sups are integers <= m, exact in float64, so they are the bytes the
-    float cumsum gives, and no (count, m + 1) float W array is built.  Any
-    other rows take the float prefix_inner_rows path.
+    <x, z^(t)> is the t-th prefix sum of the steps x_{p_1}, ..., x_{p_m}.
+    The steps are gathered tile_rows(m) rows at a time, so memory stays
+    bounded however long the stream, and reduced by the exact integer
+    kernel walks.sup_abs_prefix_batch; no (count, m + 1) float W is built.
+    It raises ValueError when a streamed column holds anything but +-1.
     """
     arr = stream._check_rows(rows)
-    if arr.dtype.kind in "iu" and _all_signs(arr):
-        out = np.empty(len(arr))
-        step = tile_rows(stream.m)
-        for lo in range(0, len(arr), step):
-            steps = np.take(arr[lo:lo + step], stream.items - 1, axis=1)
-            out[lo:lo + step] = sup_abs_prefix_batch(steps)
-        return out
-    inner = stream.prefix_inner_rows(arr)[:, 1:]
-    return np.abs(inner).max(axis=1)
+    out = np.empty(len(arr))
+    step = tile_rows(stream.m)
+    for lo in range(0, len(arr), step):
+        steps = np.take(arr[lo:lo + step], stream.items - 1, axis=1)
+        out[lo:lo + step] = sup_abs_prefix_batch(steps)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +354,7 @@ def mz_moment_check(v: Sequence[float], k: int, trials: int | None = None,
         return moment, bound
 
     spec = FamilySpec(kind=("PolynomialKWise" if n >= k else "FullyIndependent"),
-                      n=n, k=k if n >= k else None, seed=seed)
+                      n=n, k=k if n >= k else None)
     vec_f = np.asarray(v, dtype=np.float64)
     est = mc_moments(inner_power_rows, (tuple(float(x) for x in vec_f), k),
                      spec, trials, seed)

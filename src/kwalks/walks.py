@@ -121,7 +121,7 @@ def sup_moment_rows(batch: np.ndarray, moment_order: int) -> np.ndarray:
 
 
 def estimate_sup_moment(spec: FamilySpec, moment_order: int, trials: int,
-                        seed: int | None = None, workers: int = 1,
+                        seed: int, workers: int = 1,
                         branch: str | None = None) -> SupEstimate:
     """Sample mean and standard error of (sup_t |S_t|)^moment_order.
 
@@ -130,8 +130,8 @@ def estimate_sup_moment(spec: FamilySpec, moment_order: int, trials: int,
     """
     if moment_order < 1:
         raise ValueError("moment order must be positive")
-    est = mc_moments(sup_moment_rows, (moment_order,), spec, trials,
-                     spec.seed if seed is None else seed, workers, branch)
+    est = mc_moments(sup_moment_rows, (moment_order,), spec, trials, seed,
+                     workers, branch)
     return SupEstimate(moment_order=moment_order, mean=est.mean[0],
                        stderr=est.stderr[0], trials=trials, n=spec.n)
 

@@ -48,7 +48,7 @@ def test_criterion_1_exact_pairwise_independence():
 
 
 def _scaling(kind_kwargs, order, seed, branch=None):
-    spec = FamilySpec(n=WALK_NS[0], seed=seed, **kind_kwargs)
+    spec = FamilySpec(n=WALK_NS[0], **kind_kwargs)
     return walks.scaling_table(spec, WALK_NS, order, 10 ** 4, seed,
                                branch=branch)
 
@@ -305,7 +305,7 @@ def test_criterion_6_fourwise_tail_bound():
     sigmas = np.sqrt(10.0 ** (-4.0 * rng.random(n)))
     total = float((sigmas ** 2).sum())
     lambdas = [m * total ** 0.5 for m in (2, 4, 8)]
-    spec = FamilySpec(kind="PolynomialKWise", n=n, k=4, seed=SEED)
+    spec = FamilySpec(kind="PolynomialKWise", n=n, k=4)
     rows = mi.mc_tail(spec, sigmas, lambdas, 10 ** 5, seed=mix64(SEED, 6))
     for mult, row in zip((2, 4, 8), rows):
         ok = row.empirical_p <= row.variance_bound + 3 * row.stderr
@@ -353,7 +353,7 @@ def test_criterion_7_nets_and_chaining():
     capped = True
     for m in POWER4_MS:
         stream = streams.identity_stream(m)
-        spec = FamilySpec(kind="AdversarialStage", n=m, stage="H", seed=SEED)
+        spec = FamilySpec(kind="AdversarialStage", n=m, stage="H")
         est = streams.mc_sup_moment(stream, spec, 2, 2000, seed=mix64(SEED, m))
         lg = np.log2(m)
         value = est.mean / (stream.norm_sq() * lg * lg)
@@ -375,11 +375,10 @@ def test_criterion_7_nets_and_chaining():
         for m in STREAM_MS:
             stream = gen(m)
             if stream.n >= 4:
-                spec = FamilySpec(kind="PolynomialKWise", n=stream.n, k=4,
-                                  seed=SEED)
+                spec = FamilySpec(kind="PolynomialKWise", n=stream.n, k=4)
             else:
                 # one live coordinate: every family is the same Rademacher
-                spec = FamilySpec(kind="FullyIndependent", n=stream.n, seed=SEED)
+                spec = FamilySpec(kind="FullyIndependent", n=stream.n)
             est = streams.mc_sup_moment(stream, spec, 4, 4000,
                                         seed=mix64(SEED, 7 * m))
             normalized.append(est.mean / float(stream.norm_sq()) ** 2)

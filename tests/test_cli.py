@@ -128,6 +128,45 @@ def test_cli_number_errors_name_the_key(tmp_path, capsys, kind, experiment,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("body,message", [
+    # a family is fixed by its construction; the seed is the experiment's
+    ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
+     "[family]\nkind = PolynomialKWise\nk = 4\nseed = 5\n"
+     "[params]\nn_list = 16 64 256\n",
+     "unknown family keys: ['seed']"),
+    # a misspelled gate would drop its check and let the run pass
+    ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
+     "[family]\nkind = PolynomialKWise\nk = 4\n"
+     "[params]\nn_list = 16 64 256\nmin_slop = 0.0\n",
+     "unknown params keys for walk-scaling: ['min_slop']"),
+    # a misspelled section would fall back to the default 4-wise family
+    ("[experiment]\nkind = maximal-mc\ntrials = 100\n"
+     "[famliy]\nkind = AdversarialStage\nstage = H\n[params]\nn = 16\n",
+     "unknown sections for maximal-mc: ['famliy']"),
+    ("[experiment]\nkind = matrix-check\ntrails = 100\n[params]\nn_list = 8\n",
+     "unknown experiment keys for matrix-check: ['trails']"),
+], ids=["family-seed", "params-key", "section", "experiment-key"])
+def test_cli_rejects_keys_a_kind_never_reads(tmp_path, capsys, body, message):
+    cfg = tmp_path / "keys.cfg"
+    cfg.write_text(body)
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_shipped_configs_pass_the_key_rules():
+    # every example and benchmark config must load under the key rules
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted([*root.glob("configs/*.cfg"),
+                    *root.glob("perfbench/configs/*.cfg")])
+    assert len(paths) >= 11
+    for path in paths:
+        config = ExperimentConfig.from_file(path)
+        if config.family:
+            assert config.family_spec(n=64).n == 64
+
+
 @pytest.mark.parametrize("family", ["kind = PolynomialKWise\nk = 4",
                                     "kind = FullyIndependent"],
                          ids=["PolynomialKWise", "FullyIndependent"])
@@ -200,7 +239,7 @@ def test_family_verify_detects_corruption(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sf, "g_table", corrupted)
     sf.adversarial_params.cache_clear()
-    sf._cached_adversarial.cache_clear()
+    sf._build_sampler.cache_clear()
     try:
         table = run(ExperimentConfig.from_file(cfg))
         assert not table.all_passed
@@ -209,7 +248,7 @@ def test_family_verify_detects_corruption(tmp_path, monkeypatch):
     finally:
         monkeypatch.undo()
         sf.adversarial_params.cache_clear()
-        sf._cached_adversarial.cache_clear()
+        sf._build_sampler.cache_clear()
 
 
 def test_family_verify_refuses_large_empirical_check(tmp_path, capsys,

@@ -194,7 +194,7 @@ def test_certificate_expectation_and_pathwise_bound():
     # dominates every squared prefix sum divided by lg n, realization by
     # realization
     n, lg = 64, 6
-    spec = FamilySpec(kind="AdversarialStage", n=n, stage="H", seed=6)
+    spec = FamilySpec(kind="AdversarialStage", n=n, stage="H")
     batch = make_sampler(spec).sample_batch(substream(6, 0), 10 ** 4)
     forms = quadratic_form_rows(n, batch)
     stderr = forms.std(ddof=1) / len(forms) ** 0.5

@@ -371,7 +371,7 @@ def test_telescoping_defect_rejects_bad_realizations(batch):
 
 def test_mc_tail_independent_walk():
     n = 1024
-    spec = FamilySpec(kind="FullyIndependent", n=n, seed=2)
+    spec = FamilySpec(kind="FullyIndependent", n=n)
     rows = mi.mc_tail(spec, [1.0] * n, [2 * 32.0, 100 * 32.0], 10 ** 4, seed=2)
     assert rows[0].variance_bound == pytest.approx(0.25)
     assert rows[0].empirical_p <= 0.25 + 3 * rows[0].stderr
@@ -384,7 +384,7 @@ def test_mc_tail_scaled_fourwise():
     rng = substream(60, 0)
     sigmas = np.sqrt(10.0 ** (-4 * rng.random(n)))
     total = float((sigmas ** 2).sum())
-    spec = FamilySpec(kind="PolynomialKWise", n=n, k=4, seed=3)
+    spec = FamilySpec(kind="PolynomialKWise", n=n, k=4)
     lambdas = [m * total ** 0.5 for m in (2, 4, 8)]
     rows = mi.mc_tail(spec, sigmas, lambdas, 10 ** 4, seed=3)
     for mult, row in zip((2, 4, 8), rows):

@@ -42,7 +42,7 @@ def test_mc_moments_rejects_bad_branch_before_any_chunk(monkeypatch, stage,
 # before the four estimators shared one chunk kernel; compared with ==.
 
 def test_pinned_estimate_sup_moment():
-    spec = FamilySpec(kind="AdversarialStage", n=64, stage="H", seed=4)
+    spec = FamilySpec(kind="AdversarialStage", n=64, stage="H")
     est = estimate_sup_moment(spec, 2, TWO_CHUNKS, seed=7)
     assert (est.mean, est.stderr) == (110.918, 5.009581970317816)
     est = estimate_sup_moment(spec, 1, TWO_CHUNKS, seed=7, branch="pairs")
@@ -51,7 +51,7 @@ def test_pinned_estimate_sup_moment():
 
 def test_pinned_mc_sup_moment():
     stream = streams.uniform_stream(64, n=16, seed=1)
-    spec = FamilySpec(kind="PolynomialKWise", n=16, k=4, seed=2)
+    spec = FamilySpec(kind="PolynomialKWise", n=16, k=4)
     est = streams.mc_sup_moment(stream, spec, 4, TWO_CHUNKS, seed=9)
     assert (est.mean, est.stderr) == (323228.338, 20850.42759652882)
 
@@ -64,7 +64,7 @@ def test_pinned_mz_moment_check():
 
 
 def test_pinned_mc_tail():
-    spec = FamilySpec(kind="PolynomialKWise", n=32, k=4, seed=3)
+    spec = FamilySpec(kind="PolynomialKWise", n=32, k=4)
     rows = mi.mc_tail(spec, [1.0] * 32, [6.0, 10.0], TWO_CHUNKS, seed=3)
     assert [(r.hits, r.trials, r.empirical_p, r.stderr) for r in rows] == [
         (879, TWO_CHUNKS, 0.586, 0.012717546933272941),
@@ -164,7 +164,7 @@ def test_kwise_estimate_memory_stays_bounded_at_large_n():
     # One 1024-row chunk at n = 2^16 is 64 MiB as a single int8 sign matrix,
     # and its sup kernel adds as much again; in row tiles of TILE_SIGNS
     # signs the estimate needs under 8 MiB beyond the sampler's tables.
-    spec = FamilySpec(kind="PolynomialKWise", n=1 << 16, k=4, seed=1)
+    spec = FamilySpec(kind="PolynomialKWise", n=1 << 16, k=4)
     make_sampler(spec)
     tracemalloc.start()
     try:

@@ -23,6 +23,17 @@ from kwalks.sign_families import (H_BRANCHES, AdversarialSampler, FamilySpec,
 F = Fraction
 
 
+def mean_at(moments, i):
+    """E[h_i] from the block tables of a MomentSummary."""
+    return moments.block_mean[i // moments.root]
+
+
+def second_moment(moments, i, j):
+    """E[h_i h_j] from the block tables of a MomentSummary."""
+    root = moments.root
+    return F(1) if i == j else moments.block_pair[i // root][j // root]
+
+
 def g_entry_direct(root, c1, c2):
     """Direct-summation oracle for the rotated-stage correlation table."""
     f = f_values(root)
@@ -207,14 +218,14 @@ def test_family_spec_validation():
 
 def test_family_spec_config_roundtrip():
     specs = [
-        FamilySpec(kind="FullyIndependent", n=7, seed=123),
-        FamilySpec(kind="PolynomialKWise", n=64, k=4, seed=2 ** 63),
-        FamilySpec(kind="AdversarialStage", n=256, stage="H2", seed=1),
+        FamilySpec(kind="FullyIndependent", n=7),
+        FamilySpec(kind="PolynomialKWise", n=64, k=4),
+        FamilySpec(kind="AdversarialStage", n=256, stage="H2"),
     ]
     configs = [
-        {"kind": "FullyIndependent", "n": "7", "seed": "123"},
-        {"kind": "PolynomialKWise", "n": "64", "k": "4", "seed": str(2 ** 63)},
-        {"kind": "AdversarialStage", "n": "256", "stage": "H2", "seed": "1"},
+        {"kind": "FullyIndependent", "n": "7"},
+        {"kind": "PolynomialKWise", "n": "64", "k": "4"},
+        {"kind": "AdversarialStage", "n": "256", "stage": "H2"},
     ]
     for spec, config in zip(specs, configs):
         assert FamilySpec.from_config(config) == spec
@@ -516,25 +527,25 @@ def test_exact_moments_h_identity(n):
 def test_exact_moments_h2_same_block_entry():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H2")
     moments = exact_moments(spec)
-    assert moments.second_moment(0, 1) == F(5, 8)
-    assert all(moments.mean_at(i) == 0 for i in range(16))
+    assert second_moment(moments, 0, 1) == F(5, 8)
+    assert all(mean_at(moments, i) == 0 for i in range(16))
 
 
 def test_exact_moments_h1_diagonal():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H1")
     moments = exact_moments(spec)
-    assert moments.second_moment(0, 0) == 1
+    assert second_moment(moments, 0, 0) == 1
     params = adversarial_params(16)
-    assert moments.mean_at(0) == params.f[0]
-    assert moments.second_moment(0, 4) == params.f[0] * params.f[1]
+    assert mean_at(moments, 0) == params.f[0]
+    assert second_moment(moments, 0, 4) == params.f[0] * params.f[1]
 
 
 def test_exact_moments_h3_structure():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H3")
     moments = exact_moments(spec)
     params = adversarial_params(16)
-    assert moments.second_moment(0, 1) == params.c6 / 4
-    assert moments.second_moment(0, 5) == 0
+    assert second_moment(moments, 0, 1) == params.c6 / 4
+    assert second_moment(moments, 0, 5) == 0
 
 
 def test_exact_moments_resource_limit():
@@ -552,8 +563,8 @@ def dense_moments(moments):
     """The n-vector of E[h_i] and the n x n table of E[h_i h_j], expanded
     from the block tables through the coordinate accessors."""
     n = moments.n
-    return ([moments.mean_at(i) for i in range(n)],
-            [[moments.second_moment(i, j) for j in range(n)] for i in range(n)])
+    return ([mean_at(moments, i) for i in range(n)],
+            [[second_moment(moments, i, j) for j in range(n)] for i in range(n)])
 
 
 def coordinate_moments(spec):
@@ -873,9 +884,9 @@ def test_sampler_builds_its_tables_at_construction(stage, branch):
 
 @pytest.mark.parametrize("stage", ["H1", "H2", "H3", "H"])
 def test_adversarial_determinism(stage):
-    spec = FamilySpec(kind="AdversarialStage", n=16, stage=stage, seed=99)
-    a = make_sampler(spec).sample_batch(substream(spec.seed, 0), 50)
-    b = make_sampler(spec).sample_batch(substream(spec.seed, 0), 50)
+    spec = FamilySpec(kind="AdversarialStage", n=16, stage=stage)
+    a = make_sampler(spec).sample_batch(substream(99, 0), 50)
+    b = make_sampler(spec).sample_batch(substream(99, 0), 50)
     assert (a == b).all()
 
 
@@ -891,7 +902,7 @@ def test_kwise_determinism():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 64 - 1))
 def test_determinism_any_seed(seed):
-    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H", seed=seed)
+    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
     a = make_sampler(spec).sample_batch(substream(seed, 0), 4)
     b = make_sampler(spec).sample_batch(substream(seed, 0), 4)
     assert (a == b).all()

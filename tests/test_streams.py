@@ -13,6 +13,17 @@ from kwalks.walks import sup_abs_prefix_batch
 F = Fraction
 
 
+def net_point_norm_growth_ok(nets):
+    """Each new net point at level r grows ||z^(t)||^2 by more than
+    2^(-r)||z||^2; this is what caps level sizes at 2^r."""
+    for r, lvl in enumerate(nets.levels):
+        norms = nets.prefix_norm_sq[lvl.times]
+        growth = np.diff(norms.astype(object))
+        if any((int(g) << r) <= nets.norm_sq for g in growth):
+            return False
+    return True
+
+
 def brute_force_nets(stream, r):
     """Independent greedy oracle with explicit distance recomputation."""
     z = np.zeros((stream.m + 1, stream.n), dtype=np.int64)
@@ -90,8 +101,9 @@ def test_prefix_inner_matches_brute_force():
         z[p - 1] += 1
         for x, wx in zip(rows, w):
             assert wx[t] == pytest.approx(float(z @ x), rel=1e-12, abs=1e-12)
-    assert streams.sup_inner_rows(stream, rows) == pytest.approx(
-        np.abs(w[:, 1:]).max(axis=1))
+    # the supremum takes sign rows only
+    with pytest.raises(ValueError):
+        streams.sup_inner_rows(stream, rows)
     with pytest.raises(ValueError):
         stream.prefix_inner_rows(rows[:, :31])
     with pytest.raises(ValueError):
@@ -117,32 +129,34 @@ def float_first_prefix_inner(stream, rows):
 @pytest.mark.parametrize("name", ["identity", "uniform", "two-phase",
                                   "single-item", "dyadic-bursts"])
 def test_stream_reduction_matches_float_copy_formula(name):
-    # int8 sign rows take the packed-word kernel, the others the float
-    # cumsum; both must give the float formula's bytes
+    # W is the float formula's bytes for any rows; the supremum of sign rows
+    # (packed-word kernel) is the float formula's bytes, and Gaussian rows
+    # or a 0 in a streamed column raise
     rng = substream(72, 0)
     for m in (64, 256, 4096):
         stream = streams.STREAM_GENERATORS[name](m)
         n = stream.n
         with_zero = (rng.integers(0, 2, size=(4, n)) * 2 - 1).astype(np.int8)
         with_zero[1, stream.items[-1] - 1] = 0
-        batches = [
+        sign_batches = [
             (rng.integers(0, 2, size=(20, n)) * 2 - 1).astype(np.int8),
-            rng.standard_normal((5, n)),
             np.ones((3, n), dtype=np.int8),
             -np.ones((3, n), dtype=np.int8),
             np.ones((0, n), dtype=np.int8),
-            with_zero,
         ]
-        # the kernel cannot serve the row with a 0, so it takes the float path
-        with pytest.raises(ValueError):
-            sup_abs_prefix_batch(with_zero[:, stream.items - 1])
-        for batch in batches:
+        other_batches = [rng.standard_normal((5, n)), with_zero]
+        for batch in sign_batches + other_batches:
             old = float_first_prefix_inner(stream, batch)
             w = stream.prefix_inner_rows(batch)
             assert w.dtype == np.float64
             assert w[:, 1:].tobytes() == old.tobytes() and (w[:, 0] == 0).all()
+        for batch in sign_batches:
             sups = streams.sup_inner_rows(stream, batch)
+            old = float_first_prefix_inner(stream, batch)
             assert sups.tobytes() == np.abs(old).max(axis=1).tobytes()
+        for batch in other_batches:
+            with pytest.raises(ValueError):
+                streams.sup_inner_rows(stream, batch)
 
 
 # --------------------------------------------------------------------------
@@ -184,7 +198,7 @@ def test_net_invariants_per_generator(name):
         stream = streams.STREAM_GENERATORS[name](m)
         nets = streams.build_nets(stream)
         assert nets.sizes_within_cap()
-        assert streams.net_point_norm_growth_ok(nets)
+        assert net_point_norm_growth_ok(nets)
         for r in range(nets.num_levels):
             times = nets.levels[r].times
             assert (np.diff(times) > 0).all()
@@ -395,7 +409,7 @@ def test_expected_chain_form_contract():
     m = 256
     stream = streams.identity_stream(m)
     nets = streams.build_nets(stream)
-    spec = FamilySpec(kind="AdversarialStage", n=m, stage="H", seed=4)
+    spec = FamilySpec(kind="AdversarialStage", n=m, stage="H")
     batch = make_sampler(spec).sample_batch(substream(4, 0), 4000)
     forms, _ = streams.chain_forms(nets, stream.prefix_inner_rows(batch), 4)
     cap = 2 * (2 * np.log2(m) + 1) * stream.norm_sq()
@@ -455,7 +469,7 @@ def test_mc_sup_moment_identity_consistency():
     from kwalks.walks import estimate_sup_moment
 
     m = 256
-    spec = FamilySpec(kind="AdversarialStage", n=m, stage="H", seed=12)
+    spec = FamilySpec(kind="AdversarialStage", n=m, stage="H")
     stream_est = streams.mc_sup_moment(streams.identity_stream(m), spec, 2,
                                        4000, seed=12)
     walk_est = estimate_sup_moment(spec, 2, 4000, seed=12)
@@ -476,7 +490,7 @@ def test_mc_sup_moment_independence_gate():
 
 def test_mc_sup_moment_workers_deterministic():
     stream = streams.uniform_stream(64, n=16, seed=1)
-    spec = FamilySpec(kind="PolynomialKWise", n=16, k=4, seed=2)
+    spec = FamilySpec(kind="PolynomialKWise", n=16, k=4)
     a = streams.mc_sup_moment(stream, spec, 4, 3000, seed=9, workers=1)
     b = streams.mc_sup_moment(stream, spec, 4, 3000, seed=9, workers=3)
     assert a == b
