@@ -1,5 +1,7 @@
 """Sign families with limited independence and their excursion bounds."""
 
+__version__ = "0.1.0"
+
 from .sign_families import (
     ADVERSARIAL_STAGE,
     FULLY_INDEPENDENT,
@@ -27,4 +29,3 @@ from .walks import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"

@@ -159,7 +159,6 @@ class IntervalTree:
     profile: VarianceProfile
     nodes: list[IntervalNode]
     table: NodeTable
-    ranked: bool = False
 
     @property
     def root(self) -> IntervalNode:
@@ -167,21 +166,22 @@ class IntervalTree:
 
 
 def build_tree(profile: VarianceProfile) -> IntervalTree:
-    """Recursive window splits down to singletons.
+    """Recursive window splits down to singletons, ranked as they split.
 
     The split index is the smallest t whose T-mass fraction lies in the
     window; when no index qualifies, the children abut around the gap and
-    are later classified bad.  Window membership 0.45 <= fraction <= 0.55
-    is decided on integer numerators: 20 * (P_t - P_a) against 9 or 11
-    times (P_b - P_a).
+    are bad, with rank the number of bad intervals on their root path.
+    Window membership 0.45 <= fraction <= 0.55 is decided on integer
+    numerators: 20 * (P_t - P_a) against 9 or 11 times (P_b - P_a).
     """
     P = list(profile.nums)
     if any(y <= x for x, y in zip(P, P[1:])):
         raise InvalidProfileError("prefix variances must be strictly increasing")
     nodes = [IntervalNode(a=0, b=profile.n_reduced, level=0)]
-    stack = [0]
+    # (node, bad intervals on its root path, itself included)
+    stack = [(0, 0)]
     while stack:
-        idx = stack.pop()
+        idx, depth = stack.pop()
         node = nodes[idx]
         a, b = node.a, node.b
         if a == b:
@@ -198,53 +198,45 @@ def build_tree(profile: VarianceProfile) -> IntervalTree:
             split_right = t0
             shared = False
         node.shared_split = shared
-        left = IntervalNode(a=a, b=split_left, level=node.level + 1, parent=idx)
-        right = IntervalNode(a=split_right, b=b, level=node.level + 1, parent=idx)
+        if not shared:
+            depth += 1
+        child = dict(level=node.level + 1, parent=idx, bad=not shared,
+                     rank=None if shared else depth)
+        left = IntervalNode(a=a, b=split_left, **child)
+        right = IntervalNode(a=split_right, b=b, **child)
         node.left = len(nodes)
         nodes.append(left)
         node.right = len(nodes)
         nodes.append(right)
-        stack.append(node.right)
-        stack.append(node.left)
+        stack.append((node.right, depth))
+        stack.append((node.left, depth))
     return IntervalTree(profile=profile, nodes=nodes,
                         table=NodeTable.of(nodes, profile.n_reduced))
 
 
 def classify_and_rank(tree: IntervalTree) -> IntervalTree:
-    """Mark abutting-split children bad and assign nested-bad-depth ranks."""
-    order = [0]
-    bad_depth = {0: 0}
-    while order:
-        idx = order.pop()
-        node = tree.nodes[idx]
-        depth = bad_depth[idx]
-        node.bad = (node.parent is not None
-                    and tree.nodes[node.parent].shared_split is False)
-        if node.bad:
-            depth += 1
-            node.rank = depth
-        else:
-            node.rank = None
-        if not node.is_leaf:
-            bad_depth[node.left] = depth
-            bad_depth[node.right] = depth
-            order.append(node.left)
-            order.append(node.right)
-    tree.ranked = True
+    """Return tree itself: build_tree ranks every node as it splits."""
     return tree
 
 
-def bad_mass_exact(tree: IntervalTree, q: int) -> Fraction:
-    if not tree.ranked:
-        raise ValueError("classify_and_rank the tree first")
+def _rank_mass(tree: IntervalTree) -> dict[int, int]:
+    """Integer T-mass numerator of the bad intervals per rank, over the
+    common denominator profile.nums[-1]; every rank held by a bad node is
+    a key, zero-mass ranks included."""
     P = tree.profile.nums
-    mass = sum(P[nd.b] - P[nd.a] for nd in tree.nodes
-               if nd.bad and nd.rank == q)
-    return Fraction(mass, P[-1])
+    mass: dict[int, int] = {}
+    for nd in tree.nodes:
+        if nd.bad:
+            mass[nd.rank] = mass.get(nd.rank, 0) + P[nd.b] - P[nd.a]
+    return mass
+
+
+def bad_mass_exact(tree: IntervalTree, q: int) -> Fraction:
+    return Fraction(_rank_mass(tree).get(q, 0), tree.profile.nums[-1])
 
 
 def max_rank(tree: IntervalTree) -> int:
-    return max((nd.rank for nd in tree.nodes if nd.rank is not None), default=0)
+    return max(_rank_mass(tree), default=0)
 
 
 # --------------------------------------------------------------------------
@@ -294,23 +286,18 @@ def check_invariants(tree: IntervalTree) -> list[str]:
         leaf_a = np.concatenate([leaf_a, a[leaf]])
         leaf_b = np.concatenate([leaf_b, b[leaf]])
 
-    if tree.ranked:
-        for nd in tree.nodes:
-            if nd.is_leaf or nd.shared_split is None:
-                continue
-            left, right = tree.nodes[nd.left], tree.nodes[nd.right]
-            if left.bad != right.bad:
-                problems.append(f"siblings of [{nd.a},{nd.b}] differ in badness")
-        # integer mass per rank in one pass; mass / total > 0.9^q is
-        # decided on numerators
-        mass: dict[int, int] = {}
-        for nd in tree.nodes:
-            if nd.bad:
-                mass[nd.rank] = mass.get(nd.rank, 0) + P[nd.b] - P[nd.a]
-        num, den = RANK_DECAY.numerator, RANK_DECAY.denominator
-        for q in sorted(mass):
-            if mass[q] * den ** q > num ** q * total:
-                problems.append(f"rank {q} mass exceeds {RANK_DECAY}^{q}")
+    for nd in tree.nodes:
+        if nd.is_leaf or nd.shared_split is None:
+            continue
+        left, right = tree.nodes[nd.left], tree.nodes[nd.right]
+        if left.bad != right.bad:
+            problems.append(f"siblings of [{nd.a},{nd.b}] differ in badness")
+    # mass / total > 0.9^q is decided on numerators
+    mass = _rank_mass(tree)
+    num, den = RANK_DECAY.numerator, RANK_DECAY.denominator
+    for q in sorted(mass):
+        if mass[q] * den ** q > num ** q * total:
+            problems.append(f"rank {q} mass exceeds {RANK_DECAY}^{q}")
     return problems
 
 
@@ -407,11 +394,9 @@ def telescoping_defect(tree: IntervalTree, S) -> int:
 def _reduced_sums(tree: IntervalTree, S, at) -> np.ndarray:
     """S at reduced positions 0..n_reduced, one column per realization.
 
-    Rejects an unranked tree, an S whose length is not n + 1, and an S that
-    moves across a zero-variance step before any original position in at.
+    Rejects an S whose length is not n + 1 and an S that moves across a
+    zero-variance step before any original position in at.
     """
-    if not tree.ranked:
-        raise ValueError("classify_and_rank the tree first")
     profile = tree.profile
     S_arr = np.atleast_2d(np.asarray(S, dtype=np.int64))
     if S_arr.shape[-1] != profile.n_original + 1:
@@ -497,7 +482,11 @@ def mc_tail(spec: FamilySpec, sigmas: Sequence[float], lambdas: Sequence[float],
     return rows
 
 
+def random_variances(n: int, decades: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """n variances log-uniform over the given number of decades below 1."""
+    return 10.0 ** (-decades * rng.random(n))
+
+
 def random_profile(n: int, decades: float, rng: np.random.Generator) -> VarianceProfile:
-    """Variances log-uniform over the given number of decades."""
-    sigma_sq = 10.0 ** (-decades * rng.random(n))
-    return VarianceProfile.from_sigmas(sigma_sq)
+    return VarianceProfile.from_sigmas(random_variances(n, decades, rng))

@@ -77,6 +77,14 @@ def _is_power_of_four(n: int) -> bool:
     return n == 1
 
 
+def parse_number(kind, key: str, text):
+    """kind(text), or a ValueError naming the config key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key} needs {kind.__name__} values, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Description of one sign family; hashable and cheap to copy.
@@ -116,17 +124,21 @@ class FamilySpec:
 
     @classmethod
     def from_config(cls, mapping: dict[str, str]) -> "FamilySpec":
+        """Spec from a [family] section's strings; kind and stage may be
+        spelled in any case."""
         known = {"kind", "n", "k", "stage"}
         unknown = set(mapping) - known
         if unknown:
             raise ValueError(f"unknown family keys: {sorted(unknown)}")
         if "kind" not in mapping or "n" not in mapping:
             raise ValueError("family config needs at least kind and n")
+        kind = mapping["kind"]
+        stage = mapping.get("stage")
         return cls(
-            kind=mapping["kind"],
-            n=int(mapping["n"]),
-            k=int(mapping["k"]) if "k" in mapping else None,
-            stage=mapping.get("stage"),
+            kind=next((c for c in KINDS if c.lower() == kind.lower()), kind),
+            n=parse_number(int, "n", mapping["n"]),
+            k=parse_number(int, "k", mapping["k"]) if "k" in mapping else None,
+            stage=stage.upper() if stage is not None else None,
         )
 
     def with_n(self, n: int) -> "FamilySpec":

@@ -151,7 +151,10 @@ class ScalingTable:
     rows: tuple[tuple[int, SupEstimate], ...]
 
     def __post_init__(self):
-        ns = [n for n, _ in self.rows]
+        self.check_n_values([n for n, _ in self.rows])
+
+    @staticmethod
+    def check_n_values(ns: Sequence[int]) -> None:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n values must be strictly increasing")
         for n in ns:
@@ -162,7 +165,9 @@ class ScalingTable:
 def scaling_table(spec_template: FamilySpec, n_values: Sequence[int],
                   moment_order: int, trials: int, seed: int,
                   workers: int = 1, branch: str | None = None) -> ScalingTable:
-    """Run estimate_sup_moment for each n, with per-row derived seeds."""
+    """Run estimate_sup_moment for each n, with per-row derived seeds,
+    once every n has passed ScalingTable's rule."""
+    ScalingTable.check_n_values(list(n_values))
     rows = []
     for idx, n in enumerate(n_values):
         spec = spec_template.with_n(n)

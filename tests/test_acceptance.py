@@ -270,7 +270,7 @@ def test_criterion_5_interval_machinery():
     bad_invariants = bad_mass_fail = defect_fail = 0
     for _ in range(profiles):
         profile = mi.random_profile(256, 4.0, rng)
-        tree = mi.classify_and_rank(mi.build_tree(profile))
+        tree = mi.build_tree(profile)
         if mi.check_invariants(tree):
             bad_invariants += 1
         for q in range(1, mi.max_rank(tree) + 1):

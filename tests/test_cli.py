@@ -128,6 +128,29 @@ def test_cli_number_errors_name_the_key(tmp_path, capsys, kind, experiment,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("kind,experiment,section,message", [
+    ("maximal-mc", "", "[params]\nn = 16\nlambda_mults = -2 0",
+     "lambda_mults must be positive, got lambda_mults=-2.0"),
+    ("net-audit", "", "[params]\nm_list = 64\nrealizations = 0",
+     "realizations must be positive, got realizations=0"),
+    ("family-verify", "trials = -5", "[params]\nn_list = 16",
+     "trials must be at least 0, got trials=-5"),
+    ("matrix-check", "", "[params]\nn_list = 8\ngaussian_vectors = 0",
+     "gaussian_vectors must be positive, got gaussian_vectors=0"),
+    ("walk-scaling", "trials = 100",
+     "[family]\nkind = PolynomialKWise\nk = four\n[params]\nn_list = 16 64 256",
+     "k needs int values, got 'four'"),
+], ids=["lambda_mults", "realizations", "trials", "gaussian_vectors", "family-k"])
+def test_cli_edge_inputs_name_the_key(tmp_path, capsys, kind, experiment,
+                                      section, message):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(f"[experiment]\nkind = {kind}\n{experiment}\n{section}\n")
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("body,message", [
     # a family is fixed by its construction; the seed is the experiment's
     ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
@@ -145,7 +168,12 @@ def test_cli_number_errors_name_the_key(tmp_path, capsys, kind, experiment,
      "unknown sections for maximal-mc: ['famliy']"),
     ("[experiment]\nkind = matrix-check\ntrails = 100\n[params]\nn_list = 8\n",
      "unknown experiment keys for matrix-check: ['trails']"),
-], ids=["family-seed", "params-key", "section", "experiment-key"])
+    # the n lg^order n gate is gone from walk-scaling
+    ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
+     "[params]\nn_list = 16 64 256\nmax_norm_ratio = 3\n",
+     "unknown params keys for walk-scaling: ['max_norm_ratio']"),
+], ids=["family-seed", "params-key", "section", "experiment-key",
+        "walk-scaling-norm-ratio"])
 def test_cli_rejects_keys_a_kind_never_reads(tmp_path, capsys, body, message):
     cfg = tmp_path / "keys.cfg"
     cfg.write_text(body)

@@ -13,8 +13,7 @@ F = Fraction
 
 
 def build(sigmas):
-    return mi.classify_and_rank(mi.build_tree(
-        mi.VarianceProfile.from_sigmas(sigmas)))
+    return mi.build_tree(mi.VarianceProfile.from_sigmas(sigmas))
 
 
 def spans(tree, **filters):
@@ -130,15 +129,61 @@ def test_check_invariants_reports_rank_mass_over_bound():
     assert "rank 1 mass exceeds 9/10^1" in mi.check_invariants(tree)
 
 
-def test_rejects_unranked_queries():
-    tree = mi.build_tree(mi.VarianceProfile.from_sigmas([F(1, 4)] * 4))
-    S = np.arange(5)
-    with pytest.raises(ValueError, match="classify_and_rank"):
-        mi.bad_mass_exact(tree, 1)
-    with pytest.raises(ValueError, match="classify_and_rank"):
-        mi.chain_path(tree, S, 2)
-    with pytest.raises(ValueError, match="classify_and_rank"):
-        mi.telescoping_defect(tree, S)
+def two_pass_ranks(tree):
+    """(bad, rank) per node as a second pass over a built tree assigned
+    them: a stack walk from the root that marks the children of abutting
+    splits bad and counts the bad intervals on each root path."""
+    out = [None] * len(tree.nodes)
+    order = [0]
+    bad_depth = {0: 0}
+    while order:
+        idx = order.pop()
+        node = tree.nodes[idx]
+        depth = bad_depth[idx]
+        bad = (node.parent is not None
+               and tree.nodes[node.parent].shared_split is False)
+        if bad:
+            depth += 1
+        out[idx] = (bad, depth if bad else None)
+        if not node.is_leaf:
+            bad_depth[node.left] = depth
+            bad_depth[node.right] = depth
+            order.append(node.left)
+            order.append(node.right)
+    return out
+
+
+def test_build_tree_ranks_match_a_second_pass():
+    rng = substream(31, 0)
+    profiles = [[F(3, 10) ** i for i in range(1, 30)],
+                [1, 0, 0, 2, 0, 3, 0, 1], [F(44, 100), F(56, 100)]]
+    for i in range(17):
+        sigmas = mi.random_variances(64 + 16 * i, 2.0 + i % 5, rng)
+        if i % 2:       # zero-variance steps
+            sigmas[rng.random(len(sigmas)) < 0.3] = 0.0
+        profiles.append(sigmas)
+    deepest = 0
+    for sigmas in profiles:
+        tree = build(sigmas)
+        ranks = two_pass_ranks(tree)
+        assert [(nd.bad, nd.rank) for nd in tree.nodes] == ranks
+        P = tree.profile.nums
+        assert mi.max_rank(tree) == max(
+            (r for _, r in ranks if r is not None), default=0)
+        for q in range(1, mi.max_rank(tree) + 2):
+            mass = sum(P[nd.b] - P[nd.a]
+                       for nd, (bad, r) in zip(tree.nodes, ranks)
+                       if bad and r == q)
+            assert mi.bad_mass_exact(tree, q) == F(mass, P[-1])
+        deepest = max(deepest, mi.max_rank(tree))
+    assert deepest >= 3
+
+
+def test_classify_and_rank_returns_its_argument():
+    tree = build([F(3, 10) ** i for i in range(1, 10)])
+    ranks = [(nd.bad, nd.rank) for nd in tree.nodes]
+    assert mi.classify_and_rank(tree) is tree
+    assert [(nd.bad, nd.rank) for nd in tree.nodes] == ranks
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,20 +225,19 @@ def _reference_problems(tree):
                     f"level {level}: [{nd.a},{nd.b}] longer than 0.55^{level}")
         leaf_spans += [(tree.nodes[i].a, tree.nodes[i].b) for i in idxs
                        if tree.nodes[i].is_leaf]
-    if tree.ranked:
-        for nd in tree.nodes:
-            if nd.is_leaf or nd.shared_split is None:
-                continue
-            if tree.nodes[nd.left].bad != tree.nodes[nd.right].bad:
-                problems.append(f"siblings of [{nd.a},{nd.b}] differ in badness")
-        mass = {}
-        for nd in tree.nodes:
-            if nd.bad:
-                mass[nd.rank] = mass.get(nd.rank, 0) + P[nd.b] - P[nd.a]
-        num, den = mi.RANK_DECAY.numerator, mi.RANK_DECAY.denominator
-        for q in sorted(mass):
-            if mass[q] * den ** q > num ** q * total:
-                problems.append(f"rank {q} mass exceeds {mi.RANK_DECAY}^{q}")
+    for nd in tree.nodes:
+        if nd.is_leaf or nd.shared_split is None:
+            continue
+        if tree.nodes[nd.left].bad != tree.nodes[nd.right].bad:
+            problems.append(f"siblings of [{nd.a},{nd.b}] differ in badness")
+    mass = {}
+    for nd in tree.nodes:
+        if nd.bad:
+            mass[nd.rank] = mass.get(nd.rank, 0) + P[nd.b] - P[nd.a]
+    num, den = mi.RANK_DECAY.numerator, mi.RANK_DECAY.denominator
+    for q in sorted(mass):
+        if mass[q] * den ** q > num ** q * total:
+            problems.append(f"rank {q} mass exceeds {mi.RANK_DECAY}^{q}")
     return problems
 
 
@@ -201,8 +245,7 @@ def test_check_invariants_matches_reference_on_corrupted_trees():
     rng = substream(2718, 0)
     reported = 0
     for trial in range(40):
-        tree = mi.classify_and_rank(
-            mi.build_tree(mi.random_profile(128, 4.0, rng)))
+        tree = mi.build_tree(mi.random_profile(128, 4.0, rng))
         n = tree.profile.n_reduced
         # move a few endpoints: gaps, overlaps, short coverage, long spans
         for i in rng.choice(len(tree.nodes), size=trial % 5, replace=False):
@@ -219,7 +262,7 @@ def test_invariants_on_seeded_profiles():
     rng = substream(12345, 0)
     for _ in range(20):     # the acceptance suite runs the full 200
         profile = mi.random_profile(256, 4.0, rng)
-        tree = mi.classify_and_rank(mi.build_tree(profile))
+        tree = mi.build_tree(profile)
         assert mi.check_invariants(tree) == []
 
 
@@ -262,7 +305,7 @@ def validate_path(tree, S, path):
 def test_chain_path_endpoints():
     rng = substream(50, 0)
     profile = mi.random_profile(64, 3.0, rng)
-    tree = mi.classify_and_rank(mi.build_tree(profile))
+    tree = mi.build_tree(profile)
     S = realization(profile, rng)
     path0 = mi.chain_path(tree, S, 0)
     assert sum(S[h.end] - S[h.start] for h in path0.hops) == 0
@@ -275,7 +318,7 @@ def test_chain_path_telescopes_everywhere():
     rng = substream(51, 0)
     for _ in range(5):
         profile = mi.random_profile(48, 4.0, rng)
-        tree = mi.classify_and_rank(mi.build_tree(profile))
+        tree = mi.build_tree(profile)
         for _ in range(5):
             S = realization(profile, rng)
             for i in range(profile.n_original + 1):
@@ -287,7 +330,7 @@ def test_chain_path_telescopes_everywhere():
 def test_good_min_hops_take_the_smaller_sibling():
     rng = substream(52, 0)
     profile = mi.random_profile(64, 2.0, rng)
-    tree = mi.classify_and_rank(mi.build_tree(profile))
+    tree = mi.build_tree(profile)
     orig = profile.original_position
     shared = {}
     for nd in tree.nodes:
@@ -323,7 +366,7 @@ def test_telescoping_defect_matches_chain_path():
         cases.append((small, np.array([realization(small, rng)
                                        for _ in range(20)])))
     for profile, S in cases:
-        tree = mi.classify_and_rank(mi.build_tree(profile))
+        tree = mi.build_tree(profile)
         per_row = [mi.telescoping_defect(tree, row) for row in S]
         assert mi.telescoping_defect(tree, S) == max(per_row) == 0
         for row in S:
@@ -335,7 +378,7 @@ def test_telescoping_defect_matches_chain_path():
 
 def test_chain_path_with_zero_variance_steps():
     profile = mi.VarianceProfile.from_sigmas([1, 0, 1, 0, 1])
-    tree = mi.classify_and_rank(mi.build_tree(profile))
+    tree = mi.build_tree(profile)
     steps = np.array([1, 0, -1, 0, 1])
     S = np.concatenate([[0], np.cumsum(steps)])
     for i in range(6):
@@ -382,7 +425,7 @@ def test_mc_tail_independent_walk():
 def test_mc_tail_scaled_fourwise():
     n = 256
     rng = substream(60, 0)
-    sigmas = np.sqrt(10.0 ** (-4 * rng.random(n)))
+    sigmas = np.sqrt(mi.random_variances(n, 4, rng))
     total = float((sigmas ** 2).sum())
     spec = FamilySpec(kind="PolynomialKWise", n=n, k=4)
     lambdas = [m * total ** 0.5 for m in (2, 4, 8)]
@@ -412,7 +455,7 @@ def float_copy_tail_hits(batch, sigmas, lambdas):
 def test_tail_hit_rows_match_float_copy_formula():
     n = 256
     rng = substream(61, 0)
-    sigmas = tuple(float(s) for s in np.sqrt(10.0 ** (-4 * rng.random(n))))
+    sigmas = tuple(float(s) for s in np.sqrt(mi.random_variances(n, 4, rng)))
     kwise = make_sampler(FamilySpec(kind="PolynomialKWise", n=n, k=4))
     batches = [
         kwise.sample_batch(rng, 200),

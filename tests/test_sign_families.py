@@ -221,11 +221,16 @@ def test_family_spec_config_roundtrip():
         FamilySpec(kind="FullyIndependent", n=7),
         FamilySpec(kind="PolynomialKWise", n=64, k=4),
         FamilySpec(kind="AdversarialStage", n=256, stage="H2"),
+        FamilySpec(kind="PolynomialKWise", n=64, k=4),
+        FamilySpec(kind="AdversarialStage", n=256, stage="H2"),
     ]
     configs = [
         {"kind": "FullyIndependent", "n": "7"},
         {"kind": "PolynomialKWise", "n": "64", "k": "4"},
         {"kind": "AdversarialStage", "n": "256", "stage": "H2"},
+        # kind and stage may be spelled in any case
+        {"kind": "polynomialKWISE", "n": "64", "k": "4"},
+        {"kind": "adversarialstage", "n": "256", "stage": "h2"},
     ]
     for spec, config in zip(specs, configs):
         assert FamilySpec.from_config(config) == spec

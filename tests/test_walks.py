@@ -190,6 +190,18 @@ def test_scaling_table_validates_rows():
         ScalingTable(rows=((0, est),))
 
 
+def test_scaling_table_checks_every_n_before_estimating(monkeypatch):
+    calls = []
+    monkeypatch.setattr("kwalks.walks.estimate_sup_moment",
+                        lambda *args, **kwargs: calls.append(args))
+    spec = FamilySpec(kind="FullyIndependent", n=16)
+    for ns, message in (([16, 64, 128], "n=128 is not a power of 4"),
+                        ([16, 64, 64], "strictly increasing")):
+        with pytest.raises(ValueError, match=message):
+            scaling_table(spec, ns, 1, 100, seed=1)
+    assert calls == []
+
+
 def _table(ns, means):
     rows = tuple(
         (n, SupEstimate(moment_order=1, mean=m, stderr=0.0, trials=100, n=n))
