@@ -14,17 +14,19 @@ import io
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dyadic_matrix, maximal_inequality as mi, streams, walks
-from .rng import mix64, substream
+from . import (__version__, dyadic_matrix, maximal_inequality as mi, parallel,
+               sign_families, streams, walks)
+from .rng import BIT_GENERATOR, TRIAL_CHUNK, mix64, substream
 from .sign_families import (ADVERSARIAL_STAGE, FULLY_INDEPENDENT,
-                            POLYNOMIAL_KWISE, FamilySpec, adversarial_params,
-                            check_empirical_size, empirical_moments,
-                            exact_moments, g_table, h2_cross_term_ratio,
-                            make_sampler, parse_number)
+                            POLYNOMIAL_KWISE, FamilySpec, MomentSummary,
+                            adversarial_params, exact_moments, g_table,
+                            h2_cross_term_ratio, make_sampler, parse_number)
 
 EXPERIMENT_KINDS = ("family-verify", "walk-scaling", "matrix-check",
                     "maximal-mc", "stream-track", "net-audit")
@@ -205,6 +207,11 @@ def run(config: ExperimentConfig) -> ResultTable:
     table.metadata.setdefault("trials", config.trials)
     table.metadata["version"] = __version__
     table.metadata["workers"] = config.workers
+    # what the random stream depends on, beside the seed
+    table.metadata["rng_bit_generator"] = BIT_GENERATOR.__name__
+    table.metadata["trial_chunk"] = TRIAL_CHUNK
+    table.metadata["tile_signs"] = sign_families.TILE_SIGNS
+    table.metadata["numpy_version"] = np.__version__
     table.metadata["wall_time_s"] = f"{time.time() - started:.3f}"
     table.metadata["peak_rss_mb"] = _peak_rss_mb()
     if config.output:
@@ -234,33 +241,16 @@ def _run_family_verify(config: ExperimentConfig) -> ResultTable:
         raise ValueError(f"family-verify checks {ADVERSARIAL_STAGE} families; "
                          f"got kind {spec0.kind}")
     stage = spec0.stage if spec0 and spec0.stage else "H"
-    if config.trials > 0:
-        check_empirical_size(max(n_values))
-    for n in n_values:
-        spec = FamilySpec(kind=ADVERSARIAL_STAGE, n=n, stage=stage)
-        moments = exact_moments(spec)
-        params = adversarial_params(n)
-        mean, pair = moments.block_mean, moments.block_pair
-        if stage == "H":
-            quantity, name, ok = ("covariance_identity", "covariance=identity",
-                                  moments.is_identity())
-        elif stage == "H1":
-            quantity, name, ok = ("mean_matches_bias_profile", "H1 means",
-                                  mean == list(params.f))
-        elif stage == "H2":
-            quantity, name = "centered_with_g_correlations", "H2 moments"
-            ok = (all(v == 0 for v in mean)
-                  and pair == [list(row) for row in params.g])
-        else:
-            quantity, name = "within_block_correlation", "H3 correlations"
-            same_block = params.c6 / params.root
-            ok = all(v == (same_block if c1 == c2 else 0)
-                     for c1, row in enumerate(pair) for c2, v in enumerate(row))
+    specs = [FamilySpec(kind=ADVERSARIAL_STAGE, n=n, stage=stage) for n in n_values]
+    samples = ([None] * len(specs) if config.trials == 0
+               else parallel.empirical_moments_batch(specs, config.trials,
+                                                     config.seed, config.workers))
+    for spec, emp in zip(specs, samples):
+        n, moments = spec.n, exact_moments(spec)
+        quantity, name, ok = _exact_stage_check(spec, moments)
         table.add(n, stage, quantity, ok, True, config.seed, config.trials)
         table.check(f"n={n} {name}", ok)
-        if config.trials > 0:
-            rng = substream(config.seed, n)
-            emp = empirical_moments(make_sampler(spec), config.trials, rng)
+        if emp is not None:
             tol = 5.0 / config.trials ** 0.5
             worst = float(np.abs(emp.covariance
                                  - moments.second_moments_float()).max())
@@ -269,6 +259,36 @@ def _run_family_verify(config: ExperimentConfig) -> ResultTable:
             table.check(f"n={n} empirical moments within {tol:.2g}", worst <= tol,
                         f"max deviation {worst:.2g}")
     return table
+
+
+def _exact_stage_check(spec: FamilySpec,
+                       moments: MomentSummary) -> tuple[str, str, bool]:
+    """(quantity, check name, verdict) for a stage's exact moment tables,
+    each checked against what they must equal by another route."""
+    params = adversarial_params(spec.n)
+    root, f = params.root, params.f
+    mean, pair = moments.block_mean, moments.block_pair
+    if spec.stage == "H":
+        return "covariance_identity", "covariance=identity", moments.is_identity()
+    if spec.stage == "H1":
+        # the sampler draws +1 in block c with probability 0.5 + f_c / 2
+        bias = make_sampler(spec).params.h1_bias.reshape(root, root)
+        ok = all((row == 0.5 + float(m) / 2).all() for row, m in zip(bias, mean))
+        return "mean_matches_bias_profile", "H1 means", ok
+    if spec.stage == "H2":
+        # E[h_i h_j] averages f_{c1+d} f_{c2+d} over the root rotations d;
+        # summed per entry in integers, f scaled by a common denominator
+        den = lcm(*(v.denominator for v in f))
+        rotated = [[int(v * den) for v in f[c:] + f[:c]] for c in range(root)]
+        ok = all(v == 0 for v in mean) and all(
+            pair[c1][c2] * root * den * den
+            == sum(map(mul, rotated[c1], rotated[c2]))
+            for c1 in range(root) for c2 in range(root))
+        return "centered_with_g_correlations", "H2 moments", ok
+    same_block = params.c6 / root
+    ok = all(v == (same_block if c1 == c2 else 0)
+             for c1, row in enumerate(pair) for c2, v in enumerate(row))
+    return "within_block_correlation", "H3 correlations", ok
 
 
 def _run_walk_scaling(config: ExperimentConfig) -> ResultTable:
@@ -373,14 +393,16 @@ def _run_stream_track(config: ExperimentConfig) -> ResultTable:
     m_values = config.int_list("m_list", "64 256 1024 4096 16384")
     k = config.get_int("k", 2)
     max_ratio = config.get_float("max_norm_ratio", 0.0)
-    for gen_name, gen in config.generators("identity"):
+    gens = config.generators("identity")
+    runs = [[gen(m) for m in m_values] for _, gen in gens]
+    jobs = [streams.sup_moment_job(stream, config.family_spec(n=stream.n), k,
+                                   config.trials, mix64(config.seed, m))
+            for row in runs for m, stream in zip(m_values, row)]
+    estimates = iter(walks.sup_estimates(jobs, config.workers))
+    for (gen_name, _), row in zip(gens, runs):
         normalized = []
-        for m in m_values:
-            stream = gen(m)
-            spec = config.family_spec(n=stream.n)
-            est = streams.mc_sup_moment(stream, spec, k, config.trials,
-                                        mix64(config.seed, m),
-                                        workers=config.workers)
+        for m, stream in zip(m_values, row):
+            est = next(estimates)
             norm_sq = stream.norm_sq()
             denom = (norm_sq * np.log2(m) ** 2 if k == 2
                      else float(norm_sq) ** (k / 2))

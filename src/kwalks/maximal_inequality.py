@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .parallel import mc_moments
+from .parallel import MomentJob, mc_moments
 from .sign_families import FamilySpec
 
 WINDOW_LO = Fraction(45, 100)
@@ -470,9 +470,10 @@ def mc_tail(spec: FamilySpec, sigmas: Sequence[float], lambdas: Sequence[float],
     if len(sigmas) != spec.n:
         raise ValueError("need one scale per coordinate")
     total_var = float(np.sum(np.asarray(sigmas, dtype=np.float64) ** 2))
-    est = mc_moments(tail_hit_rows, (tuple(float(s) for s in sigmas),
-                                     tuple(float(x) for x in lambdas)),
-                     spec, trials, seed, workers)
+    (est,) = mc_moments([MomentJob(tail_hit_rows,
+                                   (tuple(float(s) for s in sigmas),
+                                    tuple(float(x) for x in lambdas)),
+                                   spec, trials, seed)], workers)
     rows = []
     for lam, hits, p, stderr in zip(lambdas, est.totals, est.mean, est.stderr):
         bound = total_var / float(lam) ** 2

@@ -2,14 +2,17 @@
 
 Work is partitioned into fixed-size chunks with derived substreams and the
 partial results are summed in chunk order, so a run is byte-reproducible
-for a given (seed, trials) regardless of worker count.
+for a given (seed, trials) regardless of worker count.  A batch of
+independent estimates shares one process pool: every chunk of every job is
+submitted at once, and each job's partials are still summed in its own
+chunk order.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 # numpy loads these lazily (np.random for substream, np.ma in np.unique);
@@ -18,7 +21,26 @@ import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .rng import chunk_layout, substream
-from .sign_families import FamilySpec, make_sampler, tile_rows
+from .sign_families import (FamilySpec, SampleMoments, check_empirical_size,
+                            empirical_moments, make_sampler, tile_rows)
+
+
+def _map_tasks(fn: Callable, tasks: list, costs: list, workers: int) -> list:
+    """[fn(task) for task in tasks], in task order.
+
+    At workers > 1 every task goes to one pool of min(workers, len(tasks))
+    processes in one submission, costliest first (equal costs keep their
+    order), so the pool does not end on a long task.  The pool is shut down
+    and its processes joined before this returns or raises.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    order = sorted(range(len(tasks)), key=lambda i: -costs[i])
+    results = [None] * len(tasks)
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        for i, result in zip(order, pool.map(fn, [tasks[i] for i in order])):
+            results[i] = result
+    return results
 
 
 def _run_chunk(task):
@@ -26,26 +48,31 @@ def _run_chunk(task):
     return fn(args, substream(seed, chunk_index), count)
 
 
-def map_reduce_chunks(fn: Callable, args, trials: int, seed: int,
-                      workers: int = 1) -> tuple[float, ...]:
-    """Apply fn(args, rng, count) per chunk and sum the result tuples.
+def map_reduce_chunks(fn: Callable, jobs: Sequence[tuple],
+                      workers: int = 1) -> list[tuple[float, ...]]:
+    """Apply fn(args, rng, count) per chunk of every job and sum each job's
+    result tuples, one tuple per job.
 
-    fn must be a module-level function (picklable) returning a tuple of
-    numbers; the sums are accumulated in chunk order.
+    A job is (args, trials, seed, width): its chunks draw from the
+    substreams of seed, and width (the entries per trial) weighs a chunk's
+    cost.  fn must be a module-level function (picklable) returning a tuple
+    of numbers; each job's sums are accumulated in its chunk order.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got trials={trials}")
-    tasks = [(fn, args, seed, c, count) for c, count in chunk_layout(trials)]
-    if workers <= 1 or len(tasks) <= 1:
-        partials = [_run_chunk(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_chunk, tasks, chunksize=1))
-    totals = [0.0] * len(partials[0])
-    for part in partials:
+    tasks, costs, owners = [], [], []
+    for j, (args, trials, seed, width) in enumerate(jobs):
+        if trials < 1:
+            raise ValueError(f"trials must be positive, got trials={trials}")
+        for c, count in chunk_layout(trials):
+            tasks.append((fn, args, seed, c, count))
+            costs.append(width * count)
+            owners.append(j)
+    totals = [None] * len(jobs)
+    for j, part in zip(owners, _map_tasks(_run_chunk, tasks, costs, workers)):
+        if totals[j] is None:
+            totals[j] = [0.0] * len(part)
         for i, v in enumerate(part):
-            totals[i] += v
-    return tuple(totals)
+            totals[j][i] += v
+    return [tuple(t) for t in totals]
 
 
 @dataclass(frozen=True)
@@ -59,6 +86,27 @@ class ColumnMoments:
     totals: tuple[float, ...]
     mean: tuple[float, ...]
     stderr: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class MomentJob:
+    """One estimate of mc_moments: the columns of stat(batch, *stat_args)
+    over trials rows of make_sampler(spec, branch), drawn from the chunk
+    substreams of seed.
+
+    stat is a module-level function mapping a (count, n) batch of sign
+    rows to count values or a (count, columns) array; each row's values
+    must not depend on the other rows, since a chunk may reach stat in
+    row tiles.  branch, one of H_BRANCHES, draws the rows from that branch
+    of a stage-H family.
+    """
+
+    stat: Callable
+    stat_args: tuple
+    spec: FamilySpec
+    trials: int
+    seed: int
+    branch: str | None = None
 
 
 def _moment_chunk(args, rng, count):
@@ -84,27 +132,49 @@ def _moment_chunk(args, rng, count):
             + tuple(float((col ** 2).sum()) for col in columns))
 
 
-def mc_moments(stat: Callable, stat_args: tuple, spec: FamilySpec, trials: int,
-               seed: int, workers: int = 1,
-               branch: str | None = None) -> ColumnMoments:
-    """Column means and standard errors of stat(batch, *stat_args).
+def mc_moments(jobs: Sequence[MomentJob], workers: int = 1) -> list[ColumnMoments]:
+    """Column means and standard errors of every job of a batch, one
+    ColumnMoments per job; a single estimate is a batch of one.
 
-    stat is a module-level function mapping a (count, n) batch of sign
-    rows to count values or a (count, columns) array; each row's values
-    must not depend on the other rows, since a chunk may reach stat in
-    row tiles.  branch is passed
-    to make_sampler: one of H_BRANCHES draws the rows from that branch of a
-    stage-H family.
+    Every job is checked and its sampler built before any chunk runs: a
+    bad branch or too few trials in any job raises first, and forked pool
+    workers inherit the cached samplers (make_sampler caches 16).
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    # Building the sampler here rejects a bad branch before any chunk runs,
-    # and forked pool workers inherit the cached sampler.
-    make_sampler(spec, branch)
-    sums = map_reduce_chunks(_moment_chunk, (spec, branch, stat, stat_args),
-                             trials, seed, workers)
-    totals, squares = sums[:len(sums) // 2], sums[len(sums) // 2:]
-    mean = tuple(total / trials for total in totals)
-    stderr = tuple((max(sq / trials - m * m, 0.0) / trials) ** 0.5
-                   for sq, m in zip(squares, mean))
-    return ColumnMoments(totals=totals, mean=mean, stderr=stderr)
+    for job in jobs:
+        if job.trials < 100:
+            raise ValueError("need at least 100 trials")
+        make_sampler(job.spec, job.branch)
+    sums = map_reduce_chunks(
+        _moment_chunk,
+        [((job.spec, job.branch, job.stat, job.stat_args), job.trials,
+          job.seed, job.spec.n) for job in jobs],
+        workers)
+    out = []
+    for job, job_sums in zip(jobs, sums):
+        half = len(job_sums) // 2
+        totals, squares = job_sums[:half], job_sums[half:]
+        mean = tuple(total / job.trials for total in totals)
+        stderr = tuple((max(sq / job.trials - m * m, 0.0) / job.trials) ** 0.5
+                       for sq, m in zip(squares, mean))
+        out.append(ColumnMoments(totals=totals, mean=mean, stderr=stderr))
+    return out
+
+
+def _empirical_task(task):
+    spec, trials, seed = task
+    return empirical_moments(make_sampler(spec), trials, substream(seed, spec.n))
+
+
+def empirical_moments_batch(specs: Sequence[FamilySpec], trials: int, seed: int,
+                            workers: int = 1) -> list[SampleMoments]:
+    """empirical_moments of each spec's sampler over trials rows of its own
+    sequential stream substream(seed, spec.n), one pool task per spec.
+
+    Every size is checked and every sampler built before any task runs.
+    """
+    for spec in specs:
+        check_empirical_size(spec.n)
+    for spec in specs:
+        make_sampler(spec)
+    return _map_tasks(_empirical_task, [(spec, trials, seed) for spec in specs],
+                      [spec.n for spec in specs], workers)

@@ -17,6 +17,9 @@ MASK64 = (1 << 64) - 1
 # changing the worker count does not.
 TRIAL_CHUNK = 1024
 
+# The bit generator behind every substream.
+BIT_GENERATOR = np.random.Philox
+
 
 def splitmix64(state: int) -> tuple[int, int]:
     """One SplitMix64 step; returns (advanced state, 64-bit output)."""
@@ -37,7 +40,7 @@ def mix64(seed: int, index: int) -> int:
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator for the index-th substream of a master seed."""
-    return np.random.Generator(np.random.Philox(key=mix64(seed, index)))
+    return np.random.Generator(BIT_GENERATOR(key=mix64(seed, index)))
 
 
 def chunk_layout(trials: int) -> Iterator[tuple[int, int]]:

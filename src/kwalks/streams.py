@@ -23,9 +23,9 @@ from typing import IO, Sequence
 import numpy as np
 
 from .gf2 import all_polynomial_signs, min_width
-from .parallel import mc_moments
+from .parallel import MomentJob, mc_moments
 from .sign_families import FamilySpec, tile_rows
-from .walks import SupEstimate, sup_abs_prefix_batch
+from .walks import SupEstimate, sup_abs_prefix_batch, sup_estimates
 
 # Exact k-th moment constants for +-1 valued steps.
 MOMENT_CONSTANTS = {2: 1, 4: 3}
@@ -356,8 +356,9 @@ def mz_moment_check(v: Sequence[float], k: int, trials: int | None = None,
     spec = FamilySpec(kind=("PolynomialKWise" if n >= k else "FullyIndependent"),
                       n=n, k=k if n >= k else None)
     vec_f = np.asarray(v, dtype=np.float64)
-    est = mc_moments(inner_power_rows, (tuple(float(x) for x in vec_f), k),
-                     spec, trials, seed)
+    (est,) = mc_moments([MomentJob(inner_power_rows,
+                                   (tuple(float(x) for x in vec_f), k),
+                                   spec, trials, seed)])
     moment, stderr = est.mean[0], est.stderr[0]
     bound = MOMENT_CONSTANTS[k] * float((vec_f ** 2).sum()) ** (k / 2)
     if moment > bound + 3 * stderr:
@@ -382,9 +383,9 @@ def sup_inner_power_rows(batch: np.ndarray, stream: InsertionStream,
     return sup_inner_rows(stream, batch) ** k
 
 
-def mc_sup_moment(stream: InsertionStream, spec: FamilySpec, k: int,
-                  trials: int, seed: int, workers: int = 1) -> SupEstimate:
-    """Monte Carlo E[sup_t |<X, z^(t)>|^k] with standard error."""
+def sup_moment_job(stream: InsertionStream, spec: FamilySpec, k: int,
+                   trials: int, seed: int) -> MomentJob:
+    """The mc_moments job behind mc_sup_moment."""
     if spec.n != stream.n:
         raise ValueError("family dimension must match the stream dimension")
     # beyond n coordinates the independence requirement is vacuous
@@ -392,7 +393,11 @@ def mc_sup_moment(stream: InsertionStream, spec: FamilySpec, k: int,
     if spec.independence_order < needed:
         raise ValueError(
             f"order-{k} supremum moments need {needed}-wise independence")
-    est = mc_moments(sup_inner_power_rows, (stream, k), spec, trials, seed,
-                     workers)
-    return SupEstimate(moment_order=k, mean=est.mean[0], stderr=est.stderr[0],
-                       trials=trials, n=stream.n)
+    return MomentJob(sup_inner_power_rows, (stream, k), spec, trials, seed)
+
+
+def mc_sup_moment(stream: InsertionStream, spec: FamilySpec, k: int,
+                  trials: int, seed: int, workers: int = 1) -> SupEstimate:
+    """Monte Carlo E[sup_t |<X, z^(t)>|^k] with standard error."""
+    job = sup_moment_job(stream, spec, k, trials, seed)
+    return sup_estimates([job], workers)[0]

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .parallel import mc_moments
+from .parallel import MomentJob, mc_moments
 from .rng import mix64
 from .sign_families import AdversarialParams, FamilySpec, _is_power_of_four
 
@@ -120,6 +120,23 @@ def sup_moment_rows(batch: np.ndarray, moment_order: int) -> np.ndarray:
     return sup_abs_prefix_batch(batch).astype(np.float64) ** moment_order
 
 
+def sup_moment_job(spec: FamilySpec, moment_order: int, trials: int,
+                   seed: int, branch: str | None = None) -> MomentJob:
+    """The mc_moments job behind estimate_sup_moment."""
+    if moment_order < 1:
+        raise ValueError("moment order must be positive")
+    return MomentJob(sup_moment_rows, (moment_order,), spec, trials, seed, branch)
+
+
+def sup_estimates(jobs: Sequence[MomentJob], workers: int = 1) -> list[SupEstimate]:
+    """One SupEstimate per job of a batch of supremum-moment jobs, all run
+    by one mc_moments call; each job's statistic takes its moment order as
+    its last argument."""
+    return [SupEstimate(moment_order=job.stat_args[-1], mean=est.mean[0],
+                        stderr=est.stderr[0], trials=job.trials, n=job.spec.n)
+            for job, est in zip(jobs, mc_moments(jobs, workers))]
+
+
 def estimate_sup_moment(spec: FamilySpec, moment_order: int, trials: int,
                         seed: int, workers: int = 1,
                         branch: str | None = None) -> SupEstimate:
@@ -128,12 +145,8 @@ def estimate_sup_moment(spec: FamilySpec, moment_order: int, trials: int,
     branch, one of H_BRANCHES, conditions a stage-H family on that branch
     of its mixture; None samples the family itself.
     """
-    if moment_order < 1:
-        raise ValueError("moment order must be positive")
-    est = mc_moments(sup_moment_rows, (moment_order,), spec, trials, seed,
-                     workers, branch)
-    return SupEstimate(moment_order=moment_order, mean=est.mean[0],
-                       stderr=est.stderr[0], trials=trials, n=spec.n)
+    job = sup_moment_job(spec, moment_order, trials, seed, branch)
+    return sup_estimates([job], workers)[0]
 
 
 def drift_check_h1(params: AdversarialParams, block_index: int) -> Fraction:
@@ -165,17 +178,13 @@ class ScalingTable:
 def scaling_table(spec_template: FamilySpec, n_values: Sequence[int],
                   moment_order: int, trials: int, seed: int,
                   workers: int = 1, branch: str | None = None) -> ScalingTable:
-    """Run estimate_sup_moment for each n, with per-row derived seeds,
-    once every n has passed ScalingTable's rule."""
+    """estimate_sup_moment for each n, with per-row derived seeds, once
+    every n has passed ScalingTable's rule; the rows are one batch."""
     ScalingTable.check_n_values(list(n_values))
-    rows = []
-    for idx, n in enumerate(n_values):
-        spec = spec_template.with_n(n)
-        est = estimate_sup_moment(spec, moment_order, trials,
-                                  seed=mix64(seed, idx), workers=workers,
-                                  branch=branch)
-        rows.append((n, est))
-    return ScalingTable(rows=tuple(rows))
+    jobs = [sup_moment_job(spec_template.with_n(n), moment_order, trials,
+                           mix64(seed, idx), branch)
+            for idx, n in enumerate(n_values)]
+    return ScalingTable(rows=tuple(zip(n_values, sup_estimates(jobs, workers))))
 
 
 @dataclass(frozen=True)

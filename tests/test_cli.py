@@ -279,6 +279,55 @@ def test_family_verify_detects_corruption(tmp_path, monkeypatch):
         sf._build_sampler.cache_clear()
 
 
+def _stage_checks(tmp_path, stage):
+    cfg = write_config(tmp_path / "stage.cfg", f"""
+        [experiment]
+        kind = family-verify
+        trials = 0
+        [family]
+        kind = AdversarialStage
+        stage = {stage}
+        [params]
+        n_list = 16 64 256
+    """)
+    return {c.name: c.passed for c in run(ExperimentConfig.from_file(cfg)).checks}
+
+
+@pytest.mark.parametrize("stage,name", [("H1", "H1 means"), ("H2", "H2 moments"),
+                                        ("H3", "H3 correlations")])
+def test_family_verify_stage_lines_pass(tmp_path, stage, name):
+    assert _stage_checks(tmp_path, stage) == {
+        f"n={n} {name}": True for n in (16, 64, 256)}
+
+
+@pytest.fixture
+def fresh_params():
+    sf.adversarial_params.cache_clear()
+    sf._build_sampler.cache_clear()
+    yield
+    sf.adversarial_params.cache_clear()
+    sf._build_sampler.cache_clear()
+
+
+def test_family_verify_h2_line_fails_on_a_corrupted_g(tmp_path, monkeypatch,
+                                                      fresh_params):
+    # g's rows shifted by one block: the moment tables copy g, so only a
+    # law summed from f apart from g can tell
+    real_g_table = sf.g_table
+    monkeypatch.setattr(sf, "g_table", lambda root: [
+        row[1:] + row[:1] for row in real_g_table(root)])
+    assert not any(_stage_checks(tmp_path, "H2").values())
+
+
+def test_family_verify_h1_line_fails_on_a_corrupted_bias(tmp_path, monkeypatch,
+                                                         fresh_params):
+    # the sampler's bias table built from f in reverse block order
+    monkeypatch.setattr(sf.AdversarialParams, "h1_bias", property(
+        lambda self: np.repeat([0.5 + float(v) / 2 for v in self.f[::-1]],
+                               self.root)))
+    assert not any(_stage_checks(tmp_path, "H1").values())
+
+
 def test_family_verify_refuses_large_empirical_check(tmp_path, capsys,
                                                      monkeypatch):
     # n x n sample moments at n=16384 would take 2 GiB; refuse before any
@@ -483,6 +532,11 @@ def test_footer_records_workers(tmp_path, capsys, workers):
     assert f"# workers={workers}" in footer
     assert f"# peak_rss_mb={metadata['peak_rss_mb']}" in footer
     assert float(metadata["peak_rss_mb"]) >= round(own_peak_mb, 1)
+    provenance = {"rng_bit_generator": "Philox", "trial_chunk": 1024,
+                  "tile_signs": sf.TILE_SIGNS, "numpy_version": np.__version__}
+    assert {key: metadata[key] for key in provenance} == provenance
+    for key, value in provenance.items():
+        assert f"# {key}={value}" in footer
 
 
 def test_dump_net_requires_source():

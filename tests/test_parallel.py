@@ -1,11 +1,14 @@
+import multiprocessing
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kwalks import maximal_inequality as mi
 from kwalks import parallel, sign_families, streams, walks
-from kwalks.parallel import map_reduce_chunks, mc_moments
+from kwalks.experiments import ExperimentConfig, run
+from kwalks.parallel import MomentJob, map_reduce_chunks, mc_moments
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, make_sampler, tile_rows
 from kwalks.walks import estimate_sup_moment
@@ -18,24 +21,127 @@ def _count_chunk(args, rng, count):
     return (count, 1)
 
 
+def _unreachable(*args):
+    raise AssertionError("a chunk ran despite a bad job in the batch")
+
+
 @pytest.mark.parametrize("trials", [0, -5])
-def test_map_reduce_rejects_nonpositive_trials(trials):
+def test_map_reduce_rejects_nonpositive_trials(monkeypatch, trials):
+    monkeypatch.setattr(parallel, "_run_chunk", _unreachable)
     with pytest.raises(ValueError, match="trials"):
-        map_reduce_chunks(_count_chunk, None, trials, seed=1)
+        map_reduce_chunks(_count_chunk, [(None, 10, 1, 1), (None, trials, 1, 1)])
+
+
+def test_map_reduce_sums_each_job_in_its_own_chunks():
+    jobs = [(None, TWO_CHUNKS, 1, 1), (None, 100, 2, 64), (None, 3000, 3, 4)]
+    assert map_reduce_chunks(_count_chunk, jobs) == [
+        (1500.0, 2.0), (100.0, 1.0), (3000.0, 3.0)]
+
+
+def _good_job(spec):
+    return MomentJob(walks.sup_moment_rows, (1,), spec, TWO_CHUNKS, 1)
 
 
 @pytest.mark.parametrize("stage,branch", [("H", "H2"), ("H3", "drift")])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_moments_rejects_bad_branch_before_any_chunk(monkeypatch, stage,
                                                         branch, workers):
-    def unreachable(*args):
-        raise AssertionError("a chunk ran despite the bad branch")
-
-    monkeypatch.setattr(parallel, "_run_chunk", unreachable)
+    monkeypatch.setattr(parallel, "_run_chunk", _unreachable)
     spec = FamilySpec(kind="AdversarialStage", n=16, stage=stage)
+    bad = MomentJob(walks.sup_moment_rows, (1,), spec, TWO_CHUNKS, 1, branch)
     with pytest.raises(ValueError, match="stage H"):
-        mc_moments(walks.sup_moment_rows, (1,), spec, TWO_CHUNKS, seed=1,
-                   workers=workers, branch=branch)
+        mc_moments([_good_job(spec), bad], workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_moments_rejects_few_trials_in_any_job_before_any_chunk(
+        monkeypatch, workers):
+    monkeypatch.setattr(parallel, "_run_chunk", _unreachable)
+    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
+    few = MomentJob(walks.sup_moment_rows, (1,), spec, 99, 2)
+    with pytest.raises(ValueError, match="100 trials"):
+        mc_moments([_good_job(spec), few], workers=workers)
+
+
+# --------------------------------------------------------------------------
+# one pool per batch
+
+class _InlinePool:
+    """Stands in for a pool too large to start in a test: runs the tasks
+    in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every pool kwalks.parallel starts, in order.  A pool
+    of up to three processes is real; a larger one starts none."""
+    sizes = []
+    real = parallel.ProcessPoolExecutor
+
+    def counting_pool(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers) if max_workers <= 3 else _InlinePool()
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting_pool)
+    return sizes
+
+
+def test_pool_is_capped_at_the_task_count(pool_sizes):
+    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H1")
+    serial = estimate_sup_moment(spec, 1, TWO_CHUNKS, seed=4)
+    assert estimate_sup_moment(spec, 1, TWO_CHUNKS, seed=4, workers=64) == serial
+    specs = [spec, spec.with_n(64)]
+    parallel.empirical_moments_batch(specs, 200, seed=4, workers=64)
+    assert pool_sizes == [2, 2]
+
+
+def _config(kind, trials, family, **params):
+    return ExperimentConfig(kind=kind, family=family, params=params,
+                            trials=trials, seed=11)
+
+
+STAGE_H = {"kind": "AdversarialStage", "stage": "H"}
+BATCH_RUNS = {
+    "walk-scaling": _config("walk-scaling", 2100, STAGE_H, n_list="16 64 256"),
+    "stream-track": _config("stream-track", 1100,
+                            {"kind": "PolynomialKWise", "k": "4"}, k="4",
+                            generators="identity uniform", m_list="64 256"),
+    "family-verify": _config("family-verify", 3000, STAGE_H, n_list="16 64"),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_RUNS)
+def test_batch_rows_do_not_depend_on_the_worker_count(pool_sizes, name):
+    rows = [run(replace(BATCH_RUNS[name], workers=workers)).rows
+            for workers in (1, 2, 3)]
+    assert rows[0] == rows[1] == rows[2]
+    # family-verify's two n values are two tasks, so workers=3 starts two
+    assert pool_sizes == [2, 2 if name == "family-verify" else 3]
+
+
+def test_branch_scaling_rows_do_not_depend_on_the_worker_count(pool_sizes):
+    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
+    tables = [walks.scaling_table(spec, [16, 64, 256], 1, 2100, seed=8,
+                                  workers=workers, branch="drift")
+              for workers in (1, 2, 3)]
+    assert tables[0] == tables[1] == tables[2]
+    assert pool_sizes == [2, 3]
+
+
+@pytest.mark.parametrize("name", ["walk-scaling", "family-verify"])
+def test_a_run_starts_one_pool_and_leaves_no_process(pool_sizes, name):
+    run(replace(BATCH_RUNS[name], workers=2))
+    assert pool_sizes == [2]
+    assert multiprocessing.active_children() == []
 
 
 # Exact (mean, stderr) of each estimator on a two-chunk case, recorded
