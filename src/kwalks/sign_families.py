@@ -462,6 +462,8 @@ class IndependentSampler:
         self.n = n
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if size < 0:
+            raise ValueError("size must be nonnegative")
         return _uniform_signs(rng, size, self.n)
 
 

@@ -136,14 +136,66 @@ def test_signs_from_tables_wide_field_matches_parities(n):
     k = 3
     vectors = point_lsb_vectors(field, n, k)
     tables = parity_tables(vectors, 64)
-    assert tables.shape == (16 * k, 16, -(-n // 64))
-    assert tables.dtype == np.uint64
+    # k = 3: powers 1 and 2 are linear, so no nibble tables
+    assert tables.walsh.shape == (2, 8, 256)
+    assert tables.nibbles.shape == (0, 16, 16, -(-n // 64))
+    assert tables.nibbles.dtype == np.uint64
     rng = np.random.default_rng(4)
     coeffs = rng.integers(0, 1 << 64, size=(40, k), dtype=np.uint64)
     par = np.bitwise_count(coeffs[:, None, :] & vectors[None, :, :])
     expected = 1 - 2 * (par.sum(axis=2) & 1).astype(np.int8)
     assert (signs_from_tables(tables, coeffs, n) == expected).all()
     assert signs_from_tables(tables, coeffs[:0], n).shape == (0, n)
+
+
+def oracle_points(n):
+    """Evaluation points to check against the scalar oracle: every point
+    when n is small; otherwise the first two words, the last 70 points
+    (a partial last word when 64 does not divide n), the powers of two and
+    their neighbours, and a seeded sample."""
+    if n <= 300:
+        return list(range(n))
+    near_powers = {(1 << b) + d for b in range(n.bit_length()) for d in (-1, 0, 1)}
+    sample = np.random.default_rng(n).integers(0, n, 40).tolist()
+    return sorted({x for x in (set(range(128)) | set(range(n - 70, n))
+                               | near_powers | set(sample)) if 0 <= x < n})
+
+
+def horner_lsb_signs(field, coeffs, points):
+    """Sign of the low bit of sum_j c_j x^j at each point x, by Horner's
+    rule on GF2Field.mul."""
+    out = np.empty((len(coeffs), len(points)), dtype=np.int8)
+    for r, row in enumerate(coeffs.tolist()):
+        for col, x in enumerate(points):
+            val = 0
+            for c in reversed(row):
+                val = field.mul(val, x) ^ c
+            out[r, col] = 1 - 2 * (val & 1)
+    return out
+
+
+# k = 2, 3: every power is linear; k = 4, 5: power 3 has nibble tables;
+# k = 6, 8: powers 3, 5 (and 6, 7) do.  n = 17 and 1000 are not powers of
+# two, and 1000 ends in a partial word.
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8])
+@pytest.mark.parametrize("width,n", [(8, 2), (8, 16), (8, 17), (8, 256),
+                                     (64, 2), (64, 16), (64, 17), (64, 1000),
+                                     (64, 4096)])
+def test_walsh_split_matches_horner_oracle(width, n, k):
+    field = GF2Field(width)
+    tables = parity_tables(point_lsb_vectors(field, n, k), width)
+    rng = np.random.default_rng(1000 * n + k)
+    coeffs = rng.integers(0, field.order, size=(3, k), dtype=np.uint64)
+    # rows with one nonzero coefficient, the top one all ones
+    single = np.zeros((k, k), dtype=np.uint64)
+    single[np.arange(k), np.arange(k)] = np.uint64(field.mask)
+    coeffs = np.concatenate([coeffs, single])
+    signs = signs_from_tables(tables, coeffs, n)
+    assert signs.dtype == np.int8 and signs.shape == (len(coeffs), n)
+    points = oracle_points(n)
+    assert (signs[:, points] == horner_lsb_signs(field, coeffs, points)).all()
+    empty = signs_from_tables(tables, coeffs[:0], n)
+    assert empty.dtype == np.int8 and empty.shape == (0, n)
 
 
 def test_all_polynomial_signs_shape_and_balance():

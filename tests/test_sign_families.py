@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -518,6 +519,37 @@ def test_kwise_rejects_bad_orders():
         KWiseSampler(4, 1)
     with pytest.raises(ValueError):
         KWiseSampler(4, 5)
+
+
+@pytest.mark.parametrize("k,tables", [(2, 0), (3, 0), (4, 16)])
+def test_kwise_nibble_tables_only_for_nonlinear_powers(k, tables):
+    # powers 1 and 2 go through the Walsh part; at width 64 each other
+    # power has 16 nibble tables, and below k = 4 there is none
+    nibbles = KWiseSampler(64, k).tables.nibbles
+    assert nibbles.shape[0] * nibbles.shape[1] == tables
+
+
+def test_kwise_direct_batch_memory_is_bounded():
+    # the int8 result alone is 6.1 MiB; the kernel's temporaries are
+    # O(batch) words, not O(batch * tables)
+    sampler = KWiseSampler(64, 4)
+    tracemalloc.start()
+    try:
+        sampler.sample_batch(substream(22, 0), 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("sampler", [
+    KWiseSampler(16, 4), IndependentSampler(16),
+    AdversarialSampler(adversarial_params(16), "H")],
+    ids=lambda sampler: type(sampler).__name__)
+def test_samplers_reject_negative_sizes(sampler):
+    with pytest.raises(ValueError, match="size must be nonnegative"):
+        sampler.sample_batch(substream(23, 0), -1)
+    assert sampler.sample_batch(substream(23, 0), 0).shape == (0, 16)
 
 
 # --------------------------------------------------------------------------
