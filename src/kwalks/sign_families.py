@@ -24,6 +24,17 @@ weights and `make_sampler(spec, branch)` draws from one branch.
 
 All stage constants are exact rationals; samplers convert them to floats
 once at construction.
+
+The sampling kernels read the generator's 64-bit words through
+`bit_generator.random_raw` and write the bytes the plain numpy draws
+would.  For the bit generators in `RAW_WORD_GENERATORS`, `rng.random` is
+(word >> 11) * 2^-53 of one word, so `rng.random() < b` is
+(word >> 11) < ceil(2^53 b) (stage H1), and an argsort of a block's
+uniforms orders it as a sort of the integer keys word >> 11 (the balanced
+branch).  `rng.integers(0, 2)` is the top bit of one 32-bit half-word
+(Lemire's method for a range of 2 never rejects), and the halves of a word
+are drawn low first, the high one buffered for the next 32-bit draw, so
+fair signs are the top bits of the words' halves (`_uniform_signs`).
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +69,13 @@ _BATCH = 1 << 14
 TILE_SIGNS = 1 << 18
 # Random values per generator call in _chunked_signs, sized to stay in cache.
 _DRAW_VALUES = 1 << 16
+# The bit generators whose words the sampling kernels read (see the module
+# docstring); for any other, such as MT19937, the two rules do not hold.
+RAW_WORD_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                       np.random.SFC64)
+# Keys per sort row in the balanced branch, at most, for blocks shorter than
+# this: several blocks share a row, tagged by their place in it.
+_SORT_SPAN = 32
 
 
 class ResourceLimitError(RuntimeError):
@@ -158,16 +176,30 @@ def f_values(root: int) -> list[Fraction]:
             for c in range(1, root + 1)]
 
 
+@lru_cache(maxsize=16)
+def _g_row_numerators(root: int) -> tuple[tuple[int, ...], int]:
+    """g's first row as integers over one denominator: (nums, den) with
+    g[0][r] = nums[r] / den and den = root * lcm(1..ell)^2.
+
+    Every f_c is an integer over lcm(1..ell), so each entry of the row is a
+    sum of integer products, with no Fraction arithmetic per term.
+    """
+    common = lcm(*range(1, root // 2 + 1))
+    f = [v.numerator * (common // v.denominator) for v in f_values(root)]
+    nums = tuple(sum(f[d] * f[(d + r) % root] for d in range(root))
+                 for r in range(root))
+    return nums, root * common * common
+
+
 def g_table(root: int) -> list[list[Fraction]]:
     """Cross-block correlations of the rotated stage.
 
     Entry (c1, c2) is the average over rotations d of f_{c1+d} * f_{c2+d}
     (indices cyclic).  The average depends only on c2 - c1 mod root, so one
-    row is computed by direct summation and shifted into place.
+    row is summed and shifted into place.
     """
-    f = f_values(root)
-    row0 = [sum((f[d] * f[(d + r) % root] for d in range(root)), Fraction(0)) / root
-            for r in range(root)]
+    nums, den = _g_row_numerators(root)
+    row0 = [Fraction(v, den) for v in nums]
     return [[row0[(c2 - c1) % root] for c2 in range(root)] for c1 in range(root)]
 
 
@@ -198,6 +230,28 @@ class AdversarialParams:
         """P[entry = +1] for each position, as float64."""
         per_block = [0.5 + float(fc) / 2 for fc in self.f]
         return np.repeat(per_block, self.root)
+
+    @cached_property
+    def h1_cut(self) -> np.ndarray:
+        """ceil(2^53 h1_bias) as uint64, exact: a word's top 53 bits are
+        below it exactly when rng.random of that word is below h1_bias."""
+        return np.ceil(np.ldexp(self.h1_bias, 53)).astype(np.uint64)
+
+    @property
+    def balanced_span(self) -> int:
+        """Keys per sort row of the balanced branch: a count of whole
+        blocks that divides root, up to _SORT_SPAN keys (one block if a
+        block is longer)."""
+        return self.root * gcd(self.root, max(1, _SORT_SPAN // self.root))
+
+    @cached_property
+    def balanced_keys(self) -> np.ndarray:
+        """The low bits of the balanced branch's sort keys, per position:
+        bit 0 is set from slot ell of a block on, and the bits from 54 up
+        number the block within its sort row."""
+        at = np.arange(self.n, dtype=np.uint64)
+        tag = at // self.root % (self.balanced_span // self.root)
+        return (tag << 54) | (at % self.root >= self.ell)
 
     @cached_property
     def pair_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,8 +315,11 @@ def adversarial_params(n: int) -> AdversarialParams:
     assert root * root == n
     f = f_values(root)
     g = g_table(root)
-    g_scale = 1 + sum(abs(v) for c1, row in enumerate(g) for v in row[c1 + 1:])
-    row_abs = sum(abs(v) for v in g[0])
+    # g is circulant: root - r of its pairs c1 < c2 lie at distance r
+    nums, den = _g_row_numerators(root)
+    g_scale = Fraction(den + sum((root - r) * abs(nums[r]) for r in range(1, root)),
+                       den)
+    row_abs = Fraction(sum(abs(v) for v in nums), den)
     c6 = root * row_abs / g_scale
     p = Fraction(1) / (1 + c6 * (root - 1) / root)
     params = AdversarialParams(
@@ -292,11 +349,11 @@ def h2_cross_term_ratio(n: int) -> Fraction:
 # reads.  A sampler builds them at construction, so one built in the parent
 # reaches forked workers complete.
 _KERNEL_TABLES = {
-    "H1": ("h1_bias",), "H2": ("h1_bias",), "drift": ("h1_bias",),
-    "H3": ("h1_bias", "mode_cdf", "pair_modes"),
-    "H": ("h1_bias", "mode_cdf", "pair_modes", "p_float"),
+    "H1": ("h1_cut",), "H2": ("h1_cut",), "drift": ("h1_cut",),
+    "H3": ("h1_cut", "mode_cdf", "pair_modes"),
+    "H": ("h1_cut", "mode_cdf", "pair_modes", "p_float", "balanced_keys"),
     "pairs": ("pair_mode_cdf", "pair_modes"),
-    "balanced": (),
+    "balanced": ("balanced_keys",),
 }
 
 # The kernels that draw their rows in row order (see AdversarialSampler).
@@ -339,16 +396,27 @@ class AdversarialSampler:
         kernel = "_batch_" + (self.branch or self.stage).lower()
         return getattr(self, kernel)(rng, size)
 
-    def _batch_h1(self, rng, size):
-        bias = self.params.h1_bias
-        return _chunked_signs(size, self.n, lambda m: rng.random((m, self.n)) < bias)
+    def _batch_h1(self, rng, size, keep=None):
+        """H1 rows: +1 where a word's top 53 bits are below h1_cut, that is
+        where rng.random((size, n)) is below h1_bias.  keep, a boolean mask
+        over the size rows, selects the rows to build, but every row's
+        words are drawn, so the stream does not depend on keep."""
+        cut = self.params.h1_cut
+        source = _word_source(rng)
 
-    def _batch_h2(self, rng, size, keep=slice(None)):
-        """H2 rows.  keep (an index or mask) selects the rows to build, but
-        all size rows are drawn, so the stream does not depend on keep."""
-        base = self._batch_h1(rng, size)[keep]
-        shifts = rng.integers(0, self.params.root, size=size)[keep]
-        return _rotate_blocks(base, shifts, self.params.root)
+        def draw(m, rows):
+            words = source.random_raw((m, self.n))[rows]
+            words >>= 11
+            return words < cut
+
+        return _chunked_signs(size, self.n, draw, keep)
+
+    def _batch_h2(self, rng, size, keep=None):
+        """H2 rows; keep selects rows as in _batch_h1."""
+        base = self._batch_h1(rng, size, keep)
+        shifts = rng.integers(0, self.params.root, size=size)
+        return _rotate_blocks(base, shifts if keep is None else shifts[keep],
+                              self.params.root)
 
     def _batch_h3(self, rng, size):
         mode = np.searchsorted(self.params.mode_cdf, rng.random(size), side="right")
@@ -375,13 +443,33 @@ class AdversarialSampler:
         return self._pair_mode_rows(rng, sel) * _uniform_signs(rng, size, 1)
 
     def _batch_balanced(self, rng, size):
-        """Uniform size-ell subset of each block set to +1.  The argsort of
-        a block's iid uniforms is a uniform permutation; the slots whose
-        entry (a source index) is below ell are the ranks of the first ell
-        uniforms, which form a uniform ell-subset."""
-        root, ell = self.params.root, self.params.ell
-        return _chunked_signs(size, self.n, lambda m: (
-            rng.random((m, root, root)).argsort(axis=2) < ell).reshape(m, self.n))
+        """Uniform size-ell subset of each block set to +1.
+
+        Sorting a block's iid uniforms is a uniform permutation; the slots
+        that receive the block's first ell uniforms form a uniform
+        ell-subset.  The uniforms are the words' top 53 bits, so they are
+        sorted as integer keys (word >> 11) << 1 with bit 0 set for the
+        last ell slots of a block: where a sorted key's bit 0 is clear, the
+        slot gets +1.  This is the argsort of the rng.random uniforms, and
+        it is deterministic: equal 53-bit uniforms keep their source order,
+        where an argsort leaves it to numpy's sort.  Short blocks are
+        sorted several to a row, tagged in the high bits by their place.
+        """
+        params = self.params
+        tags, span = params.balanced_keys, params.balanced_span
+        source = _word_source(rng)
+
+        def draw(m, rows):
+            keys = source.random_raw((m, self.n))
+            keys >>= 11
+            keys <<= 1
+            keys |= tags
+            keys = keys.view(np.int64).reshape(-1, span)
+            keys.sort(axis=1)
+            low = keys.astype("<i8", copy=False).view(np.uint8)[:, ::8]
+            return ((low & 1) == 0).reshape(m, self.n)
+
+        return _chunked_signs(size, self.n, draw)
 
     def _pair_mode_rows(self, rng, sel):
         """One row per entry of sel (0-based pair-mode indices): block c1 set
@@ -395,26 +483,70 @@ class AdversarialSampler:
         return rows
 
 
-def _chunked_signs(size: int, n: int, draw) -> np.ndarray:
-    """(size, n) int8 rows, +1 where draw(m) is true and -1 elsewhere.
+def _chunked_signs(size: int, n: int, draw, keep=None) -> np.ndarray:
+    """Int8 rows, +1 where draw is true and -1 elsewhere.
 
-    draw(m) makes the generator call for the next m rows.  Split by rows,
-    the calls used here draw the same stream as one call for all rows, and
-    their float64 or int64 values stay cache-sized."""
-    bits = np.empty((size, n), dtype=bool)
+    draw(m, rows) makes the generator call for the next m rows and returns
+    the bits of the rows that rows (a slice or boolean mask) selects among
+    them.  keep, a boolean mask over the size rows, picks the rows returned;
+    without it all size rows are.  Split by rows, the calls used here draw
+    the same stream as one call for all rows, and their values stay
+    cache-sized."""
+    bits = np.empty((size if keep is None else np.count_nonzero(keep), n),
+                    dtype=bool)
     step = max(1, _DRAW_VALUES // n)
+    at = 0
     for lo in range(0, size, step):
-        bits[lo:lo + step] = draw(min(step, size - lo))
+        m = min(step, size - lo)
+        chunk = draw(m, slice(None) if keep is None else keep[lo:lo + m])
+        bits[at:at + len(chunk)] = chunk
+        at += len(chunk)
+    return _to_signs(bits)
+
+
+def _to_signs(bits: np.ndarray) -> np.ndarray:
+    """bits as int8 signs in place: +1 where true, -1 elsewhere."""
     signs = bits.view(np.int8)
     signs += signs
     signs -= 1
     return signs
 
 
+def _word_source(rng: np.random.Generator):
+    """rng's bit generator, whose random_raw words are the ones rng.random
+    and rng.integers(0, 2) read; a TypeError if it is not one of
+    RAW_WORD_GENERATORS, whose words are read that way."""
+    source = rng.bit_generator
+    if not isinstance(source, RAW_WORD_GENERATORS):
+        raise TypeError(
+            f"sign sampling needs one of "
+            f"{', '.join(g.__name__ for g in RAW_WORD_GENERATORS)}, "
+            f"not {type(source).__name__}")
+    return source
+
+
 def _uniform_signs(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
-    """Fair +-1 int8 signs from rng.integers(0, 2, (size, n)), the draw
-    every sampler here has always made."""
-    return _chunked_signs(size, n, lambda m: rng.integers(0, 2, size=(m, n)) == 1)
+    """Fair +-1 int8 signs, byte for byte rng.integers(0, 2, (size, n)) == 1,
+    the draw every sampler here has always made, and leaving the generator
+    where that draw would.
+
+    Each sign is the top bit of a 32-bit half-word: first the half the
+    generator holds buffered, if any, then both halves of each new word,
+    low half first.  An odd last sign comes from rng.integers(0, 2), which
+    buffers its word's high half as the full draw would."""
+    source = _word_source(rng)
+    count = size * n
+    bits = np.empty(count, dtype=bool)
+    first = int(count > 0 and source.state["has_uint32"])
+    if first:
+        bits[0] = rng.integers(0, 2)
+    for lo in range(first, count - 1, 2 * _DRAW_VALUES):
+        words = source.random_raw(min(_DRAW_VALUES, (count - lo) // 2))
+        halves = words.astype("<u8", copy=False).view("<u4")
+        bits[lo:lo + len(halves)] = halves >= 1 << 31
+    if (count - first) % 2:
+        bits[-1] = rng.integers(0, 2)
+    return _to_signs(bits).reshape(size, n)
 
 
 def _rotate_blocks(rows: np.ndarray, shifts: np.ndarray, root: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 import hashlib
+import math
 import pickle
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -13,11 +15,13 @@ from hypothesis import strategies as st
 
 from kwalks.gf2 import all_polynomial_signs
 from kwalks.rng import substream
-from kwalks.sign_families import (H_BRANCHES, AdversarialSampler, FamilySpec,
+from kwalks.sign_families import (H_BRANCHES, RAW_WORD_GENERATORS,
+                                  AdversarialSampler, FamilySpec,
                                   IndependentSampler, KWiseSampler,
                                   ResourceLimitError,
                                   adversarial_params, empirical_moments,
                                   _rotate_blocks, _stage_block_moments,
+                                  _uniform_signs,
                                   exact_moments, f_values, g_table,
                                   h2_cross_term_ratio, make_sampler)
 
@@ -112,6 +116,30 @@ def test_adversarial_params_n16_frozen():
     assert (1 - params.p) / 3 == F(5, 24)
 
 
+def fraction_constants(n):
+    """Oracle: g's first row, g_scale and c6 by Fraction arithmetic on the
+    defining sums, g_scale over every pair c1 < c2 of the full table."""
+    root = math.isqrt(n)
+    f = f_values(root)
+    row0 = [sum((f[d] * f[(d + r) % root] for d in range(root)), F(0)) / root
+            for r in range(root)]
+    g_scale = 1 + sum(abs(row0[c2 - c1]) for c1 in range(root)
+                      for c2 in range(c1 + 1, root))
+    return row0, g_scale, root * sum(abs(v) for v in row0) / g_scale
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096, 4 ** 8])
+def test_adversarial_constants_match_fraction_formulas(n):
+    row0, g_scale, c6 = fraction_constants(n)
+    params = adversarial_params(n)
+    root = params.root
+    assert list(params.g[0]) == row0
+    assert all(params.g[c][(c + r) % root] == row0[r]
+               for c in range(root) for r in range(root))
+    assert (params.g_scale, params.c6) == (g_scale, c6)
+    assert params.p == 1 / (1 + c6 * (root - 1) / root)
+
+
 @pytest.mark.parametrize("n", [16, 64, 256, 1024])
 def test_zero_covariance_balance(n):
     params = adversarial_params(n)
@@ -154,10 +182,12 @@ def test_mode_cdf_ends_at_one(n):
 
 class _TopUniformFirst:
     """Generator stand-in whose first uniform draw is the largest float
-    below 1; every later draw comes from the wrapped generator."""
+    below 1; every later draw, raw words included, comes from the wrapped
+    generator."""
 
     def __init__(self, rng):
         self.rng = rng
+        self.bit_generator = rng.bit_generator
         self.first = True
 
     def random(self, size=None):
@@ -396,6 +426,126 @@ def test_independent_sample_batch_pinned_stream():
     for n in INDEPENDENT_PIN_NS:
         _pinned_rows(IndependentSampler(n).sample_batch, n, digest)
     assert digest.hexdigest() == INDEPENDENT_PIN_SHA256
+
+
+# --------------------------------------------------------------------------
+# raw-word kernels against the numpy draws they replace
+
+def generator_pair(bit_generator, seed):
+    """Two generators in the same state."""
+    return (np.random.Generator(bit_generator(seed)),
+            np.random.Generator(bit_generator(seed)))
+
+
+def assert_same_state(ours, theirs):
+    """The two bit generators' state dicts are equal, all but the buffered
+    half-word while none is buffered: that field then keeps whichever half
+    was buffered last, and no later draw reads it."""
+    states = [dict(rng.bit_generator.state) for rng in (ours, theirs)]
+    for state in states:
+        if not state["has_uint32"]:
+            state["uinteger"] = None
+    np.testing.assert_equal(states[0], states[1])
+
+
+@pytest.mark.parametrize("bit_generator", RAW_WORD_GENERATORS)
+@pytest.mark.parametrize("buffered", [False, True])
+def test_uniform_signs_match_integers_draw(bit_generator, buffered):
+    ours, theirs = generator_pair(bit_generator, 5)
+    if buffered:
+        # one 32-bit draw leaves a word's high half buffered
+        assert ours.integers(0, 2) == theirs.integers(0, 2)
+    for size in (0, 1, 2, 3, 7):
+        for n in (1, 3, 16):
+            got = _uniform_signs(ours, size, n)
+            want = theirs.integers(0, 2, (size, n)) == 1
+            assert got.dtype == np.int8 and got.shape == (size, n)
+            assert (got == np.where(want, 1, -1)).all()
+            assert_same_state(ours, theirs)
+    # more words than one generator call takes
+    got = _uniform_signs(ours, 3, 50001)
+    assert (got == np.where(theirs.integers(0, 2, (3, 50001)) == 1, 1, -1)).all()
+    assert_same_state(ours, theirs)
+
+
+@pytest.mark.parametrize("bit_generator", RAW_WORD_GENERATORS)
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_h1_matches_uniform_threshold(bit_generator, n):
+    params = adversarial_params(n)
+    # the blocks where f = +1 and f = -1 draw with bias 1 and 0
+    assert {0.0, 1.0} <= set(params.h1_bias.tolist())
+    ours, theirs = generator_pair(bit_generator, n)
+    got = AdversarialSampler(params, "H1").sample_batch(ours, 300)
+    want = np.where(theirs.random((300, n)) < params.h1_bias, 1, -1)
+    assert (got == want).all()
+    assert_same_state(ours, theirs)
+
+
+@pytest.mark.parametrize("n", [16, 256, 4096])
+def test_h1_cut_is_exact_at_its_boundary(n):
+    # the words on either side of each cut, where a rounded threshold
+    # would first disagree with rng.random < h1_bias
+    params = adversarial_params(n)
+    cut = params.h1_cut.astype(object)
+    for word in (cut * 2048 - 1, cut * 2048):
+        word = np.array([min(max(int(w), 0), 2 ** 64 - 1) for w in word],
+                        dtype=np.uint64)
+        uniform = (word >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        assert ((word >> np.uint64(11)) < params.h1_cut).tolist() == (
+            uniform < params.h1_bias).tolist()
+
+
+def argsort_balanced_rows(rng, size, root):
+    """Oracle: the argsort of each block's rng.random uniforms, +1 at the
+    ranks of the block's first ell uniforms."""
+    order = rng.random((size, root, root)).argsort(axis=2)
+    return np.where(order < root // 2, 1, -1).reshape(size, root * root)
+
+
+@pytest.mark.parametrize("root", range(4, 65, 2))
+def test_balanced_branch_matches_argsort(root):
+    # any even root, so sort rows of one block and of several are covered
+    params = replace(adversarial_params(16), n=root * root, root=root,
+                     ell=root // 2)
+    sampler = AdversarialSampler(params, "H", "balanced")
+    for bit_generator in RAW_WORD_GENERATORS:
+        ours, theirs = generator_pair(bit_generator, root)
+        for size in (0, 1, 5, 40):
+            assert (sampler.sample_batch(ours, size)
+                    == argsort_balanced_rows(theirs, size, root)).all()
+        assert_same_state(ours, theirs)
+
+
+class _ConstantWords(np.random.Philox):
+    """Bit generator whose raw words are all one value."""
+
+    def random_raw(self, size=None, output=True):
+        return np.full(size, 0x0123456789ABCDEF, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 4096])
+def test_balanced_branch_breaks_ties_by_source_index(n):
+    # all uniforms equal: each block keeps its order, so its first ell
+    # slots take the ell +1 entries
+    sampler = make_sampler(FamilySpec(kind="AdversarialStage", n=n, stage="H"),
+                           "balanced")
+    root, ell = sampler.params.root, sampler.params.ell
+    blocks = sampler.sample_batch(np.random.Generator(_ConstantWords(0)),
+                                  3).reshape(3, root, root)
+    assert (blocks[:, :, :ell] == 1).all() and (blocks[:, :, ell:] == -1).all()
+
+
+@pytest.mark.parametrize("size", [0, 4])
+def test_samplers_refuse_other_bit_generators(size):
+    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
+    samplers = ([AdversarialSampler(adversarial_params(16), stage)
+                 for stage in ("H1", "H2", "H3", "H")]
+                + [make_sampler(spec, branch) for branch in H_BRANCHES]
+                + [IndependentSampler(16)])
+    for sampler in samplers:
+        rng = np.random.Generator(np.random.MT19937(3))
+        with pytest.raises(TypeError, match="MT19937"):
+            sampler.sample_batch(rng, size)
 
 
 def take_along_rotation(rows, shifts, root):
