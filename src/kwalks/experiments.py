@@ -1,9 +1,10 @@
 """Config-driven experiments with deterministic CSV output.
 
 A config file holds one experiment: an [experiment] section with the kind
-and run controls, an optional [family] section, and a [params] section for
-kind-specific knobs.  Data rows are byte-reproducible for a fixed config;
-run metadata travels in '#'-prefixed footer lines and in the JSON summary.
+and run controls, a [family] section for the kinds that draw signs, and a
+[params] section for kind-specific knobs, as EXPERIMENT_KINDS lists.  Data
+rows are byte-reproducible for a fixed config; run metadata travels in
+'#'-prefixed footer lines and in the JSON summary.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,26 +29,6 @@ from .sign_families import (ADVERSARIAL_STAGE, FULLY_INDEPENDENT,
                             POLYNOMIAL_KWISE, FamilySpec, MomentSummary,
                             adversarial_params, exact_moments, g_table,
                             h2_cross_term_ratio, make_sampler, parse_number)
-
-EXPERIMENT_KINDS = ("family-verify", "walk-scaling", "matrix-check",
-                    "maximal-mc", "stream-track", "net-audit")
-
-# The sections a config may hold, the [experiment] keys every kind reads,
-# and the [params] keys each kind reads ([family] keys are FamilySpec's).
-# Anything else is rejected, so a misspelled key or section cannot
-# silently drop a check or change the family.
-_SECTIONS = ("experiment", "family", "params")
-_EXPERIMENT_KEYS = ("kind", "trials", "seed", "output", "workers")
-_PARAM_KEYS = {
-    "family-verify": ("n_list",),
-    "walk-scaling": ("n_list", "moment_order", "min_slope", "min_r2",
-                     "max_slope_se_mult"),
-    "matrix-check": ("n_list", "gaussian_vectors"),
-    "maximal-mc": ("n", "k", "sigma_decades", "lambda_mults"),
-    "stream-track": ("generators", "m_list", "k", "max_norm_ratio"),
-    "net-audit": ("generators", "m_list", "realizations"),
-}
-
 
 @dataclass
 class Check:
@@ -119,8 +101,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        # no config uses interpolation, so a '%' in a value is literal
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ValueError(f"malformed config {path}: {exc}") from None
         if not read:
             raise ValueError(f"cannot read config {path}")
         if "experiment" not in parser:
@@ -128,27 +114,28 @@ class ExperimentConfig:
         exp = parser["experiment"]
         kind = exp.get("kind", "")
         if kind not in EXPERIMENT_KINDS:
-            raise ValueError(
-                f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
-        _reject_unknown("sections", parser.sections(), _SECTIONS, kind)
-        _reject_unknown("experiment keys", exp, _EXPERIMENT_KEYS, kind)
-        if "params" in parser:
-            _reject_unknown("params keys", parser["params"], _PARAM_KEYS[kind], kind)
+            raise ValueError(f"unknown experiment kind {kind!r}; "
+                             f"choose from {tuple(EXPERIMENT_KINDS)}")
+        reads = EXPERIMENT_KINDS[kind]
+        _reject_unknown("sections", parser.sections(), reads.sections, kind)
+        _reject_unknown("experiment keys", exp, reads.experiment, kind)
+        params = dict(parser["params"]) if "params" in parser else {}
+        _reject_unknown("params keys", params, reads.params, kind)
         return cls(
             kind=kind,
             family=dict(parser["family"]) if "family" in parser else {},
-            params=dict(parser["params"]) if "params" in parser else {},
+            params=params,
             trials=parse_number(int, "trials", exp.get("trials", "10000")),
             seed=parse_number(int, "seed", exp.get("seed", "0")),
             output=exp.get("output", fallback=None),
             workers=parse_number(int, "workers", exp.get("workers", "1")),
         )
 
-    def family_spec(self, n: int | None = None) -> FamilySpec:
-        mapping = dict(self.family)
-        if n is not None:
-            mapping["n"] = str(n)
-        return FamilySpec.from_config(mapping)
+    def family_spec(self, n: int, default: FamilySpec | None = None) -> FamilySpec:
+        """The [family] section's spec at size n, or default without one."""
+        if self.family or default is None:
+            return FamilySpec.from_config(self.family, n)
+        return default
 
     def str_list(self, key: str, default: str) -> list[str]:
         tokens = self.params.get(key, default).replace(",", " ").split()
@@ -200,20 +187,14 @@ def run(config: ExperimentConfig) -> ResultTable:
     if config.trials < 0:
         raise ValueError(f"trials must be at least 0, got trials={config.trials}")
     started = time.time()
-    runner = _RUNNERS[config.kind]
-    table = runner(config)
-    table.metadata.setdefault("experiment", config.kind)
-    table.metadata.setdefault("seed", config.seed)
-    table.metadata.setdefault("trials", config.trials)
-    table.metadata["version"] = __version__
-    table.metadata["workers"] = config.workers
-    # what the random stream depends on, beside the seed
-    table.metadata["rng_bit_generator"] = BIT_GENERATOR.__name__
-    table.metadata["trial_chunk"] = TRIAL_CHUNK
-    table.metadata["tile_signs"] = sign_families.TILE_SIGNS
-    table.metadata["numpy_version"] = np.__version__
-    table.metadata["wall_time_s"] = f"{time.time() - started:.3f}"
-    table.metadata["peak_rss_mb"] = _peak_rss_mb()
+    table = EXPERIMENT_KINDS[config.kind].runner(config)
+    table.metadata.update(
+        experiment=config.kind, seed=config.seed, trials=config.trials,
+        version=__version__, workers=config.workers,
+        # what the random stream depends on, beside the seed
+        rng_bit_generator=BIT_GENERATOR.__name__, trial_chunk=TRIAL_CHUNK,
+        tile_signs=sign_families.TILE_SIGNS, numpy_version=np.__version__,
+        wall_time_s=f"{time.time() - started:.3f}", peak_rss_mb=_peak_rss_mb())
     if config.output:
         table.write_csv(config.output)
     return table
@@ -236,25 +217,25 @@ def _run_family_verify(config: ExperimentConfig) -> ResultTable:
     table = ResultTable(header=["n", "stage", "quantity", "value", "expected",
                                 "seed", "trials"])
     n_values = config.int_list("n_list", "16")
-    spec0 = config.family_spec(n=n_values[0]) if config.family else None
-    if spec0 and spec0.kind != ADVERSARIAL_STAGE:
+    spec0 = config.family_spec(n_values[0], FamilySpec(
+        kind=ADVERSARIAL_STAGE, n=n_values[0], stage="H"))
+    if spec0.kind != ADVERSARIAL_STAGE:
         raise ValueError(f"family-verify checks {ADVERSARIAL_STAGE} families; "
                          f"got kind {spec0.kind}")
-    stage = spec0.stage if spec0 and spec0.stage else "H"
-    specs = [FamilySpec(kind=ADVERSARIAL_STAGE, n=n, stage=stage) for n in n_values]
+    specs = [spec0.with_n(n) for n in n_values]
     samples = ([None] * len(specs) if config.trials == 0
                else parallel.empirical_moments_batch(specs, config.trials,
                                                      config.seed, config.workers))
     for spec, emp in zip(specs, samples):
         n, moments = spec.n, exact_moments(spec)
         quantity, name, ok = _exact_stage_check(spec, moments)
-        table.add(n, stage, quantity, ok, True, config.seed, config.trials)
+        table.add(n, spec.stage, quantity, ok, True, config.seed, config.trials)
         table.check(f"n={n} {name}", ok)
         if emp is not None:
             tol = 5.0 / config.trials ** 0.5
             worst = float(np.abs(emp.covariance
                                  - moments.second_moments_float()).max())
-            table.add(n, stage, "max_moment_deviation", worst, tol,
+            table.add(n, spec.stage, "max_moment_deviation", worst, tol,
                       config.seed, config.trials)
             table.check(f"n={n} empirical moments within {tol:.2g}", worst <= tol,
                         f"max deviation {worst:.2g}")
@@ -296,7 +277,7 @@ def _run_walk_scaling(config: ExperimentConfig) -> ResultTable:
         header=["n", "moment_order", "mean", "stderr", "trials", "seed"])
     n_values = config.int_list("n_list", "16 64 256 1024 4096")
     order = config.get_int("moment_order", 1)
-    spec = config.family_spec(n=n_values[0])
+    spec = config.family_spec(n_values[0])
     scaling = walks.scaling_table(spec, n_values, order, config.trials,
                                   config.seed, workers=config.workers)
     for n, est in scaling.rows:
@@ -368,14 +349,12 @@ def _run_maximal_mc(config: ExperimentConfig) -> ResultTable:
                                 "seed"])
     n = config.get_int("n", 1024)
     decades = config.get_float("sigma_decades", 4.0)
-    k = config.get_int("k", 4)
     rng = substream(config.seed, 0)
     sigmas = np.sqrt(mi.random_variances(n, decades, rng))
     total_var = float((sigmas ** 2).sum())
     mults = _positive("lambda_mults", config.float_list("lambda_mults", "2 4 8"))
     lambdas = [m * total_var ** 0.5 for m in mults]
-    spec = (config.family_spec(n=n) if config.family
-            else FamilySpec(kind=POLYNOMIAL_KWISE, n=n, k=k))
+    spec = config.family_spec(n, FamilySpec(kind=POLYNOMIAL_KWISE, n=n, k=4))
     rows = mi.mc_tail(spec, sigmas, lambdas, config.trials, config.seed,
                       workers=config.workers)
     for mult, row in zip(mults, rows):
@@ -395,7 +374,7 @@ def _run_stream_track(config: ExperimentConfig) -> ResultTable:
     max_ratio = config.get_float("max_norm_ratio", 0.0)
     gens = config.generators("identity")
     runs = [[gen(m) for m in m_values] for _, gen in gens]
-    jobs = [streams.sup_moment_job(stream, config.family_spec(n=stream.n), k,
+    jobs = [streams.sup_moment_job(stream, config.family_spec(stream.n), k,
                                    config.trials, mix64(config.seed, m))
             for row in runs for m, stream in zip(m_values, row)]
     estimates = iter(walks.sup_estimates(jobs, config.workers))
@@ -452,13 +431,33 @@ def _run_net_audit(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-_RUNNERS = {
-    "family-verify": _run_family_verify,
-    "walk-scaling": _run_walk_scaling,
-    "matrix-check": _run_matrix_check,
-    "maximal-mc": _run_maximal_mc,
-    "stream-track": _run_stream_track,
-    "net-audit": _run_net_audit,
+class KindReads(NamedTuple):
+    """A kind's runner, and the config sections and keys that it reads."""
+
+    runner: Callable[[ExperimentConfig], ResultTable]
+    sections: tuple[str, ...]
+    experiment: tuple[str, ...]
+    params: tuple[str, ...]
+
+
+# Monte Carlo kinds draw signs from a [family]; exact kinds draw none.
+_SAMPLED = (("experiment", "family", "params"),
+            ("kind", "trials", "seed", "output", "workers"))
+_EXACT = (("experiment", "params"), ("kind", "seed", "output"))
+
+# The one list of experiment kinds ([family] keys are FamilySpec.from_config's).
+EXPERIMENT_KINDS = {
+    "family-verify": KindReads(_run_family_verify, *_SAMPLED, ("n_list",)),
+    "walk-scaling": KindReads(_run_walk_scaling, *_SAMPLED, (
+        "n_list", "moment_order", "min_slope", "min_r2", "max_slope_se_mult")),
+    "matrix-check": KindReads(_run_matrix_check, *_EXACT,
+                              ("n_list", "gaussian_vectors")),
+    "maximal-mc": KindReads(_run_maximal_mc, *_SAMPLED,
+                            ("n", "sigma_decades", "lambda_mults")),
+    "stream-track": KindReads(_run_stream_track, *_SAMPLED,
+                              ("generators", "m_list", "k", "max_norm_ratio")),
+    "net-audit": KindReads(_run_net_audit, *_EXACT,
+                           ("generators", "m_list", "realizations")),
 }
 
 
@@ -467,10 +466,8 @@ _RUNNERS = {
 
 def verify_suite() -> list[Check]:
     """Exact, deterministic invariants; no Monte Carlo, runs in seconds."""
-    checks: list[Check] = []
-
-    def check(name, passed, detail=""):
-        checks.append(Check(name=name, passed=bool(passed), detail=detail))
+    table = ResultTable(header=[])
+    check = table.check
 
     from .sign_families import f_values
 
@@ -545,4 +542,4 @@ def verify_suite() -> list[Check]:
                 pair_ok = False
     check("pairwise family exactly uniform on GF(4)", pair_ok)
 
-    return checks
+    return table.checks

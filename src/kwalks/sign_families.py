@@ -122,6 +122,11 @@ class FamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
+        for key, owner in (("k", POLYNOMIAL_KWISE), ("stage", ADVERSARIAL_STAGE)):
+            value = getattr(self, key)
+            if value is not None and self.kind != owner:
+                raise ValueError(f"{key} is read only by {owner} families; "
+                                 f"got {key}={value} for {self.kind}")
         if self.kind == POLYNOMIAL_KWISE:
             if self.k is None or not 2 <= self.k <= self.n:
                 raise ValueError("polynomial family needs 2 <= k <= n")
@@ -141,20 +146,20 @@ class FamilySpec:
         return 2 if self.stage == "H" else 1
 
     @classmethod
-    def from_config(cls, mapping: dict[str, str]) -> "FamilySpec":
-        """Spec from a [family] section's strings; kind and stage may be
-        spelled in any case."""
-        known = {"kind", "n", "k", "stage"}
-        unknown = set(mapping) - known
+    def from_config(cls, mapping: dict[str, str], n: int) -> "FamilySpec":
+        """Spec of size n from a [family] section's strings; kind and stage
+        may be spelled in any case.  The experiment sizes the family, so
+        the section holds no n."""
+        unknown = set(mapping) - {"kind", "k", "stage"}
         if unknown:
             raise ValueError(f"unknown family keys: {sorted(unknown)}")
-        if "kind" not in mapping or "n" not in mapping:
-            raise ValueError("family config needs at least kind and n")
+        if "kind" not in mapping:
+            raise ValueError("[family] needs a kind")
         kind = mapping["kind"]
         stage = mapping.get("stage")
         return cls(
             kind=next((c for c in KINDS if c.lower() == kind.lower()), kind),
-            n=parse_number(int, "n", mapping["n"]),
+            n=n,
             k=parse_number(int, "k", mapping["k"]) if "k" in mapping else None,
             stage=stage.upper() if stage is not None else None,
         )
@@ -551,15 +556,10 @@ def _uniform_signs(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
 
 def _rotate_blocks(rows: np.ndarray, shifts: np.ndarray, root: int) -> np.ndarray:
     """Entry i of row r is rows[r, (i + shifts[r] * root) % n]: a rotation
-    by whole blocks, one slice pair per distinct shift."""
-    n = rows.shape[1]
-    out = np.empty_like(rows)
-    for shift in np.unique(shifts):
-        at = np.flatnonzero(shifts == shift)
-        cut = int(shift) * root
-        out[at, :n - cut] = rows[at, cut:]
-        out[at, n - cut:] = rows[at, :cut]
-    return out
+    by whole blocks, one gather of each row's blocks viewed as single items."""
+    blocks = np.ascontiguousarray(rows).view(f"V{root * rows.itemsize}")
+    at = (np.arange(root) + shifts[:, None]) % root
+    return np.take_along_axis(blocks, at, axis=1).view(rows.dtype)
 
 
 class KWiseSampler:

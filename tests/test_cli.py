@@ -56,17 +56,13 @@ def test_cli_rejects_unknown_kind(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["stream-track", "net-audit"])
 def test_cli_rejects_unknown_generator(tmp_path, capsys, kind):
-    cfg = write_config(tmp_path / "gen.cfg", f"""
-        [experiment]
-        kind = {kind}
-        trials = 100
-        [family]
-        kind = FullyIndependent
-        [params]
-        generators = identity frobnicate
-        m_list = 64
-    """)
-    assert main(["run", cfg]) == 2
+    # net-audit reads no trials and no [family]
+    sampled = ("trials = 100\n[family]\nkind = FullyIndependent\n"
+               if kind == "stream-track" else "")
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"[experiment]\nkind = {kind}\n{sampled}"
+                   "[params]\ngenerators = identity frobnicate\nm_list = 64\n")
+    assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: unknown generators ['frobnicate']")
     assert "'dyadic-bursts', 'identity', 'single-item'" in err
@@ -90,10 +86,11 @@ def test_cli_rejects_empty_list_param(tmp_path, capsys):
 def test_cli_rejects_nonpositive_workers(tmp_path, capsys):
     cfg = write_config(tmp_path / "workers.cfg", """
         [experiment]
-        kind = matrix-check
+        kind = family-verify
+        trials = 0
         workers = 0
         [params]
-        n_list = 8
+        n_list = 16
     """)
     assert main(["run", cfg]) == 2
     assert "error: workers must be at least 1, got workers=0" in capsys.readouterr().err
@@ -104,10 +101,10 @@ def test_cli_rejects_nonpositive_workers(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind,experiment,params,message", [
     ("matrix-check", "", "n_list = 8 abc", "n_list needs int values, got 'abc'"),
-    ("matrix-check", "trials = many", "n_list = 8",
+    ("family-verify", "trials = many", "n_list = 16",
      "trials needs int values, got 'many'"),
     ("matrix-check", "seed = 1e3", "n_list = 8", "seed needs int values, got '1e3'"),
-    ("matrix-check", "workers = two", "n_list = 8",
+    ("family-verify", "workers = two", "n_list = 16",
      "workers needs int values, got 'two'"),
     ("matrix-check", "", "n_list = 8\ngaussian_vectors = 1.5",
      "gaussian_vectors needs int values, got '1.5'"),
@@ -172,8 +169,44 @@ def test_cli_edge_inputs_name_the_key(tmp_path, capsys, kind, experiment,
     ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
      "[params]\nn_list = 16 64 256\nmax_norm_ratio = 3\n",
      "unknown params keys for walk-scaling: ['max_norm_ratio']"),
+    # each kind sizes its own family
+    ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
+     "[family]\nkind = AdversarialStage\nstage = H\nn = 17\n"
+     "[params]\nn_list = 16 64 256\n",
+     "unknown family keys: ['n']"),
+    ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
+     "[family]\nkind = AdversarialStage\nstage = H\nk = 9\n"
+     "[params]\nn_list = 16 64 256\n",
+     "k is read only by PolynomialKWise families; "
+     "got k=9 for AdversarialStage"),
+    ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
+     "[family]\nkind = FullyIndependent\nstage = H\n"
+     "[params]\nn_list = 16 64 256\n",
+     "stage is read only by AdversarialStage families; "
+     "got stage=H for FullyIndependent"),
+    ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
+     "[params]\nn_list = 16 64 256\n",
+     "[family] needs a kind"),
+    # maximal-mc's family comes from [family] only
+    ("[experiment]\nkind = maximal-mc\ntrials = 100\n"
+     "[params]\nn = 16\nk = 7\n",
+     "unknown params keys for maximal-mc: ['k']"),
+    # the exact kinds draw no signs and run no pool
+    ("[experiment]\nkind = matrix-check\n"
+     "[family]\nkind = Bogus\n[params]\nn_list = 8\n",
+     "unknown sections for matrix-check: ['family']"),
+    ("[experiment]\nkind = net-audit\n"
+     "[family]\nkind = FullyIndependent\n[params]\nm_list = 64\n",
+     "unknown sections for net-audit: ['family']"),
+    ("[experiment]\nkind = matrix-check\ntrials = 100\n[params]\nn_list = 8\n",
+     "unknown experiment keys for matrix-check: ['trials']"),
+    ("[experiment]\nkind = net-audit\nworkers = 2\n[params]\nm_list = 64\n",
+     "unknown experiment keys for net-audit: ['workers']"),
 ], ids=["family-seed", "params-key", "section", "experiment-key",
-        "walk-scaling-norm-ratio"])
+        "walk-scaling-norm-ratio", "family-n", "family-k-on-stage",
+        "family-stage-on-independent", "walk-scaling-no-family",
+        "maximal-mc-k", "matrix-check-family", "net-audit-family",
+        "matrix-check-trials", "net-audit-workers"])
 def test_cli_rejects_keys_a_kind_never_reads(tmp_path, capsys, body, message):
     cfg = tmp_path / "keys.cfg"
     cfg.write_text(body)
@@ -184,15 +217,77 @@ def test_cli_rejects_keys_a_kind_never_reads(tmp_path, capsys, body, message):
 
 
 def test_shipped_configs_pass_the_key_rules():
-    # every example and benchmark config must load under the key rules
+    # every example and benchmark config must load under the key rules, and
+    # every experiment kind has one
     root = Path(__file__).resolve().parents[1]
     paths = sorted([*root.glob("configs/*.cfg"),
                     *root.glob("perfbench/configs/*.cfg")])
     assert len(paths) >= 11
-    for path in paths:
-        config = ExperimentConfig.from_file(path)
+    configs = [ExperimentConfig.from_file(path) for path in paths]
+    for config in configs:
         if config.family:
             assert config.family_spec(n=64).n == 64
+    assert {config.kind for config in configs} == set(experiments.EXPERIMENT_KINDS)
+
+
+def _readme_kind_rows():
+    """{kind: {column header: cell}} from README's table of experiment kinds."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("| kind ") and "`[params]` keys" in line)
+
+    def cells(line):
+        return [cell.strip() for cell in line.strip("|").split("|")]
+
+    header = cells(lines[start])
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows[cells(line)[0].strip("`")] = dict(zip(header, cells(line)))
+    return rows
+
+
+def _keys(cell):
+    return tuple(key.strip().strip("`") for key in cell.split(","))
+
+
+def test_readme_lists_the_keys_each_kind_reads():
+    rows = _readme_kind_rows()
+    assert set(rows) == set(experiments.EXPERIMENT_KINDS)
+    for kind, reads in experiments.EXPERIMENT_KINDS.items():
+        assert _keys(rows[kind]["`[params]` keys"]) == reads.params, kind
+        assert _keys(rows[kind]["`[experiment]` keys"]) == reads.experiment, kind
+        assert (rows[kind]["`[family]`"] != "none") == ("family" in reads.sections)
+
+
+MALFORMED_BODY = ("[experiment]\nkind = family-verify\ntrials = 0\n"
+                  "[params]\nn_list = 16\n")
+
+
+@pytest.mark.parametrize("text", [
+    MALFORMED_BODY + "[params]\nn_list = 64\n",
+    MALFORMED_BODY + "n_list = 64\n",
+    "n_list = 16\n" + MALFORMED_BODY,
+], ids=["duplicate-section", "duplicate-key", "text-before-header"])
+def test_malformed_config_names_the_file(tmp_path, capsys, text):
+    cfg = tmp_path / "malformed.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed config {cfg}: ")
+
+
+def test_percent_in_a_value_is_literal(tmp_path, capsys):
+    out = tmp_path / "100%d.csv"
+    cfg = tmp_path / "percent.cfg"
+    cfg.write_text("[experiment]\nkind = family-verify\ntrials = 0\n"
+                   f"output = {out}\n[params]\nn_list = 16\n")
+    assert main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().startswith("n,stage,quantity")
 
 
 @pytest.mark.parametrize("family", ["kind = PolynomialKWise\nk = 4",
@@ -459,7 +554,6 @@ def test_maximal_mc_run(tmp_path, capsys):
         seed = 9
         [params]
         n = 256
-        k = 4
         lambda_mults = 2 4
     """)
     assert main(["run", cfg]) == 0

@@ -256,17 +256,41 @@ def test_family_spec_config_roundtrip():
         FamilySpec(kind="AdversarialStage", n=256, stage="H2"),
     ]
     configs = [
-        {"kind": "FullyIndependent", "n": "7"},
-        {"kind": "PolynomialKWise", "n": "64", "k": "4"},
-        {"kind": "AdversarialStage", "n": "256", "stage": "H2"},
+        {"kind": "FullyIndependent"},
+        {"kind": "PolynomialKWise", "k": "4"},
+        {"kind": "AdversarialStage", "stage": "H2"},
         # kind and stage may be spelled in any case
-        {"kind": "polynomialKWISE", "n": "64", "k": "4"},
-        {"kind": "adversarialstage", "n": "256", "stage": "h2"},
+        {"kind": "polynomialKWISE", "k": "4"},
+        {"kind": "adversarialstage", "stage": "h2"},
     ]
     for spec, config in zip(specs, configs):
-        assert FamilySpec.from_config(config) == spec
+        # the experiment sizes the family; the section holds no n
+        assert FamilySpec.from_config(config, spec.n) == spec
         # pool workers receive the spec itself, pickled
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+@pytest.mark.parametrize("kind,k,stage,message", [
+    ("FullyIndependent", 4, None, "k is read only by PolynomialKWise families; "
+     "got k=4 for FullyIndependent"),
+    ("AdversarialStage", 4, "H", "k is read only by PolynomialKWise families; "
+     "got k=4 for AdversarialStage"),
+    ("FullyIndependent", None, "H", "stage is read only by AdversarialStage "
+     "families; got stage=H for FullyIndependent"),
+    ("PolynomialKWise", 4, "H1", "stage is read only by AdversarialStage "
+     "families; got stage=H1 for PolynomialKWise"),
+], ids=["k-independent", "k-adversarial", "stage-independent", "stage-kwise"])
+def test_family_spec_rejects_stray_k_and_stage(kind, k, stage, message):
+    with pytest.raises(ValueError) as err:
+        FamilySpec(kind=kind, n=16, k=k, stage=stage)
+    assert str(err.value) == message
+    section = {key: str(v) for key, v in
+               {"kind": kind, "k": k, "stage": stage}.items() if v is not None}
+    with pytest.raises(ValueError) as err:
+        FamilySpec.from_config(section, 16)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="unknown family keys: \\['n'\\]"):
+        FamilySpec.from_config({"kind": kind, "n": "16"}, 16)
 
 
 def test_independence_order():
