@@ -35,8 +35,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_run(args) -> int:
     config = experiments.ExperimentConfig.from_file(args.config)
+    reads = experiments.EXPERIMENT_KINDS[config.kind].experiment
     for key in ("trials", "seed", "output", "workers"):
         if getattr(args, key) is not None:
+            if key not in reads:
+                raise ValueError(f"{config.kind} does not read --{key}")
             setattr(config, key, getattr(args, key))
     table = experiments.run(config)
     if args.json:

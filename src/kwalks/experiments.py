@@ -195,6 +195,9 @@ def run(config: ExperimentConfig) -> ResultTable:
         rng_bit_generator=BIT_GENERATOR.__name__, trial_chunk=TRIAL_CHUNK,
         tile_signs=sign_families.TILE_SIGNS, numpy_version=np.__version__,
         wall_time_s=f"{time.time() - started:.3f}", peak_rss_mb=_peak_rss_mb())
+    # an exact kind's footer names no run control it never read
+    for key in {"trials", "workers"} - set(EXPERIMENT_KINDS[config.kind].experiment):
+        del table.metadata[key]
     if config.output:
         table.write_csv(config.output)
     return table
@@ -370,8 +373,9 @@ def _run_stream_track(config: ExperimentConfig) -> ResultTable:
     table = ResultTable(header=["generator", "m", "k", "mean", "stderr",
                                 "normalized", "trials", "seed"])
     m_values = config.int_list("m_list", "64 256 1024 4096 16384")
-    k = config.get_int("k", 2)
-    max_ratio = config.get_float("max_norm_ratio", 0.0)
+    k = _positive("k", config.get_int("k", 2))
+    max_ratio = (_positive("max_norm_ratio", config.get_float("max_norm_ratio", 0.0))
+                 if "max_norm_ratio" in config.params else None)
     gens = config.generators("identity")
     runs = [[gen(m) for m in m_values] for _, gen in gens]
     jobs = [streams.sup_moment_job(stream, config.family_spec(stream.n), k,
@@ -388,7 +392,7 @@ def _run_stream_track(config: ExperimentConfig) -> ResultTable:
             normalized.append(est.mean / denom)
             table.add(gen_name, m, k, est.mean, est.stderr, normalized[-1],
                       config.trials, config.seed)
-        if max_ratio > 0:
+        if max_ratio is not None:
             ratio = max(normalized) / min(normalized)
             table.check(f"{gen_name} normalized order-{k} ratio",
                         ratio <= max_ratio, f"max/min {ratio:.2f}")

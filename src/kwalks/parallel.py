@@ -91,14 +91,13 @@ class ColumnMoments:
 @dataclass(frozen=True)
 class MomentJob:
     """One estimate of mc_moments: the columns of stat(batch, *stat_args)
-    over trials rows of make_sampler(spec, branch), drawn from the chunk
+    over trials rows of make_sampler(spec), drawn from the chunk
     substreams of seed.
 
     stat is a module-level function mapping a (count, n) batch of sign
     rows to count values or a (count, columns) array; each row's values
     must not depend on the other rows, since a chunk may reach stat in
-    row tiles.  branch, one of H_BRANCHES, draws the rows from that branch
-    of a stage-H family.
+    row tiles.
     """
 
     stat: Callable
@@ -106,7 +105,6 @@ class MomentJob:
     spec: FamilySpec
     trials: int
     seed: int
-    branch: str | None = None
 
 
 def _moment_chunk(args, rng, count):
@@ -117,8 +115,8 @@ def _moment_chunk(args, rng, count):
     draws the chunk as one tile.  The per-row values are joined into one
     (count, columns) array, so the sums are those of a single tile.
     """
-    spec, branch, stat, stat_args = args
-    sampler = make_sampler(spec, branch)
+    spec, stat, stat_args = args
+    sampler = make_sampler(spec)
     step = tile_rows(spec.n) if sampler.tileable else count
     values = []
     for lo in range(0, count, step):
@@ -136,17 +134,17 @@ def mc_moments(jobs: Sequence[MomentJob], workers: int = 1) -> list[ColumnMoment
     """Column means and standard errors of every job of a batch, one
     ColumnMoments per job; a single estimate is a batch of one.
 
-    Every job is checked and its sampler built before any chunk runs: a
-    bad branch or too few trials in any job raises first, and forked pool
-    workers inherit the cached samplers (make_sampler caches 16).
+    Every job is checked and its sampler built before any chunk runs: too
+    few trials in any job raises first, and forked pool workers inherit the
+    cached samplers (make_sampler caches 16).
     """
     for job in jobs:
         if job.trials < 100:
             raise ValueError("need at least 100 trials")
-        make_sampler(job.spec, job.branch)
+        make_sampler(job.spec)
     sums = map_reduce_chunks(
         _moment_chunk,
-        [((job.spec, job.branch, job.stat, job.stat_args), job.trials,
+        [((job.spec, job.stat, job.stat_args), job.trials,
           job.seed, job.spec.n) for job in jobs],
         workers)
     out = []

@@ -20,7 +20,7 @@ origin as pairwise independence allows.  It is assembled in four stages:
 Stage H is therefore an exact three-branch mixture (`H_BRANCHES`): the
 rotated drift branch (H2 up to a global sign), the pair-mode branch and the
 balanced-subset branch.  `AdversarialParams.branch_weights` holds the exact
-weights and `make_sampler(spec, branch)` draws from one branch.
+weights, and a spec whose `branch` names one of them draws from that branch.
 
 All stage constants are exact rationals; samplers convert them to floats
 once at construction.
@@ -109,20 +109,24 @@ class FamilySpec:
 
     kind selects the construction; n is the domain size; k is the
     independence order (polynomial families only); stage picks one of the
-    adversarial stages.  The seed belongs to the experiment drawing from it.
+    adversarial stages, and branch, one of H_BRANCHES, conditions stage H on
+    that branch of its mixture.  The seed belongs to the experiment drawing
+    from it.
     """
 
     kind: str
     n: int
     k: int | None = None
     stage: str | None = None
+    branch: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
-        for key, owner in (("k", POLYNOMIAL_KWISE), ("stage", ADVERSARIAL_STAGE)):
+        for key, owner in (("k", POLYNOMIAL_KWISE), ("stage", ADVERSARIAL_STAGE),
+                           ("branch", ADVERSARIAL_STAGE)):
             value = getattr(self, key)
             if value is not None and self.kind != owner:
                 raise ValueError(f"{key} is read only by {owner} families; "
@@ -135,6 +139,10 @@ class FamilySpec:
                 raise ValueError(f"stage must be one of {STAGES}")
             if self.n < 16 or not _is_power_of_four(self.n):
                 raise ValueError("adversarial family needs n a power of 4, n >= 16")
+            if self.branch is not None and (self.stage != "H"
+                                            or self.branch not in H_BRANCHES):
+                raise ValueError(f"branch needs stage H and one of {H_BRANCHES}; "
+                                 f"got branch={self.branch} for stage {self.stage}")
 
     @property
     def independence_order(self) -> int:
@@ -143,13 +151,13 @@ class FamilySpec:
             return self.n
         if self.kind == POLYNOMIAL_KWISE:
             return self.k  # type: ignore[return-value]
-        return 2 if self.stage == "H" else 1
+        return 2 if self.stage == "H" and self.branch is None else 1
 
     @classmethod
     def from_config(cls, mapping: dict[str, str], n: int) -> "FamilySpec":
         """Spec of size n from a [family] section's strings; kind and stage
         may be spelled in any case.  The experiment sizes the family, so
-        the section holds no n."""
+        the section holds no n, and no config draws from a branch."""
         unknown = set(mapping) - {"kind", "k", "stage"}
         if unknown:
             raise ValueError(f"unknown family keys: {sorted(unknown)}")
@@ -350,30 +358,15 @@ def h2_cross_term_ratio(n: int) -> Fraction:
 # --------------------------------------------------------------------------
 # samplers
 
-# The float tables of AdversarialParams that each kernel (stage or branch)
-# reads.  A sampler builds them at construction, so one built in the parent
-# reaches forked workers complete.
-_KERNEL_TABLES = {
-    "H1": ("h1_cut",), "H2": ("h1_cut",), "drift": ("h1_cut",),
-    "H3": ("h1_cut", "mode_cdf", "pair_modes"),
-    "H": ("h1_cut", "mode_cdf", "pair_modes", "p_float", "balanced_keys"),
-    "pairs": ("pair_mode_cdf", "pair_modes"),
-    "balanced": ("balanced_keys",),
-}
-
-# The kernels that draw their rows in row order (see AdversarialSampler).
-_TILEABLE_KERNELS = ("H1", "balanced")
-
-
 class AdversarialSampler:
     """Draws from one adversarial stage, or from one branch of stage H.
     Immutable after construction.
 
-    branch, one of H_BRANCHES, conditions stage H on that branch of its
-    mixture: drift is the rotated stage times a fair global sign, pairs a
-    pair mode (chosen with probability proportional to |g|) times a fair
-    global sign, balanced the per-block balanced subsets.  Mixing the
-    branches with `params.branch_weights` gives stage H exactly.
+    A branch conditions stage H on that branch of its mixture: drift is the
+    rotated stage times a fair global sign, pairs a pair mode (chosen with
+    probability proportional to |g|) times a fair global sign, balanced the
+    per-block balanced subsets.  Mixing the branches with
+    `params.branch_weights` gives stage H exactly.
 
     tileable means that sample_batch(rng, a + b) equals sample_batch(rng,
     a) followed by sample_batch(rng, b), byte for byte.  It holds for H1
@@ -381,25 +374,18 @@ class AdversarialSampler:
     kernels draw a per-batch vector first.
     """
 
-    def __init__(self, params: AdversarialParams, stage: str,
-                 branch: str | None = None):
-        if stage not in STAGES:
-            raise ValueError(f"stage must be one of {STAGES}")
-        if branch is not None and (stage != "H" or branch not in H_BRANCHES):
-            raise ValueError(f"branch needs stage H and one of {H_BRANCHES}")
-        self.params = params
-        self.stage = stage
-        self.branch = branch
-        self.n = params.n
-        self.tileable = (branch or stage) in _TILEABLE_KERNELS
-        for table in _KERNEL_TABLES[branch or stage]:
-            getattr(params, table)
+    def __init__(self, spec: FamilySpec):
+        self.params = adversarial_params(spec.n)
+        self.stage = spec.stage
+        self.n = self.params.n
+        self._draw, tables, self.tileable = _KERNELS[spec.branch or spec.stage]
+        for table in tables:
+            getattr(self.params, table)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size < 0:
             raise ValueError("size must be nonnegative")
-        kernel = "_batch_" + (self.branch or self.stage).lower()
-        return getattr(self, kernel)(rng, size)
+        return self._draw(self, rng, size)
 
     def _batch_h1(self, rng, size, keep=None):
         """H1 rows: +1 where a word's top 53 bits are below h1_cut, that is
@@ -488,6 +474,24 @@ class AdversarialSampler:
         return rows
 
 
+# Per kernel (a stage, or a branch of stage H): its draw method, the float
+# tables of AdversarialParams it reads, and whether it is tileable.  A
+# sampler builds its tables at construction, so one built in the parent
+# reaches forked workers complete.
+_KERNELS = {
+    "H1": (AdversarialSampler._batch_h1, ("h1_cut",), True),
+    "H2": (AdversarialSampler._batch_h2, ("h1_cut",), False),
+    "H3": (AdversarialSampler._batch_h3, ("h1_cut", "mode_cdf", "pair_modes"),
+           False),
+    "H": (AdversarialSampler._batch_h, ("h1_cut", "mode_cdf", "pair_modes",
+                                        "p_float", "balanced_keys"), False),
+    "drift": (AdversarialSampler._batch_drift, ("h1_cut",), False),
+    "pairs": (AdversarialSampler._batch_pairs, ("pair_mode_cdf", "pair_modes"),
+              False),
+    "balanced": (AdversarialSampler._batch_balanced, ("balanced_keys",), True),
+}
+
+
 def _chunked_signs(size: int, n: int, draw, keep=None) -> np.ndarray:
     """Int8 rows, +1 where draw is true and -1 elsewhere.
 
@@ -569,12 +573,11 @@ class KWiseSampler:
 
     tileable = True
 
-    def __init__(self, n: int, k: int):
-        if not 2 <= k <= n:
-            raise ValueError("need 2 <= k <= n")
-        self.n = n
-        self.k = k
-        self.tables = parity_tables(point_lsb_vectors(GF2Field(64), n, k), 64)
+    def __init__(self, spec: FamilySpec):
+        self.n = spec.n
+        self.k = spec.k
+        self.tables = parity_tables(
+            point_lsb_vectors(GF2Field(64), self.n, self.k), 64)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size < 0:
@@ -588,10 +591,8 @@ class IndependentSampler:
 
     tileable = True
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be positive")
-        self.n = n
+    def __init__(self, spec: FamilySpec):
+        self.n = spec.n
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if size < 0:
@@ -599,24 +600,15 @@ class IndependentSampler:
         return _uniform_signs(rng, size, self.n)
 
 
-def make_sampler(spec: FamilySpec, branch: str | None = None):
-    """Sampler for any family spec, or for one branch (of H_BRANCHES) of a
-    stage-H family.  Samplers are stateless between calls and built once
-    per (spec, branch)."""
-    # positional, so make_sampler(spec) and make_sampler(spec, None) share
-    # one cache entry
-    return _build_sampler(spec, branch)
-
-
 @lru_cache(maxsize=16)
-def _build_sampler(spec: FamilySpec, branch: str | None):
-    if spec.kind == ADVERSARIAL_STAGE:
-        return AdversarialSampler(adversarial_params(spec.n), spec.stage, branch)
-    if branch is not None:
-        raise ValueError("branches are defined for adversarial stage H only")
-    if spec.kind == FULLY_INDEPENDENT:
-        return IndependentSampler(spec.n)
-    return KWiseSampler(spec.n, spec.k)
+def make_sampler(spec: FamilySpec):
+    """Sampler for any family spec, a stage-H branch included.  Samplers are
+    stateless between calls and built once per spec."""
+    return _SAMPLERS[spec.kind](spec)
+
+
+_SAMPLERS = {FULLY_INDEPENDENT: IndependentSampler, POLYNOMIAL_KWISE: KWiseSampler,
+             ADVERSARIAL_STAGE: AdversarialSampler}
 
 
 # --------------------------------------------------------------------------

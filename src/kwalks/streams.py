@@ -388,6 +388,8 @@ def sup_moment_job(stream: InsertionStream, spec: FamilySpec, k: int,
     """The mc_moments job behind mc_sup_moment."""
     if spec.n != stream.n:
         raise ValueError("family dimension must match the stream dimension")
+    if k < 1:
+        raise ValueError(f"moment order must be positive, got k={k}")
     # beyond n coordinates the independence requirement is vacuous
     needed = min(2 if k == 2 else k, spec.n)
     if spec.independence_order < needed:

@@ -121,11 +121,11 @@ def sup_moment_rows(batch: np.ndarray, moment_order: int) -> np.ndarray:
 
 
 def sup_moment_job(spec: FamilySpec, moment_order: int, trials: int,
-                   seed: int, branch: str | None = None) -> MomentJob:
+                   seed: int) -> MomentJob:
     """The mc_moments job behind estimate_sup_moment."""
     if moment_order < 1:
         raise ValueError("moment order must be positive")
-    return MomentJob(sup_moment_rows, (moment_order,), spec, trials, seed, branch)
+    return MomentJob(sup_moment_rows, (moment_order,), spec, trials, seed)
 
 
 def sup_estimates(jobs: Sequence[MomentJob], workers: int = 1) -> list[SupEstimate]:
@@ -138,14 +138,9 @@ def sup_estimates(jobs: Sequence[MomentJob], workers: int = 1) -> list[SupEstima
 
 
 def estimate_sup_moment(spec: FamilySpec, moment_order: int, trials: int,
-                        seed: int, workers: int = 1,
-                        branch: str | None = None) -> SupEstimate:
-    """Sample mean and standard error of (sup_t |S_t|)^moment_order.
-
-    branch, one of H_BRANCHES, conditions a stage-H family on that branch
-    of its mixture; None samples the family itself.
-    """
-    job = sup_moment_job(spec, moment_order, trials, seed, branch)
+                        seed: int, workers: int = 1) -> SupEstimate:
+    """Sample mean and standard error of (sup_t |S_t|)^moment_order."""
+    job = sup_moment_job(spec, moment_order, trials, seed)
     return sup_estimates([job], workers)[0]
 
 
@@ -177,12 +172,12 @@ class ScalingTable:
 
 def scaling_table(spec_template: FamilySpec, n_values: Sequence[int],
                   moment_order: int, trials: int, seed: int,
-                  workers: int = 1, branch: str | None = None) -> ScalingTable:
+                  workers: int = 1) -> ScalingTable:
     """estimate_sup_moment for each n, with per-row derived seeds, once
     every n has passed ScalingTable's rule; the rows are one batch."""
     ScalingTable.check_n_values(list(n_values))
     jobs = [sup_moment_job(spec_template.with_n(n), moment_order, trials,
-                           mix64(seed, idx), branch)
+                           mix64(seed, idx))
             for idx, n in enumerate(n_values)]
     return ScalingTable(rows=tuple(zip(n_values, sup_estimates(jobs, workers))))
 

@@ -47,10 +47,9 @@ def test_criterion_1_exact_pairwise_independence():
     finish(failures)
 
 
-def _scaling(kind_kwargs, order, seed, branch=None):
+def _scaling(kind_kwargs, order, seed):
     spec = FamilySpec(n=WALK_NS[0], **kind_kwargs)
-    return walks.scaling_table(spec, WALK_NS, order, 10 ** 4, seed,
-                               branch=branch)
+    return walks.scaling_table(spec, WALK_NS, order, 10 ** 4, seed)
 
 
 def independent_sup_mean(n: int) -> float:
@@ -102,8 +101,8 @@ def test_independent_sup_mean_matches_enumeration():
 
 def _branch_tables(order, seed):
     """Scaling tables of stage H conditioned on each of its branches."""
-    return {branch: _scaling(dict(kind="AdversarialStage", stage="H"), order,
-                             mix64(seed, b), branch)
+    return {branch: _scaling(dict(kind="AdversarialStage", stage="H",
+                                  branch=branch), order, mix64(seed, b))
             for b, branch in enumerate(H_BRANCHES)}
 
 

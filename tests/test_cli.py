@@ -137,7 +137,16 @@ def test_cli_number_errors_name_the_key(tmp_path, capsys, kind, experiment,
     ("walk-scaling", "trials = 100",
      "[family]\nkind = PolynomialKWise\nk = four\n[params]\nn_list = 16 64 256",
      "k needs int values, got 'four'"),
-], ids=["lambda_mults", "realizations", "trials", "gaussian_vectors", "family-k"])
+    ("stream-track", "trials = 100",
+     "[family]\nkind = FullyIndependent\n[params]\nm_list = 64\nk = 0",
+     "k must be positive, got k=0"),
+    # a ratio gate at or below 0 would drop the check and let the run pass
+    ("stream-track", "trials = 100",
+     "[family]\nkind = FullyIndependent\n[params]\nm_list = 64\n"
+     "max_norm_ratio = -1",
+     "max_norm_ratio must be positive, got max_norm_ratio=-1.0"),
+], ids=["lambda_mults", "realizations", "trials", "gaussian_vectors", "family-k",
+        "stream-k", "max_norm_ratio"])
 def test_cli_edge_inputs_name_the_key(tmp_path, capsys, kind, experiment,
                                       section, message):
     cfg = tmp_path / "edge.cfg"
@@ -187,6 +196,11 @@ def test_cli_edge_inputs_name_the_key(tmp_path, capsys, kind, experiment,
     ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
      "[params]\nn_list = 16 64 256\n",
      "[family] needs a kind"),
+    # a branch of stage H is drawn through the API only
+    ("[experiment]\nkind = walk-scaling\ntrials = 100\n"
+     "[family]\nkind = AdversarialStage\nstage = H\nbranch = drift\n"
+     "[params]\nn_list = 16 64 256\n",
+     "unknown family keys: ['branch']"),
     # maximal-mc's family comes from [family] only
     ("[experiment]\nkind = maximal-mc\ntrials = 100\n"
      "[params]\nn = 16\nk = 7\n",
@@ -204,7 +218,7 @@ def test_cli_edge_inputs_name_the_key(tmp_path, capsys, kind, experiment,
      "unknown experiment keys for net-audit: ['workers']"),
 ], ids=["family-seed", "params-key", "section", "experiment-key",
         "walk-scaling-norm-ratio", "family-n", "family-k-on-stage",
-        "family-stage-on-independent", "walk-scaling-no-family",
+        "family-stage-on-independent", "walk-scaling-no-family", "family-branch",
         "maximal-mc-k", "matrix-check-family", "net-audit-family",
         "matrix-check-trials", "net-audit-workers"])
 def test_cli_rejects_keys_a_kind_never_reads(tmp_path, capsys, body, message):
@@ -214,6 +228,28 @@ def test_cli_rejects_keys_a_kind_never_reads(tmp_path, capsys, body, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind,params", [("matrix-check", "n_list = 8"),
+                                         ("net-audit", "m_list = 64")])
+def test_exact_kinds_reject_run_controls_they_never_read(tmp_path, capsys,
+                                                        kind, params):
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text(f"[experiment]\nkind = {kind}\n[params]\n{params}\n")
+    for flag in ("--trials", "--workers"):
+        assert main(["run", str(cfg), flag, "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {kind} does not read {flag}\n"
+    out = tmp_path / "exact.csv"
+    assert main(["run", str(cfg), "--output", str(out), "--seed", "4",
+                 "--json"]) == 0
+    metadata = json.loads(capsys.readouterr().out)["metadata"]
+    footer = [line for line in out.read_text().splitlines()
+              if line.startswith("#")]
+    assert metadata["seed"] == 4 and "# seed=4" in footer
+    assert not {"trials", "workers"} & set(metadata)
+    assert not any(line.startswith(("# trials=", "# workers=")) for line in footer)
 
 
 def test_shipped_configs_pass_the_key_rules():
@@ -362,7 +398,7 @@ def test_family_verify_detects_corruption(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sf, "g_table", corrupted)
     sf.adversarial_params.cache_clear()
-    sf._build_sampler.cache_clear()
+    sf.make_sampler.cache_clear()
     try:
         table = run(ExperimentConfig.from_file(cfg))
         assert not table.all_passed
@@ -371,7 +407,7 @@ def test_family_verify_detects_corruption(tmp_path, monkeypatch):
     finally:
         monkeypatch.undo()
         sf.adversarial_params.cache_clear()
-        sf._build_sampler.cache_clear()
+        sf.make_sampler.cache_clear()
 
 
 def _stage_checks(tmp_path, stage):
@@ -398,10 +434,10 @@ def test_family_verify_stage_lines_pass(tmp_path, stage, name):
 @pytest.fixture
 def fresh_params():
     sf.adversarial_params.cache_clear()
-    sf._build_sampler.cache_clear()
+    sf.make_sampler.cache_clear()
     yield
     sf.adversarial_params.cache_clear()
-    sf._build_sampler.cache_clear()
+    sf.make_sampler.cache_clear()
 
 
 def test_family_verify_h2_line_fails_on_a_corrupted_g(tmp_path, monkeypatch,

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -439,6 +440,8 @@ def test_mc_tail_rejects_weak_independence():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
     with pytest.raises(ValueError):
         mi.mc_tail(spec, [1.0] * 16, [4.0], 1000, seed=1)
+    with pytest.raises(ValueError):
+        mi.mc_tail(replace(spec, branch="drift"), [1.0] * 16, [4.0], 1000, seed=1)
     good = FamilySpec(kind="PolynomialKWise", n=16, k=4)
     with pytest.raises(ValueError):
         mi.mc_tail(good, [1.0] * 8, [4.0], 1000, seed=1)

@@ -46,11 +46,13 @@ def _good_job(spec):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_moments_rejects_bad_branch_before_any_chunk(monkeypatch, stage,
                                                         branch, workers):
+    """The branch lives in the spec, which refuses a bad one when it is
+    built, so a batch holding it never reaches a chunk."""
     monkeypatch.setattr(parallel, "_run_chunk", _unreachable)
     spec = FamilySpec(kind="AdversarialStage", n=16, stage=stage)
-    bad = MomentJob(walks.sup_moment_rows, (1,), spec, TWO_CHUNKS, 1, branch)
     with pytest.raises(ValueError, match="stage H"):
-        mc_moments([_good_job(spec), bad], workers=workers)
+        mc_moments([_good_job(spec),
+                    _good_job(replace(spec, branch=branch))], workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -129,9 +131,9 @@ def test_batch_rows_do_not_depend_on_the_worker_count(pool_sizes, name):
 
 
 def test_branch_scaling_rows_do_not_depend_on_the_worker_count(pool_sizes):
-    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
+    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H", branch="drift")
     tables = [walks.scaling_table(spec, [16, 64, 256], 1, 2100, seed=8,
-                                  workers=workers, branch="drift")
+                                  workers=workers)
               for workers in (1, 2, 3)]
     assert tables[0] == tables[1] == tables[2]
     assert pool_sizes == [2, 3]
@@ -151,7 +153,8 @@ def test_pinned_estimate_sup_moment():
     spec = FamilySpec(kind="AdversarialStage", n=64, stage="H")
     est = estimate_sup_moment(spec, 2, TWO_CHUNKS, seed=7)
     assert (est.mean, est.stderr) == (110.918, 5.009581970317816)
-    est = estimate_sup_moment(spec, 1, TWO_CHUNKS, seed=7, branch="pairs")
+    est = estimate_sup_moment(replace(spec, branch="pairs"), 1, TWO_CHUNKS,
+                              seed=7)
     assert (est.mean, est.stderr) == (16.928, 0.16725791660386854)
 
 
@@ -180,28 +183,29 @@ def test_pinned_mc_tail():
 # --------------------------------------------------------------------------
 # row tiles
 
-# spec, branch and whether the sampler is tileable, per sampler
+def _adversarial(stage, branch=None):
+    return FamilySpec(kind="AdversarialStage", n=1024, stage=stage, branch=branch)
+
+
+# spec and whether the sampler is tileable, per sampler
 SAMPLERS = {
-    "kwise": (FamilySpec(kind="PolynomialKWise", n=1024, k=4), None, True),
-    "independent": (FamilySpec(kind="FullyIndependent", n=1024), None, True),
-    "H1": (FamilySpec(kind="AdversarialStage", n=1024, stage="H1"), None, True),
-    "balanced": (FamilySpec(kind="AdversarialStage", n=1024, stage="H"),
-                 "balanced", True),
-    "H2": (FamilySpec(kind="AdversarialStage", n=1024, stage="H2"), None, False),
-    "H3": (FamilySpec(kind="AdversarialStage", n=1024, stage="H3"), None, False),
-    "H": (FamilySpec(kind="AdversarialStage", n=1024, stage="H"), None, False),
-    "drift": (FamilySpec(kind="AdversarialStage", n=1024, stage="H"), "drift",
-              False),
-    "pairs": (FamilySpec(kind="AdversarialStage", n=1024, stage="H"), "pairs",
-              False),
+    "kwise": (FamilySpec(kind="PolynomialKWise", n=1024, k=4), True),
+    "independent": (FamilySpec(kind="FullyIndependent", n=1024), True),
+    "H1": (_adversarial("H1"), True),
+    "balanced": (_adversarial("H", "balanced"), True),
+    "H2": (_adversarial("H2"), False),
+    "H3": (_adversarial("H3"), False),
+    "H": (_adversarial("H"), False),
+    "drift": (_adversarial("H", "drift"), False),
+    "pairs": (_adversarial("H", "pairs"), False),
 }
 
 
 @pytest.mark.parametrize("name", SAMPLERS)
 @pytest.mark.parametrize("rows", [1, 7, tile_rows(1024)])
 def test_only_tileable_samplers_draw_the_same_rows_in_tiles(name, rows):
-    spec, branch, tiled = SAMPLERS[name]
-    sampler = make_sampler(spec, branch)
+    spec, tiled = SAMPLERS[name]
+    sampler = make_sampler(spec)
     assert sampler.tileable is tiled
     count = 2 * tile_rows(spec.n) + 88
     whole = sampler.sample_batch(substream(5, 0), count)
@@ -220,9 +224,9 @@ def _recording_stat(sizes):
 
 @pytest.mark.parametrize("name", SAMPLERS)
 def test_moment_chunk_tiles_only_tileable_samplers(name):
-    spec, branch, tiled = SAMPLERS[name]
+    spec, tiled = SAMPLERS[name]
     sizes = []
-    parallel._moment_chunk((spec, branch, _recording_stat(sizes), ()),
+    parallel._moment_chunk((spec, _recording_stat(sizes), ()),
                            substream(1, 0), 600)
     step = tile_rows(spec.n)
     assert sizes == ([step, step, 600 - 2 * step] if tiled else [600])
@@ -247,7 +251,7 @@ def test_chunk_totals_do_not_depend_on_the_tile_size(monkeypatch, name):
     totals = []
     for rows in (1, 7, count):
         monkeypatch.setattr(sign_families, "TILE_SIGNS", rows * spec.n)
-        totals.append(parallel._moment_chunk((spec, None, stat, stat_args),
+        totals.append(parallel._moment_chunk((spec, stat, stat_args),
                                              substream(2, 0), count))
     assert totals[0] == totals[1] == totals[2]
 

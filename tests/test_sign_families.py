@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kwalks import sign_families
 from kwalks.gf2 import all_polynomial_signs
 from kwalks.rng import substream
 from kwalks.sign_families import (H_BRANCHES, RAW_WORD_GENERATORS,
@@ -26,6 +27,15 @@ from kwalks.sign_families import (H_BRANCHES, RAW_WORD_GENERATORS,
                                   h2_cross_term_ratio, make_sampler)
 
 F = Fraction
+
+
+def adversarial(n, stage, branch=None):
+    """Spec of an adversarial stage, or of one branch of stage H."""
+    return FamilySpec(kind="AdversarialStage", n=n, stage=stage, branch=branch)
+
+
+def kwise(n, k):
+    return FamilySpec(kind="PolynomialKWise", n=n, k=k)
 
 
 def mean_at(moments, i):
@@ -206,7 +216,7 @@ def test_h3_top_uniform_draws_last_pair_mode(n):
     # must come from the last pair mode: block root-2 at +1, block root-1
     # at its forced sign
     params = adversarial_params(n)
-    rows = AdversarialSampler(params, "H3").sample_batch(
+    rows = AdversarialSampler(adversarial(n, "H3")).sample_batch(
         _TopUniformFirst(substream(17, n)), 2)
     assert rows.shape == (2, n)
     root = params.root
@@ -298,15 +308,16 @@ def test_independence_order():
     assert FamilySpec(kind="PolynomialKWise", n=16, k=4).independence_order == 4
     assert FamilySpec(kind="AdversarialStage", n=16, stage="H").independence_order == 2
     assert FamilySpec(kind="AdversarialStage", n=16, stage="H2").independence_order == 1
+    for branch in H_BRANCHES:
+        assert adversarial(16, "H", branch).independence_order == 1
 
 
 # --------------------------------------------------------------------------
 # samplers: structure
 
 def test_h1_forced_blocks_n16():
-    params = adversarial_params(16)
     rng = substream(7, 0)
-    batch = AdversarialSampler(params, "H1").sample_batch(rng, 200)
+    batch = AdversarialSampler(adversarial(16, "H1")).sample_batch(rng, 200)
     # bias 1 at block 2 (entries 5..8) and bias 0 at block 3 (entries 9..12)
     assert (batch[:, 4:8] == 1).all()
     assert (batch[:, 8:12] == -1).all()
@@ -314,19 +325,17 @@ def test_h1_forced_blocks_n16():
 
 
 def test_h1_single_draw_shape():
-    params = adversarial_params(16)
-    draw = AdversarialSampler(params, "H1").sample_batch(substream(8, 0), 1)
+    draw = AdversarialSampler(adversarial(16, "H1")).sample_batch(substream(8, 0), 1)
     assert draw.shape == (1, 16)
     assert set(np.unique(draw)) <= {-1, 1}
 
 
 def test_h1_empirical_mean_first_entry():
     # entry 1 sits in block 1 where the mean is 1/2
-    params = adversarial_params(16)
     rng = substream(9, 0)
     total = 0.0
     trials = 10 ** 6
-    sampler = AdversarialSampler(params, "H1")
+    sampler = AdversarialSampler(adversarial(16, "H1"))
     for _ in range(trials // 10 ** 5):
         total += sampler.sample_batch(rng, 10 ** 5)[:, 0].sum()
     mean = total / trials
@@ -337,9 +346,8 @@ def test_h1_empirical_mean_first_entry():
 def test_h2_is_block_rotation_of_h1():
     # every rotated draw keeps one all-plus block cyclically followed by an
     # all-minus block (the two saturated biases of the base stage)
-    params = adversarial_params(16)
     rng = substream(10, 0)
-    batch = AdversarialSampler(params, "H2").sample_batch(rng, 300)
+    batch = AdversarialSampler(adversarial(16, "H2")).sample_batch(rng, 300)
     for row in batch:
         blocks = row.reshape(4, 4)
         plus = [c for c in range(4) if (blocks[c] == 1).all()]
@@ -388,7 +396,7 @@ def test_h3_empirical_moments():
 def test_h_block_sums_vanish_on_subset_branch():
     params = adversarial_params(16)
     rng = substream(13, 0)
-    batch = AdversarialSampler(params, "H").sample_batch(rng, 2000)
+    batch = AdversarialSampler(adversarial(16, "H")).sample_batch(rng, 2000)
     block_sums = batch.reshape(-1, 4, 4).sum(axis=2)
     frac_balanced = (block_sums == 0).all(axis=1).mean()
     # the subset branch (probability 1 - p = 5/8) always balances each block
@@ -436,19 +444,20 @@ def _pinned_rows(draw, n, digest):
 def test_adversarial_sample_batch_pinned_stream():
     digest = hashlib.sha256()
     for n in ADV_PIN_NS:
-        params = adversarial_params(n)
         for stage in ("H1", "H2", "H3", "H"):
-            _pinned_rows(AdversarialSampler(params, stage).sample_batch, n, digest)
-        spec = FamilySpec(kind="AdversarialStage", n=n, stage="H")
+            _pinned_rows(make_sampler(adversarial(n, stage)).sample_batch, n,
+                         digest)
         for branch in H_BRANCHES:
-            _pinned_rows(make_sampler(spec, branch).sample_batch, n, digest)
+            _pinned_rows(make_sampler(adversarial(n, "H", branch)).sample_batch,
+                         n, digest)
     assert digest.hexdigest() == ADV_PIN_SHA256
 
 
 def test_independent_sample_batch_pinned_stream():
     digest = hashlib.sha256()
     for n in INDEPENDENT_PIN_NS:
-        _pinned_rows(IndependentSampler(n).sample_batch, n, digest)
+        _pinned_rows(IndependentSampler(FamilySpec(kind="FullyIndependent", n=n))
+                     .sample_batch, n, digest)
     assert digest.hexdigest() == INDEPENDENT_PIN_SHA256
 
 
@@ -499,7 +508,7 @@ def test_h1_matches_uniform_threshold(bit_generator, n):
     # the blocks where f = +1 and f = -1 draw with bias 1 and 0
     assert {0.0, 1.0} <= set(params.h1_bias.tolist())
     ours, theirs = generator_pair(bit_generator, n)
-    got = AdversarialSampler(params, "H1").sample_batch(ours, 300)
+    got = AdversarialSampler(adversarial(n, "H1")).sample_batch(ours, 300)
     want = np.where(theirs.random((300, n)) < params.h1_bias, 1, -1)
     assert (got == want).all()
     assert_same_state(ours, theirs)
@@ -527,11 +536,12 @@ def argsort_balanced_rows(rng, size, root):
 
 
 @pytest.mark.parametrize("root", range(4, 65, 2))
-def test_balanced_branch_matches_argsort(root):
+def test_balanced_branch_matches_argsort(monkeypatch, root):
     # any even root, so sort rows of one block and of several are covered
     params = replace(adversarial_params(16), n=root * root, root=root,
                      ell=root // 2)
-    sampler = AdversarialSampler(params, "H", "balanced")
+    monkeypatch.setattr(sign_families, "adversarial_params", lambda n: params)
+    sampler = AdversarialSampler(adversarial(16, "H", "balanced"))
     for bit_generator in RAW_WORD_GENERATORS:
         ours, theirs = generator_pair(bit_generator, root)
         for size in (0, 1, 5, 40):
@@ -551,8 +561,7 @@ class _ConstantWords(np.random.Philox):
 def test_balanced_branch_breaks_ties_by_source_index(n):
     # all uniforms equal: each block keeps its order, so its first ell
     # slots take the ell +1 entries
-    sampler = make_sampler(FamilySpec(kind="AdversarialStage", n=n, stage="H"),
-                           "balanced")
+    sampler = make_sampler(adversarial(n, "H", "balanced"))
     root, ell = sampler.params.root, sampler.params.ell
     blocks = sampler.sample_batch(np.random.Generator(_ConstantWords(0)),
                                   3).reshape(3, root, root)
@@ -561,11 +570,11 @@ def test_balanced_branch_breaks_ties_by_source_index(n):
 
 @pytest.mark.parametrize("size", [0, 4])
 def test_samplers_refuse_other_bit_generators(size):
-    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
-    samplers = ([AdversarialSampler(adversarial_params(16), stage)
+    samplers = ([make_sampler(adversarial(16, stage))
                  for stage in ("H1", "H2", "H3", "H")]
-                + [make_sampler(spec, branch) for branch in H_BRANCHES]
-                + [IndependentSampler(16)])
+                + [make_sampler(adversarial(16, "H", branch))
+                   for branch in H_BRANCHES]
+                + [make_sampler(FamilySpec(kind="FullyIndependent", n=16))])
     for sampler in samplers:
         rng = np.random.Generator(np.random.MT19937(3))
         with pytest.raises(TypeError, match="MT19937"):
@@ -620,7 +629,8 @@ def test_h3_rows_match_reference_with_mixed_modes(n):
     params = adversarial_params(n)
     mode, expected = reference_h3_rows(params, substream(72, n), 400)
     assert (mode == 0).any() and (mode > 0).any()
-    got = AdversarialSampler(params, "H3").sample_batch(substream(72, n), 400)
+    got = AdversarialSampler(adversarial(n, "H3")).sample_batch(substream(72, n),
+                                                               400)
     assert (got == expected).all()
 
 
@@ -658,7 +668,7 @@ def test_kwise_pairwise_exhaustive_gf16():
 
 
 def test_kwise_sampler_pair_balance():
-    sampler = KWiseSampler(64, 4)
+    sampler = make_sampler(kwise(64, 4))
     rng = substream(21, 0)
     batch = sampler.sample_batch(rng, 10 ** 5).astype(np.float64)
     gram = batch.T @ batch / len(batch)
@@ -679,7 +689,7 @@ KWISE_PIN_SHA256 = ("b484b9acb13656fd51d0888cbfb764fc"
 def test_kwise_sample_batch_pinned_stream():
     digest = hashlib.sha256()
     for n, k in KWISE_PIN_GRID:
-        sampler = KWiseSampler(n, k)
+        sampler = KWiseSampler(kwise(n, k))
         rng = np.random.default_rng(n * 100 + k)
         for size in KWISE_PIN_SIZES:
             batch = sampler.sample_batch(rng, size)
@@ -689,24 +699,25 @@ def test_kwise_sample_batch_pinned_stream():
 
 
 def test_kwise_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        KWiseSampler(4, 1)
-    with pytest.raises(ValueError):
-        KWiseSampler(4, 5)
+    # the spec owns the order rule; k = n is the largest order it allows
+    for k in (1, 5):
+        with pytest.raises(ValueError, match="2 <= k <= n"):
+            kwise(4, k)
+    assert make_sampler(kwise(4, 4)).sample_batch(substream(20, 0), 3).shape == (3, 4)
 
 
 @pytest.mark.parametrize("k,tables", [(2, 0), (3, 0), (4, 16)])
 def test_kwise_nibble_tables_only_for_nonlinear_powers(k, tables):
     # powers 1 and 2 go through the Walsh part; at width 64 each other
     # power has 16 nibble tables, and below k = 4 there is none
-    nibbles = KWiseSampler(64, k).tables.nibbles
+    nibbles = make_sampler(kwise(64, k)).tables.nibbles
     assert nibbles.shape[0] * nibbles.shape[1] == tables
 
 
 def test_kwise_direct_batch_memory_is_bounded():
     # the int8 result alone is 6.1 MiB; the kernel's temporaries are
     # O(batch) words, not O(batch * tables)
-    sampler = KWiseSampler(64, 4)
+    sampler = make_sampler(kwise(64, 4))
     tracemalloc.start()
     try:
         sampler.sample_batch(substream(22, 0), 10 ** 5)
@@ -717,8 +728,9 @@ def test_kwise_direct_batch_memory_is_bounded():
 
 
 @pytest.mark.parametrize("sampler", [
-    KWiseSampler(16, 4), IndependentSampler(16),
-    AdversarialSampler(adversarial_params(16), "H")],
+    make_sampler(kwise(16, 4)),
+    make_sampler(FamilySpec(kind="FullyIndependent", n=16)),
+    make_sampler(adversarial(16, "H"))],
     ids=lambda sampler: type(sampler).__name__)
 def test_samplers_reject_negative_sizes(sampler):
     with pytest.raises(ValueError, match="size must be nonnegative"):
@@ -1048,8 +1060,7 @@ def test_h_branch_mixture_is_stage_h():
 
 @pytest.mark.parametrize("branch", H_BRANCHES)
 def test_h_branch_empirical_moments_match_oracle(branch):
-    sampler = make_sampler(FamilySpec(kind="AdversarialStage", n=16, stage="H"),
-                           branch)
+    sampler = make_sampler(adversarial(16, "H", branch))
     rng = substream(15, H_BRANCHES.index(branch))
     emp = empirical_moments(sampler, 10 ** 6, rng)
     oracle_mean, oracle_cov = branch_oracle(branch)
@@ -1062,26 +1073,41 @@ def test_h_branch_empirical_moments_match_oracle(branch):
 
 
 def test_make_sampler_rejects_bad_branch():
+    """A bad branch is refused when its spec is built, so no sampler for it
+    exists: on stages H1/H2/H3, with names outside H_BRANCHES, and on the
+    non-adversarial kinds."""
+    for stage in ("H1", "H2", "H3"):
+        with pytest.raises(ValueError, match="branch needs stage H"):
+            make_sampler(adversarial(16, stage, "drift"))
+    for name in ("H2", "Drift", ""):
+        with pytest.raises(ValueError, match="branch needs stage H"):
+            make_sampler(adversarial(16, "H", name))
+    for kind, k in (("PolynomialKWise", 4), ("FullyIndependent", None)):
+        with pytest.raises(ValueError, match="branch is read only by "
+                           "AdversarialStage families; got branch=drift"):
+            make_sampler(FamilySpec(kind=kind, n=16, k=k, branch="drift"))
     rng = substream(16, 0)
-    stage_h = FamilySpec(kind="AdversarialStage", n=16, stage="H")
-    with pytest.raises(ValueError, match="stage H"):
-        make_sampler(FamilySpec(kind="AdversarialStage", n=16, stage="H3"), "drift")
-    with pytest.raises(ValueError, match="stage H"):
-        make_sampler(stage_h, "H2")
-    with pytest.raises(ValueError, match="stage H"):
-        make_sampler(FamilySpec(kind="PolynomialKWise", n=16, k=4), "drift")
     with pytest.raises(ValueError, match="nonnegative"):
-        make_sampler(stage_h, "pairs").sample_batch(rng, -1)
-    draws = make_sampler(stage_h, "pairs").sample_batch(rng, 0)
+        make_sampler(adversarial(16, "H", "pairs")).sample_batch(rng, -1)
+    draws = make_sampler(adversarial(16, "H", "pairs")).sample_batch(rng, 0)
     assert draws.shape == (0, 16)
+
+
+def test_make_sampler_is_cached_per_spec():
+    spec = adversarial(64, "H", "pairs")
+    assert make_sampler(spec) is make_sampler(replace(spec))
+    assert spec.with_n(256).branch == "pairs"
+    assert make_sampler(spec) is not make_sampler(replace(spec, branch="drift"))
 
 
 @pytest.mark.parametrize("stage,branch", [(stage, None) for stage in
                                           ("H1", "H2", "H3", "H")]
                          + [("H", branch) for branch in H_BRANCHES])
 def test_sampler_builds_its_tables_at_construction(stage, branch):
-    params = adversarial_params.__wrapped__(64)     # fresh: no table built
-    sampler = AdversarialSampler(params, stage, branch)
+    adversarial_params.cache_clear()        # fresh params: no table built
+    make_sampler.cache_clear()
+    sampler = make_sampler(adversarial(64, stage, branch))
+    params = sampler.params
     built = set(vars(params))
     sampler.sample_batch(substream(3, 0), 20)
     assert set(vars(params)) == built       # drawing builds nothing more
@@ -1102,7 +1128,7 @@ def test_adversarial_determinism(stage):
 
 
 def test_kwise_determinism():
-    sampler = KWiseSampler(32, 4)
+    sampler = make_sampler(kwise(32, 4))
     a = sampler.sample_batch(substream(5, 0), 20)
     b = sampler.sample_batch(substream(5, 0), 20)
     assert (a == b).all()

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -482,6 +483,12 @@ def test_mc_sup_moment_independence_gate():
     with pytest.raises(ValueError):
         streams.mc_sup_moment(stream, pairwise, 4, 1000, seed=0)
     streams.mc_sup_moment(stream, pairwise, 2, 1000, seed=0)
+    # a branch of stage H is not pairwise independent
+    with pytest.raises(ValueError, match="2-wise independence"):
+        streams.sup_moment_job(stream, replace(pairwise, branch="drift"), 2,
+                               1000, seed=0)
+    with pytest.raises(ValueError, match="got k=0"):
+        streams.sup_moment_job(stream, pairwise, 0, 1000, seed=0)
     with pytest.raises(ValueError):
         streams.mc_sup_moment(stream,
                               FamilySpec(kind="PolynomialKWise", n=32, k=4),

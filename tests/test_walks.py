@@ -99,13 +99,12 @@ def test_estimate_requires_trials():
 
 def test_estimate_branch_needs_stage_h():
     with pytest.raises(ValueError):
-        estimate_sup_moment(FamilySpec(kind="AdversarialStage", n=16, stage="H2"),
-                            1, 100, seed=0, branch="drift")
-    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
+        FamilySpec(kind="AdversarialStage", n=16, stage="H2", branch="drift")
     with pytest.raises(ValueError):
-        estimate_sup_moment(spec, 1, 100, seed=5, branch="H2")
+        FamilySpec(kind="AdversarialStage", n=16, stage="H", branch="H2")
     # balanced blocks of 4 return the walk to 0 every 4 steps
-    est = estimate_sup_moment(spec, 1, 1000, seed=5, branch="balanced")
+    spec = FamilySpec(kind="AdversarialStage", n=16, stage="H", branch="balanced")
+    est = estimate_sup_moment(spec, 1, 1000, seed=5)
     assert 1 <= est.mean <= 2
 
 
