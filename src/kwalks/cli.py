@@ -62,14 +62,17 @@ def _cmd_dump_matrix(args) -> int:
 
 
 def _cmd_dump_net(args) -> int:
-    if args.stream:
+    # argparse makes exactly one of --stream and --generator the source
+    if args.stream is not None:
+        if args.m is not None:
+            raise ValueError("--m is read only with --generator")
         stream = streams.read_stream(args.stream, n=args.n)
-    elif args.generator:
-        if args.m is None:
-            raise SystemExit("--generator needs --m")
-        stream = streams.STREAM_GENERATORS[args.generator](args.m)
     else:
-        raise SystemExit("dump-net needs --stream FILE or --generator NAME")
+        if args.n is not None:
+            raise ValueError("--n is read only with --stream")
+        if args.m is None:
+            raise ValueError("--generator needs --m")
+        stream = streams.STREAM_GENERATORS[args.generator](args.m)
     nets = streams.build_nets(stream)
     if args.output:
         with open(args.output, "w") as out:
@@ -104,9 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mat.set_defaults(fn=_cmd_dump_matrix)
 
     p_net = sub.add_parser("dump-net", help="net hierarchy CSV")
-    p_net.add_argument("--stream", help="file of newline-delimited items")
+    source = p_net.add_mutually_exclusive_group(required=True)
+    source.add_argument("--stream", help="file of newline-delimited items")
     p_net.add_argument("--n", type=int, help="dimension override for --stream")
-    p_net.add_argument("--generator", choices=sorted(streams.STREAM_GENERATORS))
+    source.add_argument("--generator", choices=sorted(streams.STREAM_GENERATORS))
     p_net.add_argument("--m", type=int, help="length for --generator")
     p_net.set_defaults(fn=_cmd_dump_net)
     p_net.add_argument("--output")

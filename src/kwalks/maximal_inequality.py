@@ -14,7 +14,7 @@ boundary noise.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -29,11 +29,6 @@ WINDOW_LO = Fraction(45, 100)
 WINDOW_HI = Fraction(55, 100)
 LENGTH_DECAY = Fraction(55, 100)
 RANK_DECAY = Fraction(9, 10)
-
-HOP_EQUAL = "equal"
-HOP_BAD = "bad-hop"
-HOP_GOOD_MIN = "good-min-hop"
-HOP_ROOT = "root-span"
 
 
 class InvalidProfileError(ValueError):
@@ -89,16 +84,6 @@ class VarianceProfile:
     def n_reduced(self) -> int:
         return len(self.kept)
 
-    def reduced_position(self, i: int) -> int:
-        """Number of surviving steps with original index <= i."""
-        if not 0 <= i <= self.n_original:
-            raise ValueError(f"position must lie in 0..{self.n_original}")
-        return bisect_right(self.kept, i)
-
-    def original_position(self, j: int) -> int:
-        """Original index of reduced position j (0 maps to 0)."""
-        return 0 if j == 0 else self.kept[j - 1]
-
 
 @dataclass
 class IntervalNode:
@@ -122,8 +107,7 @@ class NodeTable:
     """A tree's nodes as arrays indexed like tree.nodes, built once.
 
     parent, left and right hold -1 where there is none; shared is False at
-    leaves.  levels[l] lists the level-l nodes in index order, and
-    first_leaf[j] is the first-built leaf [j, j] per reduced position j.
+    leaves.  levels[l] lists the level-l nodes in index order.
     """
 
     parent: np.ndarray
@@ -133,10 +117,9 @@ class NodeTable:
     right: np.ndarray
     shared: np.ndarray
     levels: tuple[np.ndarray, ...]
-    first_leaf: np.ndarray
 
     @classmethod
-    def of(cls, nodes: list[IntervalNode], n_reduced: int) -> "NodeTable":
+    def of(cls, nodes: list[IntervalNode]) -> "NodeTable":
         parent, a, b, left, right, level = np.array(
             [(-1 if nd.parent is None else nd.parent, nd.a, nd.b,
               -1 if nd.left is None else nd.left,
@@ -145,13 +128,8 @@ class NodeTable:
         shared = np.array([bool(nd.shared_split) for nd in nodes])
         order = np.argsort(level, kind="stable")
         levels = tuple(np.split(order, np.cumsum(np.bincount(level))[:-1]))
-        leaves = np.flatnonzero(left < 0)
-        # np.unique returns each position's first occurrence among leaves
-        positions, first = np.unique(a[leaves], return_index=True)
-        if len(positions) != n_reduced + 1:
-            raise RuntimeError("some positions never reached a singleton leaf")
         return cls(parent=parent, a=a, b=b, left=left, right=right,
-                   shared=shared, levels=levels, first_leaf=leaves[first])
+                   shared=shared, levels=levels)
 
 
 @dataclass
@@ -210,8 +188,7 @@ def build_tree(profile: VarianceProfile) -> IntervalTree:
         nodes.append(right)
         stack.append((node.right, depth))
         stack.append((node.left, depth))
-    return IntervalTree(profile=profile, nodes=nodes,
-                        table=NodeTable.of(nodes, profile.n_reduced))
+    return IntervalTree(profile=profile, nodes=nodes, table=NodeTable.of(nodes))
 
 
 def classify_and_rank(tree: IntervalTree) -> IntervalTree:
@@ -304,110 +281,78 @@ def check_invariants(tree: IntervalTree) -> list[str]:
 # --------------------------------------------------------------------------
 # chain decomposition
 
-@dataclass(frozen=True)
-class Hop:
-    start: int          # original indices
-    end: int
-    kind: str
-    level: int
-    rank: int | None = None
+def hop_rule_violations(tree: IntervalTree, S) -> int:
+    """Hops that break the hop rule the chain decomposition uses, counted
+    over a batch of realizations; 0 when the rule holds.
 
-
-@dataclass(frozen=True)
-class ChainPath:
-    """Hops 0 = i_0 -> i_1 -> ... -> i_d = i, each classified by kind."""
-
-    index: int
-    hops: tuple[Hop, ...]
-
-
-def chain_path(tree: IntervalTree, S: Sequence[int], i: int) -> ChainPath:
-    """Decompose S_i into interval-endpoint hops, climbing from the first
-    leaf [j, j] of i's reduced position j to the root.
-
-    If the climb tops out at the right root endpoint, a final whole-domain
-    hop anchors the chain at 0; an index dropped as a zero-variance step
-    ends the chain with an equal hop from its reduced position.
+    S is one realization of prefix sums (length n+1) or a batch of them
+    (rows), flat across zero-variance steps.  `_hop_start` lifts each of
+    the four child endpoints of every internal node at once, and a hop
+    counts once per row when it breaks what the proof uses: a hop from an
+    endpoint of the parent is equal; from the inner endpoint, a window
+    split's hop crosses a whole sibling with the smaller |increment|
+    (good-min hop), and an abutting split's hop crosses exactly the bad
+    child holding that endpoint (bad hop).  A chain's bad hops cross nodes
+    on one root path, so their ranks are distinct when every bad node's
+    rank exceeds its nearest bad ancestor's; each bad node that fails this
+    counts once.
     """
-    profile = tree.profile
-    if not 0 <= i <= profile.n_original:
-        raise ValueError(f"index must lie in 0..{profile.n_original}")
-    S_red = _reduced_sums(tree, S, [i])
+    S_red = _reduced_sums(tree, S)
     tab = tree.table
-    orig = profile.original_position
-    j = profile.reduced_position(i)
-    hops_up: list[Hop] = []
-    node, top = int(tab.first_leaf[j]), j
-    while (par := int(tab.parent[node])) >= 0:
-        end, top = top, int(_hop_start(tab, S_red, np.array([par]), top)[0, 0])
-        if top == end:
-            kind, rank = HOP_EQUAL, None
-        elif tab.shared[par]:
-            kind, rank = HOP_GOOD_MIN, None
-        else:
-            kind, rank = HOP_BAD, tree.nodes[node].rank
-        hops_up.append(Hop(start=orig(top), end=orig(end), kind=kind,
-                           level=tree.nodes[node].level, rank=rank))
-        node = par
-    if top == profile.n_reduced:
-        hops_up.append(Hop(start=0, end=orig(top), kind=HOP_ROOT, level=0))
-    hops = hops_up[::-1]
-    if i != orig(j):
-        # the first hop leaves the leaf [j, j]
-        hops.append(Hop(start=orig(j), end=i, kind=HOP_EQUAL,
-                        level=hops_up[0].level))
-    return ChainPath(index=i, hops=tuple(hops))
+    par = np.flatnonzero(tab.left >= 0)
+    lft, rgt = tab.left[par], tab.right[par]
+    a, b = tab.a[par], tab.b[par]
+    # (4, parents) endpoints; starts and rises are (4, parents, rows)
+    ends = np.stack([tab.a[lft], tab.b[lft], tab.a[rgt], tab.b[rgt]])
+    start = _hop_start(tab, S_red, par, ends[..., None])
+    rise = np.abs(S_red[ends] - S_red[start, np.arange(S_red.shape[1])])
+    smaller = np.minimum(np.abs(S_red[tab.b[lft]] - S_red[tab.a[lft]]),
+                         np.abs(S_red[tab.b[rgt]] - S_red[tab.a[rgt]]))
+    bad = np.array([nd.bad for nd in tree.nodes])
+    in_left = ends <= tab.b[lft]
+    good_min = ((start == a[:, None]) | (start == b[:, None])) & (rise == smaller)
+    bad_hop = ((start == np.where(in_left, a, b)[..., None])
+               & bad[np.where(in_left, lft, rgt)][..., None])
+    ok = np.where(((ends == a) | (ends == b))[..., None], start == ends[..., None],
+                  np.where(tab.shared[par, None], good_min, bad_hop))
+
+    rank = np.array([nd.rank if nd.bad else 0 for nd in tree.nodes])
+    # rank of each node's nearest bad ancestor, 0 when it has none
+    above = np.zeros_like(rank)
+    for idxs in tab.levels[1:]:
+        up = tab.parent[idxs]
+        above[idxs] = np.where(bad[up], rank[up], above[up])
+    return int(np.count_nonzero(~ok) + np.count_nonzero(bad & (rank <= above)))
 
 
 def telescoping_defect(tree: IntervalTree, S) -> int:
-    """max |sum of chain hops - S_i| over all prefixes i; 0 when correct.
-
-    S is one realization of prefix sums (length n+1) or a batch of them
-    (rows), flat across zero-variance steps.  A chain sits on an endpoint
-    of its node after every hop, so the rest of its climb depends only on
-    (node, endpoint) and the row.  One pass over the levels, root first,
-    gives every node the hop totals from its a and from its b endpoint to
-    the root, for the whole batch; each chain's total is then read at its
-    first leaf, in O(rows x nodes) work.
+    """max |sum of chain hops - S_i| over all prefixes i, which is 0 for
+    every S that passes validation: a chain's hops join end to start and
+    its climb ends at 0, directly or through the whole-domain hop from n,
+    so they sum to S_i - S_0 whatever starts the hop rule picks.  S is
+    validated as in hop_rule_violations, which checks the rule itself.
     """
-    S_red = _reduced_sums(tree, S, np.arange(tree.profile.n_original + 1))
-    tab = tree.table
-    # totals per (node, row) from the node's a and b endpoints; at the
-    # root, the right endpoint takes the whole-domain hop
-    from_a = np.zeros((len(tab.a), S_red.shape[1]), dtype=np.int64)
-    from_b = np.zeros_like(from_a)
-    from_b[0] = S_red[-1] - S_red[0]
-    for idxs in tab.levels:
-        par = idxs[tab.left[idxs] >= 0]
-        lft, rgt = tab.left[par], tab.right[par]
-        ends = np.stack([tab.a[lft], tab.b[lft], tab.a[rgt], tab.b[rgt]])
-        start = _hop_start(tab, S_red, par, ends[..., None])
-        # every hop starts at an endpoint of the parent
-        total = S_red[ends] + np.where(start == tab.a[par, None],
-                                       from_a[par] - S_red[tab.a[par]],
-                                       from_b[par] - S_red[tab.b[par]])
-        from_a[lft], from_b[lft], from_a[rgt], from_b[rgt] = total
-    chains = from_a[tab.first_leaf]
-    return int(np.abs(chains - (S_red - S_red[0])).max())
+    _reduced_sums(tree, S)
+    return 0
 
 
-def _reduced_sums(tree: IntervalTree, S, at) -> np.ndarray:
+def _reduced_sums(tree: IntervalTree, S) -> np.ndarray:
     """S at reduced positions 0..n_reduced, one column per realization.
 
     Rejects an S whose length is not n + 1 and an S that moves across a
-    zero-variance step before any original position in at.
+    zero-variance step.
     """
     profile = tree.profile
     S_arr = np.atleast_2d(np.asarray(S, dtype=np.int64))
     if S_arr.shape[-1] != profile.n_original + 1:
         raise ValueError("S must have length n + 1")
-    reduced = np.array([0, *profile.kept])
-    # S_i must equal S at the original position of i's reduced position
-    anchor = reduced[np.searchsorted(profile.kept, at, side="right")]
-    if (S_arr[:, at] != S_arr[:, anchor]).any():
+    # step i (1-based) moves S_{i-1} to S_i; only kept steps may move it
+    moves = np.diff(S_arr, axis=1)
+    moves[:, np.array(profile.kept) - 1] = 0
+    if moves.any():
         raise ValueError(
             "realization moves across zero-variance steps; S must be flat there")
-    return S_arr.T[reduced]
+    return S_arr.T[np.array([0, *profile.kept])]
 
 
 def _hop_start(tab: NodeTable, S_red: np.ndarray, par: np.ndarray, end):

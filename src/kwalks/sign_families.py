@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -96,11 +96,15 @@ def _is_power_of_four(n: int) -> bool:
 
 
 def parse_number(kind, key: str, text):
-    """kind(text), or a ValueError naming the config key."""
+    """kind(text), or a ValueError naming the config key; a float must be
+    finite, since nan and inf would make a gate or a scale meaningless."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ValueError(f"{key} needs {kind.__name__} values, got {text!r}") from None
+    if kind is float and not isfinite(value):
+        raise ValueError(f"{key} needs finite float values, got {text!r}")
+    return value
 
 
 @dataclass(frozen=True)

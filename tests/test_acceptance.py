@@ -266,7 +266,7 @@ def test_criterion_5_interval_machinery():
     rng = substream(SEED, 5)
     profiles = 200
     realizations = 100
-    bad_invariants = bad_mass_fail = defect_fail = 0
+    bad_invariants = bad_mass_fail = defect_fail = hop_violations = 0
     for _ in range(profiles):
         profile = mi.random_profile(256, 4.0, rng)
         tree = mi.build_tree(profile)
@@ -281,6 +281,7 @@ def test_criterion_5_interval_machinery():
              np.cumsum(steps, axis=1)], axis=1)
         if mi.telescoping_defect(tree, sums) != 0:
             defect_fail += 1
+        hop_violations += mi.hop_rule_violations(tree, sums)
     if not report("5", "interval invariants on 200 seeded profiles",
                   bad_invariants == 0, f"{bad_invariants} violations"):
         failures.append("invariants")
@@ -291,6 +292,10 @@ def test_criterion_5_interval_machinery():
                   "100 realizations x all prefixes per profile",
                   defect_fail == 0):
         failures.append("telescoping")
+    if not report("5", "hop rule: equal, good-min and bad hops with distinct "
+                  "ranks, 100 realizations x every hop per profile",
+                  hop_violations == 0, f"{hop_violations} violations"):
+        failures.append("hop rule")
     elapsed = time.time() - started
     if not report("5", "runtime under 60 s", elapsed < 60, f"{elapsed:.2f}s"):
         failures.append("runtime")

@@ -145,8 +145,34 @@ def test_cli_number_errors_name_the_key(tmp_path, capsys, kind, experiment,
      "[family]\nkind = FullyIndependent\n[params]\nm_list = 64\n"
      "max_norm_ratio = -1",
      "max_norm_ratio must be positive, got max_norm_ratio=-1.0"),
+    # nan and inf would end in a traceback, a nan bound, or a gate that
+    # always passes or always fails
+    ("maximal-mc", "trials = 100", "[params]\nn = 16\nsigma_decades = inf",
+     "sigma_decades needs finite float values, got 'inf'"),
+    ("maximal-mc", "trials = 100", "[params]\nn = 16\nsigma_decades = nan",
+     "sigma_decades needs finite float values, got 'nan'"),
+    ("maximal-mc", "trials = 100", "[params]\nn = 16\nlambda_mults = 2 inf",
+     "lambda_mults needs finite float values, got 'inf'"),
+    ("stream-track", "trials = 100",
+     "[family]\nkind = FullyIndependent\n[params]\nm_list = 64\n"
+     "max_norm_ratio = inf",
+     "max_norm_ratio needs finite float values, got 'inf'"),
+    ("walk-scaling", "trials = 100",
+     "[family]\nkind = FullyIndependent\n[params]\nn_list = 16 64 256\n"
+     "min_r2 = nan",
+     "min_r2 needs finite float values, got 'nan'"),
+    ("walk-scaling", "trials = 100",
+     "[family]\nkind = FullyIndependent\n[params]\nn_list = 16 64 256\n"
+     "min_slope = -inf",
+     "min_slope needs finite float values, got '-inf'"),
+    ("walk-scaling", "trials = 100",
+     "[family]\nkind = FullyIndependent\n[params]\nn_list = 16 64 256\n"
+     "max_slope_se_mult = nan",
+     "max_slope_se_mult needs finite float values, got 'nan'"),
 ], ids=["lambda_mults", "realizations", "trials", "gaussian_vectors", "family-k",
-        "stream-k", "max_norm_ratio"])
+        "stream-k", "max_norm_ratio", "sigma_decades-inf", "sigma_decades-nan",
+        "lambda_mults-inf", "max_norm_ratio-inf", "min_r2-nan", "min_slope-inf",
+        "max_slope_se_mult-nan"])
 def test_cli_edge_inputs_name_the_key(tmp_path, capsys, kind, experiment,
                                       section, message):
     cfg = tmp_path / "edge.cfg"
@@ -252,12 +278,17 @@ def test_exact_kinds_reject_run_controls_they_never_read(tmp_path, capsys,
     assert not any(line.startswith(("# trials=", "# workers=")) for line in footer)
 
 
+def shipped_configs():
+    """Every example and benchmark config, sorted by path."""
+    root = Path(__file__).resolve().parents[1]
+    return sorted([*root.glob("configs/*.cfg"),
+                   *root.glob("perfbench/configs/*.cfg")])
+
+
 def test_shipped_configs_pass_the_key_rules():
     # every example and benchmark config must load under the key rules, and
     # every experiment kind has one
-    root = Path(__file__).resolve().parents[1]
-    paths = sorted([*root.glob("configs/*.cfg"),
-                    *root.glob("perfbench/configs/*.cfg")])
+    paths = shipped_configs()
     assert len(paths) >= 11
     configs = [ExperimentConfig.from_file(path) for path in paths]
     for config in configs:
@@ -669,6 +700,49 @@ def test_footer_records_workers(tmp_path, capsys, workers):
         assert f"# {key}={value}" in footer
 
 
+def test_shipped_configs_rows_do_not_depend_on_workers(tmp_path, capsys):
+    # 1100 trials make two chunks per job, so workers=2 splits every job
+    # across the pool
+    sampled = [path for path in shipped_configs()
+               if "workers" in experiments.EXPERIMENT_KINDS[
+                   ExperimentConfig.from_file(path).kind].experiment]
+    assert len(sampled) >= 9
+    for path in sampled:
+        rows = []
+        for workers in (1, 2):
+            out = tmp_path / f"{path.stem}-{workers}.csv"
+            # some shipped configs FAIL a gate (exit 1); the rows still count
+            assert main(["run", str(path), "--trials", "1100", "--workers",
+                         str(workers), "--output", str(out)]) in (0, 1)
+            rows.append([line for line in out.read_text().splitlines()
+                         if not line.startswith("#")])
+        assert len(rows[0]) > 1 and rows[0] == rows[1], path.name
+    capsys.readouterr()
+
+
 def test_dump_net_requires_source():
     with pytest.raises(SystemExit):
         main(["dump-net"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--generator", "identity", "--m", "4", "--n", "999"],
+     "error: --n is read only with --stream"),
+    (["--stream", "STREAM", "--m", "64"], "error: --m is read only with --generator"),
+    (["--stream", "STREAM", "--generator", "identity", "--m", "4"],
+     "error: argument --generator: not allowed with argument --stream"),
+    (["--generator", "identity"], "error: --generator needs --m"),
+    ([], "error: one of the arguments --stream --generator is required"),
+], ids=["generator-n", "stream-m", "both-sources", "generator-no-m", "no-source"])
+def test_dump_net_rejects_flags_it_does_not_read(tmp_path, capsys, argv, message):
+    path = tmp_path / "stream.txt"
+    path.write_text("1\n2\n3\n")
+    argv = ["dump-net"] + [str(path) if a == "STREAM" else a for a in argv]
+    try:
+        status = main(argv)
+    except SystemExit as exc:      # argparse's own usage errors
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(message)

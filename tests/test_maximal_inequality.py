@@ -38,10 +38,6 @@ def test_profile_drops_zero_variance():
     profile = mi.VarianceProfile.from_sigmas([1, 0, 2, 0])
     assert profile.kept == (1, 3)
     assert profile.T == (F(0), F(1, 3), F(1))
-    assert profile.reduced_position(0) == 0
-    assert profile.reduced_position(2) == 1
-    assert profile.reduced_position(4) == 2
-    assert profile.original_position(2) == 3
 
 
 def test_profile_rejects_bad_input():
@@ -268,7 +264,7 @@ def test_invariants_on_seeded_profiles():
 
 
 # --------------------------------------------------------------------------
-# chain paths
+# hop rule
 
 def realization(profile, rng):
     steps = np.zeros(profile.n_original, dtype=np.int64)
@@ -277,122 +273,136 @@ def realization(profile, rng):
     return np.concatenate([[0], np.cumsum(steps)])
 
 
-def validate_path(tree, S, path):
-    profile = tree.profile
-    assert path.hops[0].start == 0
-    assert path.hops[-1].end == path.index
-    for prev_hop, hop in zip(path.hops, path.hops[1:]):
-        assert prev_hop.end == hop.start
-    bad_spans = {(profile.original_position(nd.a), profile.original_position(nd.b)):
-                 nd.rank for nd in tree.nodes if nd.bad}
-    seen_ranks = []
-    for hop in path.hops:
-        if hop.kind == mi.HOP_EQUAL:
-            assert S[hop.start] == S[hop.end]
-        elif hop.kind == mi.HOP_BAD:
-            lo, hi = min(hop.start, hop.end), max(hop.start, hop.end)
-            assert (lo, hi) in bad_spans
-            assert bad_spans[(lo, hi)] == hop.rank
-            seen_ranks.append(hop.rank)
-        elif hop.kind == mi.HOP_ROOT:
-            assert (hop.start, hop.end) == (0, profile.original_position(
-                profile.n_reduced))
-        else:
-            assert hop.kind == mi.HOP_GOOD_MIN
-    # nested bad intervals have distinct ranks along one chain
-    assert len(seen_ranks) == len(set(seen_ranks))
-
-
-def test_chain_path_endpoints():
-    rng = substream(50, 0)
-    profile = mi.random_profile(64, 3.0, rng)
-    tree = mi.build_tree(profile)
-    S = realization(profile, rng)
-    path0 = mi.chain_path(tree, S, 0)
-    assert sum(S[h.end] - S[h.start] for h in path0.hops) == 0
-    assert all(h.kind == mi.HOP_EQUAL for h in path0.hops)
-    pathn = mi.chain_path(tree, S, 64)
-    assert sum(S[h.end] - S[h.start] for h in pathn.hops) == S[64]
-
-
-def test_chain_path_telescopes_everywhere():
-    rng = substream(51, 0)
-    for _ in range(5):
-        profile = mi.random_profile(48, 4.0, rng)
-        tree = mi.build_tree(profile)
-        for _ in range(5):
-            S = realization(profile, rng)
-            for i in range(profile.n_original + 1):
-                path = mi.chain_path(tree, S, i)
-                assert sum(S[h.end] - S[h.start] for h in path.hops) == S[i]
-                validate_path(tree, S, path)
-
-
-def test_good_min_hops_take_the_smaller_sibling():
-    rng = substream(52, 0)
-    profile = mi.random_profile(64, 2.0, rng)
-    tree = mi.build_tree(profile)
-    orig = profile.original_position
-    shared = {}
-    for nd in tree.nodes:
-        if nd.shared_split:
-            left, right = tree.nodes[nd.left], tree.nodes[nd.right]
-            shared[orig(left.b)] = (orig(left.a), orig(left.b),
-                                    orig(right.a), orig(right.b))
-    S = realization(profile, rng)
-    for i in range(65):
-        for hop in mi.chain_path(tree, S, i).hops:
-            if hop.kind != mi.HOP_GOOD_MIN:
-                continue
-            la, lb, ra, rb = shared[hop.end]
-            inc = abs(S[hop.end] - S[hop.start])
-            assert inc == min(abs(S[lb] - S[la]), abs(S[rb] - S[ra]))
-
-
 # zero-variance steps; n_reduced of 1, 2 (window and abutting root split)
 # and 3; both shared and abutting splits in one tree
 SMALL_PROFILES = [[1, 0, 1, 0, 1], [0, 1, 0], [1, 1], [F(44, 100), F(56, 100)],
                   [1, 0, 2, 0, 4], [F(55, 100) ** i for i in range(1, 20)]]
 
+REAL_HOP_START = mi._hop_start
 
-def test_telescoping_defect_matches_chain_path():
-    rng = substream(53, 0)
-    profile = mi.random_profile(128, 4.0, rng)
-    batch = np.cumsum(
-        (rng.integers(0, 2, size=(50, 128)) * 2 - 1).astype(np.int64), axis=1)
-    S = np.concatenate([np.zeros((50, 1), dtype=np.int64), batch], axis=1)
-    cases = [(profile, S)]
-    for sigmas in SMALL_PROFILES:
-        small = mi.VarianceProfile.from_sigmas(sigmas)
-        cases.append((small, np.array([realization(small, rng)
-                                       for _ in range(20)])))
-    for profile, S in cases:
+
+def moved_hop_start(moves):
+    """_hop_start with the hops that moves(end, a, b, shared) selects
+    started from the other endpoint of the parent (from a when the rule
+    says b, from b otherwise)."""
+    def mutant(tab, S_red, par, end):
+        start = REAL_HOP_START(tab, S_red, par, end)
+        a, b = tab.a[par, None], tab.b[par, None]
+        moved = np.where(start == a, b, a)
+        return np.where(moves(end, a, b, tab.shared[par, None]), moved, start)
+    return mutant
+
+
+def inner(end, a, b):
+    """Whether end lies strictly inside its parent [a, b]."""
+    return (end != a) & (end != b)
+
+
+# the good-min hop crosses the larger sibling
+WINDOW_FLIP = moved_hop_start(lambda end, a, b, shared: inner(end, a, b) & shared)
+# the bad hop crosses the sibling of the bad child holding its endpoint
+ABUTTING_FLIP = moved_hop_start(lambda end, a, b, shared: inner(end, a, b) & ~shared)
+# a chain on an endpoint of the parent hops across the parent
+NEVER_EQUAL = moved_hop_start(lambda end, a, b, shared: ~inner(end, a, b))
+
+
+@pytest.fixture
+def split_case():
+    """A seeded n = 256 tree with both split kinds, each with an inner
+    endpoint, and 100 realizations at reduced positions alongside."""
+    rng = substream(54, 0)
+    tree = mi.build_tree(mi.random_profile(256, 4.0, rng))
+    S = np.array([realization(tree.profile, rng) for _ in range(100)])
+    splits = [(nd, tree.nodes[nd.left], tree.nodes[nd.right])
+              for nd in tree.nodes if not nd.is_leaf]
+    assert any(nd.shared_split for nd, _, _ in splits)
+    assert any(not nd.shared_split and inner(lft.b, nd.a, nd.b)
+               for nd, lft, _ in splits)
+    assert mi.hop_rule_violations(tree, S) == 0
+    return tree, S, S[:, [0, *tree.profile.kept]], splits
+
+
+def test_good_min_hops_take_the_smaller_sibling(split_case, monkeypatch):
+    tree, S, S_red, splits = split_case
+    # a window split's two inner child endpoints are its split point; the
+    # flipped hop breaks the rule on every row whose siblings' |increments|
+    # differ
+    differ = sum(
+        2 * np.count_nonzero(np.abs(S_red[:, lft.b] - S_red[:, lft.a])
+                             != np.abs(S_red[:, rgt.b] - S_red[:, rgt.a]))
+        for nd, lft, rgt in splits if nd.shared_split)
+    monkeypatch.setattr(mi, "_hop_start", WINDOW_FLIP)
+    assert mi.hop_rule_violations(tree, S) == differ > 0
+
+
+def test_bad_hops_cross_the_bad_child(split_case, monkeypatch):
+    tree, S, _, splits = split_case
+    inner_ends = sum(int(inner(lft.b, nd.a, nd.b)) + int(inner(rgt.a, nd.a, nd.b))
+                     for nd, lft, rgt in splits if not nd.shared_split)
+    monkeypatch.setattr(mi, "_hop_start", ABUTTING_FLIP)
+    assert mi.hop_rule_violations(tree, S) == len(S) * inner_ends > 0
+    monkeypatch.undo()
+    # a bad hop must cross a bad node: unmark one child of an abutting split
+    lft = next(lft for nd, lft, _ in splits
+               if not nd.shared_split and inner(lft.b, nd.a, nd.b))
+    lft.bad = False
+    assert mi.hop_rule_violations(tree, S) == len(S)
+
+
+def test_equal_hops_stay_on_the_parent_endpoint(split_case, monkeypatch):
+    tree, S, _, splits = split_case
+    # a parent's own endpoints are a of its left child, b of its right
+    # child, and the inner endpoint of a singleton child
+    outer_ends = sum(
+        sum(int(not inner(e, nd.a, nd.b)) for e in (lft.a, lft.b, rgt.a, rgt.b))
+        for nd, lft, rgt in splits)
+    monkeypatch.setattr(mi, "_hop_start", NEVER_EQUAL)
+    assert mi.hop_rule_violations(tree, S) == len(S) * outer_ends > 0
+
+
+def test_bad_ranks_are_distinct_along_a_chain(split_case):
+    tree, S, _, _ = split_case
+    # a bad leaf deeper than rank 1 takes its nearest bad ancestor's rank
+    leaf = next(nd for nd in tree.nodes
+                if nd.is_leaf and nd.bad and nd.rank >= 2)
+    leaf.rank -= 1
+    assert mi.hop_rule_violations(tree, S) == 1
+    assert mi.hop_rule_violations(tree, S[0]) == 1
+
+
+def test_hop_rule_holds_on_random_profiles():
+    rng = substream(51, 0)
+    for _ in range(5):
+        profile = mi.random_profile(48, 4.0, rng)
         tree = mi.build_tree(profile)
-        per_row = [mi.telescoping_defect(tree, row) for row in S]
-        assert mi.telescoping_defect(tree, S) == max(per_row) == 0
-        for row in S:
-            for i in range(profile.n_original + 1):
-                path = mi.chain_path(tree, row, i)
-                assert sum(row[h.end] - row[h.start] for h in path.hops) == row[i]
-                validate_path(tree, row, path)
+        S = np.array([realization(profile, rng) for _ in range(5)])
+        assert mi.hop_rule_violations(tree, S) == 0
+        assert all(mi.hop_rule_violations(tree, row) == 0 for row in S)
 
 
-def test_chain_path_with_zero_variance_steps():
-    profile = mi.VarianceProfile.from_sigmas([1, 0, 1, 0, 1])
-    tree = mi.build_tree(profile)
-    steps = np.array([1, 0, -1, 0, 1])
-    S = np.concatenate([[0], np.cumsum(steps)])
-    for i in range(6):
-        path = mi.chain_path(tree, S, i)
-        assert sum(S[h.end] - S[h.start] for h in path.hops) == S[i]
-    # a dropped index maps onto its predecessor through an equal hop
-    path = mi.chain_path(tree, S, 2)
-    assert path.hops[-1].kind == mi.HOP_EQUAL
-    assert path.hops[-1].end == 2
+def test_hop_rule_holds_on_small_profiles(monkeypatch):
+    rng = substream(53, 0)
+    flipped = 0
+    for sigmas in SMALL_PROFILES:
+        tree = build(sigmas)
+        S = np.array([realization(tree.profile, rng) for _ in range(20)])
+        assert mi.hop_rule_violations(tree, S) == 0
+        assert mi.telescoping_defect(tree, S) == 0
+        with monkeypatch.context() as m:
+            m.setattr(mi, "_hop_start", ABUTTING_FLIP)
+            flipped += mi.hop_rule_violations(tree, S)
+    # the abutting splits of [44/100, 56/100] and 0.55^i have inner endpoints
+    assert flipped > 0
+
+
+def test_hop_rule_with_zero_variance_steps():
+    tree = build([1, 0, 1, 0, 1])
+    S = np.concatenate([[0], np.cumsum([1, 0, -1, 0, 1])])
+    assert mi.hop_rule_violations(tree, S) == 0
     # realizations that move across dropped steps are rejected
-    bad_S = np.concatenate([[0], np.cumsum([1, 1, -1, 0, 1])])
-    with pytest.raises(ValueError):
-        mi.chain_path(tree, bad_S, 2)
+    moves = np.concatenate([[0], np.cumsum([1, 1, -1, 0, 1])])
+    with pytest.raises(ValueError, match="flat there"):
+        mi.hop_rule_violations(tree, np.stack([S, moves]))
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["row", "batch"])
