@@ -281,6 +281,13 @@ def _run_walk_scaling(config: ExperimentConfig) -> ResultTable:
     n_values = config.int_list("n_list", "16 64 256 1024 4096")
     order = config.get_int("moment_order", 1)
     spec = config.family_spec(n_values[0])
+    # the gates and the fit's size count are checked before any draw
+    gates = {key: parse_number(float, key, config.params[key])
+             for key in ("min_slope", "min_r2", "max_slope_se_mult")
+             if key in config.params}
+    if len(n_values) < 3:
+        raise ValueError(f"n_list needs at least 3 sizes to fit a growth "
+                         f"slope, got {len(n_values)}")
     scaling = walks.scaling_table(spec, n_values, order, config.trials,
                                   config.seed, workers=config.workers)
     for n, est in scaling.rows:
@@ -290,15 +297,14 @@ def _run_walk_scaling(config: ExperimentConfig) -> ResultTable:
         slope=repr(fit.slope), intercept=repr(fit.intercept),
         r_squared=repr(fit.r_squared), slope_stderr=repr(fit.slope_stderr),
         slope_stderr_propagated=repr(fit.slope_stderr_propagated))
-    if "min_slope" in config.params:
-        table.check("slope above threshold",
-                    fit.slope >= config.get_float("min_slope", 0.0),
+    if "min_slope" in gates:
+        table.check("slope above threshold", fit.slope >= gates["min_slope"],
                     f"slope {fit.slope:.4f}")
-    if "min_r2" in config.params:
-        table.check("fit quality", fit.r_squared >= config.get_float("min_r2", 0.9),
+    if "min_r2" in gates:
+        table.check("fit quality", fit.r_squared >= gates["min_r2"],
                     f"R^2 {fit.r_squared:.4f}")
-    if "max_slope_se_mult" in config.params:
-        mult = config.get_float("max_slope_se_mult", 2.0)
+    if "max_slope_se_mult" in gates:
+        mult = gates["max_slope_se_mult"]
         table.check("slope consistent with zero",
                     abs(fit.slope) <= mult * fit.slope_stderr,
                     f"slope {fit.slope:.4f} vs {mult} x {fit.slope_stderr:.4f}")

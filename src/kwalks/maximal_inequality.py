@@ -17,6 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
@@ -39,37 +41,39 @@ class InvalidProfileError(ValueError):
 class VarianceProfile:
     """Normalized prefix variances with zero-variance steps removed.
 
-    kept[j] is the original 1-based index of the j-th surviving step.
-    The normalized prefix variances are T_j = nums[j] / nums[-1] with
-    integer numerators over the implicit common denominator nums[-1], so
-    every window and mass comparison reduces to integer arithmetic.
+    n_original counts the steps given; kept[j] is the original 1-based
+    index of the j-th surviving step.  The normalized prefix variances are
+    T_j = nums[j] / nums[-1] with integer numerators over the implicit
+    common denominator nums[-1], so every window and mass comparison
+    reduces to integer arithmetic.
     """
 
-    sigma_sq: tuple[Fraction, ...]
+    n_original: int
     kept: tuple[int, ...]
     nums: tuple[int, ...]
 
     @classmethod
     def from_sigmas(cls, values: Sequence) -> "VarianceProfile":
-        sigmas = tuple(Fraction(v) for v in values)
-        if not sigmas:
+        """Profile of exact variances: ints, floats (read exactly through
+        as_integer_ratio), Fractions, or anything Fraction accepts, such as
+        the string "1/3"."""
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        ratios = [_ratio(i, v) for i, v in enumerate(values)]
+        if not ratios:
             raise InvalidProfileError("profile is empty")
-        # a Fraction's sign is its numerator's
-        if any(s.numerator < 0 for s in sigmas):
+        if any(num < 0 for num, _ in ratios):
             raise InvalidProfileError("variances must be nonnegative")
-        kept = tuple(i + 1 for i, s in enumerate(sigmas) if s.numerator > 0)
+        kept = tuple(i + 1 for i, (num, _) in enumerate(ratios) if num > 0)
         if not kept:
             raise InvalidProfileError("all variances are zero")
         # Rescale the kept variances to a common denominator; prefix sums of
         # the integer numerators realize T exactly.
-        den = 1
-        for i in kept:
-            den = lcm(den, sigmas[i - 1].denominator)
-        nums = [0]
-        for i in kept:
-            s = sigmas[i - 1]
-            nums.append(nums[-1] + s.numerator * (den // s.denominator))
-        return cls(sigma_sq=sigmas, kept=kept, nums=tuple(nums))
+        dens = {den for num, den in ratios if num}
+        common = lcm(*dens)
+        scale = {den: common // den for den in dens}
+        nums = accumulate((num * scale[den] for num, den in ratios if num), initial=0)
+        return cls(n_original=len(ratios), kept=kept, nums=tuple(nums))
 
     @property
     def T(self) -> tuple[Fraction, ...]:
@@ -77,15 +81,28 @@ class VarianceProfile:
         return tuple(Fraction(p, total) for p in self.nums)
 
     @property
-    def n_original(self) -> int:
-        return len(self.sigma_sq)
-
-    @property
     def n_reduced(self) -> int:
         return len(self.kept)
 
 
-@dataclass
+def _ratio(index: int, value) -> tuple[int, int]:
+    """value as (numerator, denominator) in lowest terms, denominator
+    positive; an InvalidProfileError naming the index if it is not finite
+    (as_integer_ratio and Fraction raise ValueError for nan and
+    OverflowError for a float inf)."""
+    try:
+        if isinstance(value, float):
+            return value.as_integer_ratio()
+        if isinstance(value, (int, np.integer)):
+            return int(value), 1
+        value = Fraction(value)
+    except (ValueError, OverflowError):
+        raise InvalidProfileError(
+            f"variance {index} is not a finite number: {value!r}") from None
+    return value.numerator, value.denominator
+
+
+@dataclass(slots=True)
 class IntervalNode:
     a: int
     b: int
@@ -104,10 +121,11 @@ class IntervalNode:
 
 @dataclass(frozen=True)
 class NodeTable:
-    """A tree's nodes as arrays indexed like tree.nodes, built once.
+    """A tree's nodes as int64 and bool columns, one row per node.
 
     parent, left and right hold -1 where there is none; shared is False at
-    leaves.  levels[l] lists the level-l nodes in index order.
+    leaves and rank is 0 at nodes that are not bad.  levels[l] lists the
+    level-l nodes in index order.
     """
 
     parent: np.ndarray
@@ -115,28 +133,33 @@ class NodeTable:
     b: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    level: np.ndarray
     shared: np.ndarray
+    bad: np.ndarray
+    rank: np.ndarray
     levels: tuple[np.ndarray, ...]
-
-    @classmethod
-    def of(cls, nodes: list[IntervalNode]) -> "NodeTable":
-        parent, a, b, left, right, level = np.array(
-            [(-1 if nd.parent is None else nd.parent, nd.a, nd.b,
-              -1 if nd.left is None else nd.left,
-              -1 if nd.right is None else nd.right, nd.level)
-             for nd in nodes], dtype=np.int64).T
-        shared = np.array([bool(nd.shared_split) for nd in nodes])
-        order = np.argsort(level, kind="stable")
-        levels = tuple(np.split(order, np.cumsum(np.bincount(level))[:-1]))
-        return cls(parent=parent, a=a, b=b, left=left, right=right,
-                   shared=shared, levels=levels)
 
 
 @dataclass
 class IntervalTree:
     profile: VarianceProfile
-    nodes: list[IntervalNode]
     table: NodeTable
+
+    @cached_property
+    def nodes(self) -> list[IntervalNode]:
+        """The table's rows as IntervalNode objects, built on first use."""
+        tab = self.table
+
+        def where(keep, col):
+            """col's entries as Python values, None where keep is False."""
+            return np.where(keep, col, None).tolist()
+
+        internal = tab.left >= 0
+        return list(map(
+            IntervalNode, tab.a.tolist(), tab.b.tolist(), tab.level.tolist(),
+            where(tab.parent >= 0, tab.parent), where(internal, tab.left),
+            where(internal, tab.right), where(internal, tab.shared),
+            tab.bad.tolist(), where(tab.bad, tab.rank)))
 
     @property
     def root(self) -> IntervalNode:
@@ -151,44 +174,70 @@ def build_tree(profile: VarianceProfile) -> IntervalTree:
     are bad, with rank the number of bad intervals on their root path.
     Window membership 0.45 <= fraction <= 0.55 is decided on integer
     numerators: 20 * (P_t - P_a) against 9 or 11 times (P_b - P_a).
+
+    Nodes are numbered as a depth-first walk (left child first) splits
+    them: a node's two children take the next two numbers.  The split loop
+    records each split as plain ints, and `_node_table` makes the table's
+    columns from the records once.
     """
-    P = list(profile.nums)
+    P = profile.nums
     if any(y <= x for x, y in zip(P, P[1:])):
         raise InvalidProfileError("prefix variances must be strictly increasing")
-    nodes = [IntervalNode(a=0, b=profile.n_reduced, level=0)]
-    # (node, bad intervals on its root path, itself included)
-    stack = [(0, 0)]
+    lo_num, lo_den = WINDOW_LO.numerator, WINDOW_LO.denominator
+    hi_num, hi_den = WINDOW_HI.numerator, WINDOW_HI.denominator
+    # Eight ints per split, in split order: the node, its level and span
+    # [a, b], its children's inner endpoints, whether it is a window split,
+    # and the bad intervals on its children's root path.  The j-th split's
+    # children are nodes 2j + 1 and 2j + 2; singletons never split, so they
+    # are never pushed.
+    splits = []
+    stack = [(0, 0, profile.n_reduced, 0, 0)]
     while stack:
-        idx, depth = stack.pop()
-        node = nodes[idx]
-        a, b = node.a, node.b
-        if a == b:
-            continue
-        delta = P[b] - P[a]
+        idx, a, b, level, depth = stack.pop()
+        Pa = P[a]
+        delta = P[b] - Pa
         # smallest t with P_t >= P_a + 0.45 delta
-        lo_threshold = P[a] + -(-WINDOW_LO.numerator * delta // WINDOW_LO.denominator)
-        t0 = bisect_left(P, lo_threshold, a, b + 1)
-        if t0 <= b and (P[t0] - P[a]) * WINDOW_HI.denominator <= WINDOW_HI.numerator * delta:
-            split_left, split_right = t0, t0
-            shared = True
+        t0 = bisect_left(P, Pa - (-lo_num * delta // lo_den), a, b + 1)
+        shared = t0 <= b and (P[t0] - Pa) * hi_den <= hi_num * delta
+        if shared:
+            split_left = t0
         else:
             split_left = t0 - 1            # largest t strictly below the window
-            split_right = t0
-            shared = False
-        node.shared_split = shared
-        if not shared:
             depth += 1
-        child = dict(level=node.level + 1, parent=idx, bad=not shared,
-                     rank=None if shared else depth)
-        left = IntervalNode(a=a, b=split_left, **child)
-        right = IntervalNode(a=split_right, b=b, **child)
-        node.left = len(nodes)
-        nodes.append(left)
-        node.right = len(nodes)
-        nodes.append(right)
-        stack.append((node.right, depth))
-        stack.append((node.left, depth))
-    return IntervalTree(profile=profile, nodes=nodes, table=NodeTable.of(nodes))
+        child = 2 * (len(splits) // 8) + 1
+        splits += (idx, level, a, b, split_left, t0, shared, depth)
+        if t0 < b:
+            stack.append((child + 1, t0, b, level + 1, depth))
+        if a < split_left:
+            stack.append((child, a, split_left, level + 1, depth))
+    return IntervalTree(profile=profile, table=_node_table(profile.n_reduced, splits))
+
+
+def _node_table(n: int, splits: list[int]) -> NodeTable:
+    """The NodeTable of build_tree's split records; node 0 is [0, n]."""
+    idx, level, span_a, span_b, split_left, t0, shared, depth = np.fromiter(
+        splits, dtype=np.int64, count=len(splits)).reshape(-1, 8).T
+    shared = shared.astype(bool)
+    size = 2 * len(idx) + 1
+
+    def column(root, left_child, right_child):
+        """Node 0's entry, then the entries of each split's two children."""
+        return np.concatenate(([root], np.column_stack((left_child, right_child)).ravel()))
+
+    left, right = np.full(size, -1, dtype=np.int64), np.full(size, -1, dtype=np.int64)
+    left[idx] = np.arange(1, size, 2)
+    right[idx] = left[idx] + 1
+    shared_col = np.zeros(size, dtype=bool)
+    shared_col[idx] = shared
+    child_rank = np.where(shared, 0, depth)
+    level_col = column(0, level + 1, level + 1)
+    order = np.argsort(level_col, kind="stable")
+    return NodeTable(
+        parent=column(-1, idx, idx), a=column(0, span_a, t0),
+        b=column(n, split_left, span_b), left=left, right=right, level=level_col,
+        shared=shared_col, bad=column(False, ~shared, ~shared),
+        rank=column(0, child_rank, child_rank),
+        levels=tuple(np.split(order, np.cumsum(np.bincount(level_col))[:-1])))
 
 
 def classify_and_rank(tree: IntervalTree) -> IntervalTree:
@@ -201,10 +250,11 @@ def _rank_mass(tree: IntervalTree) -> dict[int, int]:
     common denominator profile.nums[-1]; every rank held by a bad node is
     a key, zero-mass ranks included."""
     P = tree.profile.nums
-    mass: dict[int, int] = {}
-    for nd in tree.nodes:
-        if nd.bad:
-            mass[nd.rank] = mass.get(nd.rank, 0) + P[nd.b] - P[nd.a]
+    tab = tree.table
+    mass = dict.fromkeys(sorted(set(tab.rank[tab.bad].tolist())), 0)
+    at = tab.bad & (tab.a != tab.b)        # a singleton carries no mass
+    for q, a, b in zip(tab.rank[at].tolist(), tab.a[at].tolist(), tab.b[at].tolist()):
+        mass[q] += P[b] - P[a]
     return mass
 
 
@@ -225,16 +275,15 @@ def check_invariants(tree: IntervalTree) -> list[str]:
     P = tree.profile.nums
     total = P[-1]
     n = tree.profile.n_reduced
+    tab = tree.table
 
     # Deeper levels only refine: nodes that stopped splitting earlier still
     # cover their points, so each level extends with all shallower leaves.
     # Spans are (a, b) columns sorted by a, then b.
     leaf_a = leaf_b = np.zeros(0, dtype=np.int64)
-    for level, idxs in enumerate(tree.table.levels):
-        nodes = [tree.nodes[i] for i in idxs.tolist()]
-        a, b = np.array([(nd.a, nd.b) for nd in nodes],
-                        dtype=np.int64).reshape(-1, 2).T
-        leaf = np.array([nd.is_leaf for nd in nodes], dtype=bool)
+    for level, idxs in enumerate(tab.levels):
+        a, b = tab.a[idxs], tab.b[idxs]
+        leaf = tab.left[idxs] < 0
         cov_a, cov_b = np.concatenate([a, leaf_a]), np.concatenate([b, leaf_b])
         order = np.lexsort((cov_b, cov_a))
         cov_a, cov_b = cov_a[order], cov_b[order]
@@ -253,22 +302,21 @@ def check_invariants(tree: IntervalTree) -> list[str]:
         for i in np.flatnonzero(sb[:-1] > sa[1:]):
             problems.append(f"level {level}: [{sa[i]},{sb[i]}] overlaps "
                             f"[{sa[i + 1]},{sb[i + 1]}]")
-        # T-length cap 0.55^level, on integer numerators
-        den_pow = LENGTH_DECAY.denominator ** level
-        num_pow = LENGTH_DECAY.numerator ** level
-        for nd in nodes:
-            if (P[nd.b] - P[nd.a]) * den_pow > num_pow * total:
+        # T-length cap: (P_b - P_a) / total > 0.55^level exactly when the
+        # integer P_b - P_a exceeds floor(0.55^level * total), which is at
+        # least 0, so no singleton breaks it
+        cap = LENGTH_DECAY.numerator ** level * total // LENGTH_DECAY.denominator ** level
+        span = a != b
+        for na, nb in zip(a[span].tolist(), b[span].tolist()):
+            if P[nb] - P[na] > cap:
                 problems.append(
-                    f"level {level}: [{nd.a},{nd.b}] longer than 0.55^{level}")
+                    f"level {level}: [{na},{nb}] longer than 0.55^{level}")
         leaf_a = np.concatenate([leaf_a, a[leaf]])
         leaf_b = np.concatenate([leaf_b, b[leaf]])
 
-    for nd in tree.nodes:
-        if nd.is_leaf or nd.shared_split is None:
-            continue
-        left, right = tree.nodes[nd.left], tree.nodes[nd.right]
-        if left.bad != right.bad:
-            problems.append(f"siblings of [{nd.a},{nd.b}] differ in badness")
+    par = np.flatnonzero(tab.left >= 0)
+    for i in par[tab.bad[tab.left[par]] != tab.bad[tab.right[par]]]:
+        problems.append(f"siblings of [{tab.a[i]},{tab.b[i]}] differ in badness")
     # mass / total > 0.9^q is decided on numerators
     mass = _rank_mass(tree)
     num, den = RANK_DECAY.numerator, RANK_DECAY.denominator
@@ -308,7 +356,7 @@ def hop_rule_violations(tree: IntervalTree, S) -> int:
     rise = np.abs(S_red[ends] - S_red[start, np.arange(S_red.shape[1])])
     smaller = np.minimum(np.abs(S_red[tab.b[lft]] - S_red[tab.a[lft]]),
                          np.abs(S_red[tab.b[rgt]] - S_red[tab.a[rgt]]))
-    bad = np.array([nd.bad for nd in tree.nodes])
+    bad = tab.bad
     in_left = ends <= tab.b[lft]
     good_min = ((start == a[:, None]) | (start == b[:, None])) & (rise == smaller)
     bad_hop = ((start == np.where(in_left, a, b)[..., None])
@@ -316,7 +364,7 @@ def hop_rule_violations(tree: IntervalTree, S) -> int:
     ok = np.where(((ends == a) | (ends == b))[..., None], start == ends[..., None],
                   np.where(tab.shared[par, None], good_min, bad_hop))
 
-    rank = np.array([nd.rank if nd.bad else 0 for nd in tree.nodes])
+    rank = np.where(bad, tab.rank, 0)
     # rank of each node's nearest bad ancestor, 0 when it has none
     above = np.zeros_like(rank)
     for idxs in tab.levels[1:]:

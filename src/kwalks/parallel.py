@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-# numpy loads these lazily (np.random for substream, np.ma in np.unique);
-# loaded before any pool forks, they are inherited by every worker.
-import numpy.ma  # noqa: F401
+# numpy loads np.random lazily; loaded here, before any pool forks, it is
+# inherited by every worker rather than imported by each (substream uses it).
 import numpy.random  # noqa: F401
 
 from .rng import chunk_layout, substream

@@ -44,6 +44,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, isfinite, lcm
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -674,41 +675,71 @@ def exact_moments(spec: FamilySpec) -> MomentSummary:
 
 
 def _stage_block_moments(params: AdversarialParams, stage: str):
-    """Per-block mean and per-block-pair E[h_i h_j] (i != j) for a stage."""
+    """Per-block mean and per-block-pair E[h_i h_j] (i != j) for a stage.
+
+    Each table is summed in integer numerators over one common denominator,
+    read off the full f and g tables, and turned into Fractions at the end
+    (`_over`).  Every entry follows its formula; none leans on g being
+    circulant or symmetric, which the H3 and H checks exist to test.
+    """
     root = params.root
-    f, g = params.f, params.g
 
     if stage == "H1":
-        return list(f), [[a * b for b in f] for a in f]
+        f, den = _numerators(params.f)
+        return list(params.f), _over([[a * b for b in f] for a in f], den * den)
 
     if stage == "H2":
-        return [Fraction(0)] * root, [list(row) for row in g]
+        return [Fraction(0)] * root, [list(row) for row in params.g]
 
+    if stage not in ("H3", "H"):
+        raise ValueError(f"stage must be one of {STAGES}")
+    # H3: the rotated stage has weight 1/gs and adds g_c1c2 to E[h_i h_j].
+    # Pair mode (a, b), a < b, has weight |g_ab|/gs and sets block a to +1
+    # and block b to -sign(g_ab): it adds |g_ab| to the mean of block a,
+    # -g_ab to the mean of block b and to E[h_i h_j] across the two blocks,
+    # and |g_ab| within either block.  g_cc > 0, so a diagonal entry is the
+    # absolute sum of row c.  x3 is H3's pair table in numerators over
+    # den * gs.
+    flat, den = _numerators([v for row in params.g for v in row])
+    g = [flat[i:i + root] for i in range(0, root * root, root)]
+    cols = list(zip(*g))
+    # off the diagonal, g[c1][c2] - g[min(c1, c2)][max(c1, c2)]
+    x3 = [list(map(sub, row, (*cols[c][:c], *row[c:]))) for c, row in enumerate(g)]
+    for c, row in enumerate(g):
+        x3[c][c] = sum(map(abs, row))
+    gs = params.g_scale
     if stage == "H3":
-        # The rotated stage has weight 1/gs and adds g_c1c2 to E[h_i h_j].
-        # Pair mode (a, b), a < b, has weight |g_ab|/gs and sets block a to
-        # +1 and block b to -sign(g_ab): it adds |g_ab| to the mean of block
-        # a, -g_ab to the mean of block b and to E[h_i h_j] across the two
-        # blocks, and |g_ab| within either block.  g_cc > 0, so a diagonal
-        # entry is the absolute sum of row c.
-        gs = params.g_scale
-        mean = [(sum(abs(v) for v in g[c][c + 1:])
-                 - sum(g[a][c] for a in range(c))) / gs for c in range(root)]
-        pair = [[(sum(abs(v) for v in g[c1]) if c1 == c2
-                  else g[c1][c2] - g[min(c1, c2)][max(c1, c2)]) / gs
-                 for c2 in range(root)] for c1 in range(root)]
-        return mean, pair
+        mean = [sum(map(abs, g[c][c + 1:])) - sum(cols[c][:c]) for c in range(root)]
+        tables = _over([[v * gs.denominator for v in row] for row in (mean, *x3)],
+                       den * gs.numerator)
+        return tables[0], tables[1:]
+    # H: H3 with probability p under a fair negation, which centers it, and
+    # balanced block subsets otherwise, whose within-block correlation is
+    # -1/(root - 1).  p * x3 / (den * gs) - (1 - p) / (root - 1) on the
+    # diagonal, in numerators over p's denominator * den * gs * (root - 1).
+    p = params.p
+    scale = p.numerator * gs.denominator * (root - 1)
+    within = (p.denominator - p.numerator) * den * gs.numerator
+    pair = [[v * scale for v in row] for row in x3]
+    for c, row in enumerate(pair):
+        row[c] -= within
+    return ([Fraction(0)] * root,
+            _over(pair, p.denominator * den * gs.numerator * (root - 1)))
 
-    if stage == "H":
-        p = params.p
-        _, pair3 = _stage_block_moments(params, "H3")
-        mean = [Fraction(0)] * root               # fair negation centers H3
-        within = Fraction(-1, root - 1)           # balanced block subsets
-        pair = [[p * v + (1 - p) * (within if c1 == c2 else 0)
-                 for c2, v in enumerate(row)] for c1, row in enumerate(pair3)]
-        return mean, pair
 
-    raise ValueError(f"stage must be one of {STAGES}")
+def _numerators(values) -> tuple[list[int], int]:
+    """Fractions as integer numerators over their lcm denominator."""
+    dens = {v.denominator for v in values}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [v.numerator * scale[v.denominator] for v in values], den
+
+
+def _over(rows: list[list[int]], den: int) -> list[list[Fraction]]:
+    """Rows of integer numerators as fresh lists of Fractions over den,
+    with one Fraction object per distinct numerator."""
+    made = {num: Fraction(num, den) for num in set().union(*rows)}
+    return [list(map(made.__getitem__, row)) for row in rows]
 
 
 class SampleMoments(NamedTuple):

@@ -383,6 +383,41 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out == "False\n"
 
 
+@pytest.mark.parametrize("params,message", [
+    ("n_list = 16 64\nmin_r2 = nan", "min_r2 needs finite float values, got 'nan'"),
+    ("n_list = 16 64 256\nmax_slope_se_mult = inf",
+     "max_slope_se_mult needs finite float values, got 'inf'"),
+    ("n_list = 16 64 256\nmin_slope = steep",
+     "min_slope needs float values, got 'steep'"),
+    ("n_list = 16 64\nmin_r2 = 0.5",
+     "n_list needs at least 3 sizes to fit a growth slope, got 2"),
+    ("n_list = 16", "n_list needs at least 3 sizes to fit a growth slope, got 1"),
+], ids=["min_r2-nan", "max_slope_se_mult-inf", "min_slope-text", "two-sizes",
+        "one-size"])
+def test_walk_scaling_reads_its_gates_before_any_draw(tmp_path, capsys,
+                                                      monkeypatch, params, message):
+    def no_draws(task):
+        raise AssertionError("a chunk ran before the gates were read")
+
+    monkeypatch.setattr(kwalks.parallel, "_run_chunk", no_draws)
+    cfg = write_config(tmp_path / "ws.cfg", "[experiment]\nkind = walk-scaling\n"
+                       "trials = 100\n[family]\nkind = FullyIndependent\n"
+                       f"[params]\n{params}\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_experiments_import_leaves_numpy_ma_unloaded():
+    # no kwalks code path calls into numpy.ma, so no process pays its import
+    code = "import sys, kwalks.experiments; print('numpy.ma' in sys.modules)"
+    src = str(Path(kwalks.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_family_verify_run(tmp_path, capsys):
     cfg = write_config(tmp_path / "fam.cfg", """
         [experiment]

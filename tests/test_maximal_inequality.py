@@ -47,6 +47,16 @@ def test_profile_rejects_bad_input():
         mi.VarianceProfile.from_sigmas([0, 0])
     with pytest.raises(mi.InvalidProfileError):
         mi.VarianceProfile.from_sigmas([1, -1])
+    # non-finite values, as floats or strings, name their index
+    for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+                "nan", "inf"):
+        with pytest.raises(mi.InvalidProfileError, match="variance 2 is not"):
+            mi.VarianceProfile.from_sigmas([1, 0.5, bad, 2])
+    with pytest.raises(mi.InvalidProfileError, match="variance 1 is not"):
+        mi.VarianceProfile.from_sigmas(np.array([1.0, np.inf]))
+    # exact inputs are read as before
+    profile = mi.VarianceProfile.from_sigmas([1, F(1, 2), "1/3", "0.25", 0.5])
+    assert profile.T[1:] == tuple(F(x, 31) for x in (12, 18, 22, 25, 31))
 
 
 def test_profile_float_inputs_exact():
@@ -121,7 +131,7 @@ def test_check_invariants_reports_rank_mass_over_bound():
     tree = build([F(1, 16)] * 16)
     # mark both halves of the root bad: rank-1 mass 1 > 0.9
     for idx in (tree.root.left, tree.root.right):
-        tree.nodes[idx].bad, tree.nodes[idx].rank = True, 1
+        tree.table.bad[idx], tree.table.rank[idx] = True, 1
     assert mi.bad_mass_exact(tree, 1) == 1
     assert "rank 1 mass exceeds 9/10^1" in mi.check_invariants(tree)
 
@@ -192,16 +202,18 @@ def test_invariants_on_arbitrary_profiles(raw):
 
 
 def _reference_problems(tree):
-    """check_invariants as a per-level loop that re-sorts every shallower
-    leaf span: the reference the array version must match exactly."""
+    """check_invariants as a per-level loop over IntervalNode objects that
+    re-sorts every shallower leaf span: the reference the array version
+    must match exactly.  The nodes are built from the table as it stands."""
     problems = []
     P = tree.profile.nums
     total = P[-1]
     n = tree.profile.n_reduced
+    nodes = mi.IntervalTree(profile=tree.profile, table=tree.table).nodes
     leaf_spans = []
     for level, idxs in enumerate(tree.table.levels):
         idxs = idxs.tolist()
-        spans = sorted((tree.nodes[i].a, tree.nodes[i].b) for i in idxs)
+        spans = sorted((nodes[i].a, nodes[i].b) for i in idxs)
         cursor = -1
         for a, b in sorted(spans + leaf_spans):
             if a > cursor + 1:
@@ -216,19 +228,19 @@ def _reference_problems(tree):
         den_pow = mi.LENGTH_DECAY.denominator ** level
         num_pow = mi.LENGTH_DECAY.numerator ** level
         for i in idxs:
-            nd = tree.nodes[i]
+            nd = nodes[i]
             if (P[nd.b] - P[nd.a]) * den_pow > num_pow * total:
                 problems.append(
                     f"level {level}: [{nd.a},{nd.b}] longer than 0.55^{level}")
-        leaf_spans += [(tree.nodes[i].a, tree.nodes[i].b) for i in idxs
-                       if tree.nodes[i].is_leaf]
-    for nd in tree.nodes:
+        leaf_spans += [(nodes[i].a, nodes[i].b) for i in idxs
+                       if nodes[i].is_leaf]
+    for nd in nodes:
         if nd.is_leaf or nd.shared_split is None:
             continue
-        if tree.nodes[nd.left].bad != tree.nodes[nd.right].bad:
+        if nodes[nd.left].bad != nodes[nd.right].bad:
             problems.append(f"siblings of [{nd.a},{nd.b}] differ in badness")
     mass = {}
-    for nd in tree.nodes:
+    for nd in nodes:
         if nd.bad:
             mass[nd.rank] = mass.get(nd.rank, 0) + P[nd.b] - P[nd.a]
     num, den = mi.RANK_DECAY.numerator, mi.RANK_DECAY.denominator
@@ -245,10 +257,10 @@ def test_check_invariants_matches_reference_on_corrupted_trees():
         tree = mi.build_tree(mi.random_profile(128, 4.0, rng))
         n = tree.profile.n_reduced
         # move a few endpoints: gaps, overlaps, short coverage, long spans
-        for i in rng.choice(len(tree.nodes), size=trial % 5, replace=False):
-            nd = tree.nodes[int(i)]
-            nd.a = int(np.clip(nd.a + rng.integers(-3, 4), 0, n))
-            nd.b = int(np.clip(nd.b + rng.integers(-3, 4), nd.a, n))
+        tab = tree.table
+        for i in rng.choice(len(tab.a), size=trial % 5, replace=False):
+            tab.a[i] = np.clip(tab.a[i] + rng.integers(-3, 4), 0, n)
+            tab.b[i] = np.clip(tab.b[i] + rng.integers(-3, 4), tab.a[i], n)
         problems = mi.check_invariants(tree)
         assert problems == _reference_problems(tree)
         reported += bool(problems)
@@ -343,9 +355,9 @@ def test_bad_hops_cross_the_bad_child(split_case, monkeypatch):
     assert mi.hop_rule_violations(tree, S) == len(S) * inner_ends > 0
     monkeypatch.undo()
     # a bad hop must cross a bad node: unmark one child of an abutting split
-    lft = next(lft for nd, lft, _ in splits
+    lft = next(nd.left for nd, lft, _ in splits
                if not nd.shared_split and inner(lft.b, nd.a, nd.b))
-    lft.bad = False
+    tree.table.bad[lft] = False
     assert mi.hop_rule_violations(tree, S) == len(S)
 
 
@@ -363,9 +375,9 @@ def test_equal_hops_stay_on_the_parent_endpoint(split_case, monkeypatch):
 def test_bad_ranks_are_distinct_along_a_chain(split_case):
     tree, S, _, _ = split_case
     # a bad leaf deeper than rank 1 takes its nearest bad ancestor's rank
-    leaf = next(nd for nd in tree.nodes
+    leaf = next(i for i, nd in enumerate(tree.nodes)
                 if nd.is_leaf and nd.bad and nd.rank >= 2)
-    leaf.rank -= 1
+    tree.table.rank[leaf] -= 1
     assert mi.hop_rule_violations(tree, S) == 1
     assert mi.hop_rule_violations(tree, S[0]) == 1
 

@@ -1,0 +1,122 @@
+"""Kernel timings of the exact layer, written to BENCH_exact_<date>.json.
+
+Usage, from the root of a checkout:
+
+  python3 tools/bench_exact.py [--repeats R] [--moment-n N ...] [--tree-n N]
+                               [--out-dir DIR]
+
+Times, in one process, the exact kernels the exact-verify workload spends
+its time in: `exact_moments` of stage H at each --moment-n, and
+`VarianceProfile.from_sigmas`, `build_tree` and `check_invariants` on one
+seeded variance profile of --tree-n steps.  The kernels run interleaved,
+one call of each per repeat, so a drift in machine speed spreads over all
+of them alike.  Each kernel's inputs (the adversarial constants, the float
+variances, the profile and the tree) are built before the first repeat,
+so a timing holds the kernel alone.  The file records the revision, the
+Python and numpy versions and the core count, and per kernel the median
+and quartiles of its seconds over the repeats.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from kwalks import maximal_inequality as mi  # noqa: E402
+from kwalks.rng import substream  # noqa: E402
+from kwalks.sign_families import (ADVERSARIAL_STAGE, FamilySpec,  # noqa: E402
+                                  adversarial_params, exact_moments)
+
+PROFILE_SEED = 20250810
+PROFILE_DECADES = 4.0
+
+
+def kernels(moment_ns, tree_n) -> dict:
+    """Name -> zero-argument call of one kernel on inputs built here."""
+    calls = {}
+    for n in moment_ns:
+        spec = FamilySpec(kind=ADVERSARIAL_STAGE, n=n, stage="H")
+        adversarial_params(n)
+        calls[f"exact_moments_H_n{n}"] = lambda spec=spec: exact_moments(spec)
+    sigmas = mi.random_variances(tree_n, PROFILE_DECADES, substream(PROFILE_SEED, 0))
+    profile = mi.VarianceProfile.from_sigmas(sigmas)
+    tree = mi.build_tree(profile)
+    calls[f"from_sigmas_n{tree_n}"] = lambda: mi.VarianceProfile.from_sigmas(sigmas)
+    calls[f"build_tree_n{tree_n}"] = lambda: mi.build_tree(profile)
+    calls[f"check_invariants_n{tree_n}"] = lambda: mi.check_invariants(tree)
+    return calls
+
+
+def quartiles(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "repeats": len(samples)}
+
+
+def revision() -> str:
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, text=True,
+                             capture_output=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                           text=True, capture_output=True).stdout.strip()
+    return out.stdout.strip() + ("+dirty-src" if dirty else "")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--moment-n", type=int, nargs="+", default=[256, 1024, 4096])
+    parser.add_argument("--tree-n", type=int, default=4096)
+    parser.add_argument("--out-dir", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2, for quartiles")
+
+    calls = kernels(args.moment_n, args.tree_n)
+    for call in calls.values():         # warm every cache the run would
+        call()
+    samples = {name: [] for name in calls}
+    for _ in range(args.repeats):
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            samples[name].append(time.perf_counter() - start)
+
+    today = datetime.date.today().isoformat()
+    result = {
+        "harness": "tools/bench_exact.py",
+        "date": today,
+        "revision": revision(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "profile": {"seed": PROFILE_SEED, "decades": PROFILE_DECADES,
+                    "n": args.tree_n},
+        "kernels": {name: quartiles(s) for name, s in samples.items()},
+    }
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    path = args.out_dir / f"BENCH_exact_{today}.json"
+    path.write_text(json.dumps(result, indent=1) + "\n")
+    for name, stats in result["kernels"].items():
+        print(f"{name:32s} median {stats['median_s'] * 1e3:9.3f} ms  "
+              f"[{stats['q1_s'] * 1e3:.3f}, {stats['q3_s'] * 1e3:.3f}]")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
