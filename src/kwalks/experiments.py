@@ -15,7 +15,6 @@ import io
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -27,8 +26,9 @@ from . import (__version__, dyadic_matrix, maximal_inequality as mi, parallel,
 from .rng import BIT_GENERATOR, TRIAL_CHUNK, mix64, substream
 from .sign_families import (ADVERSARIAL_STAGE, FULLY_INDEPENDENT,
                             POLYNOMIAL_KWISE, FamilySpec, MomentSummary,
-                            adversarial_params, exact_moments, g_table,
-                            h2_cross_term_ratio, make_sampler, parse_number)
+                            _numerators, adversarial_params, exact_moments,
+                            g_table, h2_cross_term_ratio, make_sampler,
+                            parse_number)
 
 @dataclass
 class Check:
@@ -261,12 +261,15 @@ def _exact_stage_check(spec: FamilySpec,
         return "mean_matches_bias_profile", "H1 means", ok
     if spec.stage == "H2":
         # E[h_i h_j] averages f_{c1+d} f_{c2+d} over the root rotations d;
-        # summed per entry in integers, f scaled by a common denominator
-        den = lcm(*(v.denominator for v in f))
-        rotated = [[int(v * den) for v in f[c:] + f[:c]] for c in range(root)]
+        # summed per entry in integers, f and the table each in numerators
+        # over one common denominator
+        f_nums, f_den = _numerators(f)
+        rotated = [f_nums[c:] + f_nums[:c] for c in range(root)]
+        nums, den = _numerators([v for row in pair for v in row])
+        scale = root * f_den * f_den
         ok = all(v == 0 for v in mean) and all(
-            pair[c1][c2] * root * den * den
-            == sum(map(mul, rotated[c1], rotated[c2]))
+            nums[c1 * root + c2] * scale
+            == sum(map(mul, rotated[c1], rotated[c2])) * den
             for c1 in range(root) for c2 in range(root))
         return "centered_with_g_correlations", "H2 moments", ok
     same_block = params.c6 / root

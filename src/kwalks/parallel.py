@@ -95,8 +95,8 @@ class MomentJob:
 
     stat is a module-level function mapping a (count, n) batch of sign
     rows to count values or a (count, columns) array; each row's values
-    must not depend on the other rows, since a chunk may reach stat in
-    row tiles.
+    must not depend on the other rows, since a chunk reaches stat in row
+    tiles.
     """
 
     stat: Callable
@@ -109,14 +109,14 @@ class MomentJob:
 def _moment_chunk(args, rng, count):
     """Column sums and sums of squares of stat over count sampled rows.
 
-    A tileable sampler draws the rows in tiles of tile_rows(n) and stat
-    runs per tile, so memory stays bounded as n grows; any other sampler
-    draws the chunk as one tile.  The per-row values are joined into one
-    (count, columns) array, so the sums are those of a single tile.
+    The rows are drawn in tiles of tile_rows(n), one sample_batch call
+    each, and stat runs per tile, so memory stays bounded as n grows.  The
+    per-row values are joined into one (count, columns) array, so the sums
+    are those of one tile of the same rows.
     """
     spec, stat, stat_args = args
     sampler = make_sampler(spec)
-    step = tile_rows(spec.n) if sampler.tileable else count
+    step = tile_rows(spec.n)
     values = []
     for lo in range(0, count, step):
         batch = sampler.sample_batch(rng, min(step, count - lo))

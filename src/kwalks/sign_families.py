@@ -372,18 +372,13 @@ class AdversarialSampler:
     probability proportional to |g|) times a fair global sign, balanced the
     per-block balanced subsets.  Mixing the branches with
     `params.branch_weights` gives stage H exactly.
-
-    tileable means that sample_batch(rng, a + b) equals sample_batch(rng,
-    a) followed by sample_batch(rng, b), byte for byte.  It holds for H1
-    and the balanced branch, which draw their rows in row order; the other
-    kernels draw a per-batch vector first.
     """
 
     def __init__(self, spec: FamilySpec):
         self.params = adversarial_params(spec.n)
         self.stage = spec.stage
         self.n = self.params.n
-        self._draw, tables, self.tileable = _KERNELS[spec.branch or spec.stage]
+        self._draw, tables = _KERNELS[spec.branch or spec.stage]
         for table in tables:
             getattr(self.params, table)
 
@@ -479,21 +474,19 @@ class AdversarialSampler:
         return rows
 
 
-# Per kernel (a stage, or a branch of stage H): its draw method, the float
-# tables of AdversarialParams it reads, and whether it is tileable.  A
-# sampler builds its tables at construction, so one built in the parent
-# reaches forked workers complete.
+# Per kernel (a stage, or a branch of stage H): its draw method and the
+# float tables of AdversarialParams it reads.  A sampler builds its tables
+# at construction, so one built in the parent reaches forked workers
+# complete.
 _KERNELS = {
-    "H1": (AdversarialSampler._batch_h1, ("h1_cut",), True),
-    "H2": (AdversarialSampler._batch_h2, ("h1_cut",), False),
-    "H3": (AdversarialSampler._batch_h3, ("h1_cut", "mode_cdf", "pair_modes"),
-           False),
+    "H1": (AdversarialSampler._batch_h1, ("h1_cut",)),
+    "H2": (AdversarialSampler._batch_h2, ("h1_cut",)),
+    "H3": (AdversarialSampler._batch_h3, ("h1_cut", "mode_cdf", "pair_modes")),
     "H": (AdversarialSampler._batch_h, ("h1_cut", "mode_cdf", "pair_modes",
-                                        "p_float", "balanced_keys"), False),
-    "drift": (AdversarialSampler._batch_drift, ("h1_cut",), False),
-    "pairs": (AdversarialSampler._batch_pairs, ("pair_mode_cdf", "pair_modes"),
-              False),
-    "balanced": (AdversarialSampler._batch_balanced, ("balanced_keys",), True),
+                                        "p_float", "balanced_keys")),
+    "drift": (AdversarialSampler._batch_drift, ("h1_cut",)),
+    "pairs": (AdversarialSampler._batch_pairs, ("pair_mode_cdf", "pair_modes")),
+    "balanced": (AdversarialSampler._batch_balanced, ("balanced_keys",)),
 }
 
 
@@ -573,10 +566,7 @@ def _rotate_blocks(rows: np.ndarray, shifts: np.ndarray, root: int) -> np.ndarra
 
 class KWiseSampler:
     """Exactly k-wise independent signs from random polynomials over
-    GF(2^64).  A batch draws its coefficients in one call; full-range uint64
-    draws split by rows give the same stream, so the sampler is tileable."""
-
-    tileable = True
+    GF(2^64).  A batch draws its coefficients in one call."""
 
     def __init__(self, spec: FamilySpec):
         self.n = spec.n
@@ -593,8 +583,6 @@ class KWiseSampler:
 
 class IndependentSampler:
     """Fully independent uniform signs."""
-
-    tileable = True
 
     def __init__(self, spec: FamilySpec):
         self.n = spec.n

@@ -267,8 +267,8 @@ def test_bench_exact_writes_its_file(tmp_path):
     result = json.loads(path.read_text())
     assert {"revision", "python", "numpy", "nproc"} <= set(result)
     assert list(result["kernels"]) == [
-        "exact_moments_H_n16", "exact_moments_H_n64", "from_sigmas_n64",
-        "build_tree_n64", "check_invariants_n64"]
+        "exact_moments_H_n16", "exact_moments_H_n64", "h2_check_n64",
+        "from_sigmas_n64", "build_tree_n64", "check_invariants_n64"]
     for stats in result["kernels"].values():
         assert stats["repeats"] == 3
         assert 0 <= stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]

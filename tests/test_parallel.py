@@ -9,7 +9,7 @@ from kwalks import maximal_inequality as mi
 from kwalks import parallel, sign_families, streams, walks
 from kwalks.experiments import ExperimentConfig, run
 from kwalks.parallel import MomentJob, map_reduce_chunks, mc_moments
-from kwalks.rng import substream
+from kwalks.rng import TRIAL_CHUNK, substream
 from kwalks.sign_families import FamilySpec, make_sampler, tile_rows
 from kwalks.walks import estimate_sup_moment
 
@@ -187,32 +187,32 @@ def _adversarial(stage, branch=None):
     return FamilySpec(kind="AdversarialStage", n=1024, stage=stage, branch=branch)
 
 
-# spec and whether the sampler is tileable, per sampler
 SAMPLERS = {
-    "kwise": (FamilySpec(kind="PolynomialKWise", n=1024, k=4), True),
-    "independent": (FamilySpec(kind="FullyIndependent", n=1024), True),
-    "H1": (_adversarial("H1"), True),
-    "balanced": (_adversarial("H", "balanced"), True),
-    "H2": (_adversarial("H2"), False),
-    "H3": (_adversarial("H3"), False),
-    "H": (_adversarial("H"), False),
-    "drift": (_adversarial("H", "drift"), False),
-    "pairs": (_adversarial("H", "pairs"), False),
+    "kwise": FamilySpec(kind="PolynomialKWise", n=1024, k=4),
+    "independent": FamilySpec(kind="FullyIndependent", n=1024),
+    "H1": _adversarial("H1"),
+    "balanced": _adversarial("H", "balanced"),
+    "H2": _adversarial("H2"),
+    "H3": _adversarial("H3"),
+    "H": _adversarial("H"),
+    "drift": _adversarial("H", "drift"),
+    "pairs": _adversarial("H", "pairs"),
 }
 
 
-@pytest.mark.parametrize("name", SAMPLERS)
+# these samplers draw their rows in row order, so their estimates do not
+# depend on TILE_SIGNS; the others draw a per-batch vector (shifts, modes,
+# branch picks) first, so a tile draws other rows than a whole chunk would
+@pytest.mark.parametrize("name", ["kwise", "independent", "H1", "balanced"])
 @pytest.mark.parametrize("rows", [1, 7, tile_rows(1024)])
-def test_only_tileable_samplers_draw_the_same_rows_in_tiles(name, rows):
-    spec, tiled = SAMPLERS[name]
-    sampler = make_sampler(spec)
-    assert sampler.tileable is tiled
-    count = 2 * tile_rows(spec.n) + 88
+def test_row_order_samplers_draw_the_same_rows_in_tiles(name, rows):
+    sampler = make_sampler(SAMPLERS[name])
+    count = 2 * tile_rows(sampler.n) + 88
     whole = sampler.sample_batch(substream(5, 0), count)
     rng = substream(5, 0)
     tiles = [sampler.sample_batch(rng, min(rows, count - lo))
              for lo in range(0, count, rows)]
-    assert (np.concatenate(tiles).tobytes() == whole.tobytes()) is tiled
+    assert np.concatenate(tiles).tobytes() == whole.tobytes()
 
 
 def _recording_stat(sizes):
@@ -223,13 +223,26 @@ def _recording_stat(sizes):
 
 
 @pytest.mark.parametrize("name", SAMPLERS)
-def test_moment_chunk_tiles_only_tileable_samplers(name):
-    spec, tiled = SAMPLERS[name]
+def test_moment_chunk_tiles_every_sampler(name):
+    spec = SAMPLERS[name]
     sizes = []
     parallel._moment_chunk((spec, _recording_stat(sizes), ()),
                            substream(1, 0), 600)
     step = tile_rows(spec.n)
-    assert sizes == ([step, step, 600 - 2 * step] if tiled else [600])
+    assert sizes == [step, step, 600 - 2 * step]
+
+
+@pytest.mark.parametrize("name", ["H2", "H3", "H", "drift", "pairs"])
+def test_per_batch_samplers_draw_the_same_law_in_tiles(monkeypatch, name):
+    # rows of a mixture are iid, so a tile that draws its own shifts, modes
+    # and branch picks samples the same law as a whole chunk
+    spec = SAMPLERS[name]
+    assert tile_rows(spec.n) < TRIAL_CHUNK
+    tiled = estimate_sup_moment(spec, 1, 2048, seed=8)
+    monkeypatch.setattr(sign_families, "TILE_SIGNS", TRIAL_CHUNK * spec.n)
+    whole = estimate_sup_moment(spec, 1, 2048, seed=8)
+    assert (abs(tiled.mean - whole.mean)
+            < 4 * (tiled.stderr ** 2 + whole.stderr ** 2) ** 0.5)
 
 
 STREAM = streams.uniform_stream(256, n=64, seed=1)
@@ -275,6 +288,24 @@ def test_kwise_estimate_memory_stays_bounded_at_large_n():
     # and its sup kernel adds as much again; in row tiles of TILE_SIGNS
     # signs the estimate needs under 8 MiB beyond the sampler's tables.
     spec = FamilySpec(kind="PolynomialKWise", n=1 << 16, k=4)
+    make_sampler(spec)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        estimate_sup_moment(spec, 1, 1024, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", ["H2", "H3", "H", "drift", "pairs"])
+def test_adversarial_estimate_memory_stays_bounded_at_large_n(name):
+    # One 1024-row chunk at n = 4^7 is 16 MiB as a single int8 sign matrix,
+    # and its draw and sup kernel take several times that; in row tiles of
+    # TILE_SIGNS signs the estimate needs under 8 MiB beyond the sampler's
+    # tables.
+    spec = replace(SAMPLERS[name], n=4 ** 7)
     make_sampler(spec)
     tracemalloc.start()
     try:

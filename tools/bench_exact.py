@@ -6,13 +6,14 @@ Usage, from the root of a checkout:
                                [--out-dir DIR]
 
 Times, in one process, the exact kernels the exact-verify workload spends
-its time in: `exact_moments` of stage H at each --moment-n, and
+its time in: `exact_moments` of stage H at each --moment-n, family-verify's
+H2 check (`_exact_stage_check`) at the largest --moment-n, and
 `VarianceProfile.from_sigmas`, `build_tree` and `check_invariants` on one
 seeded variance profile of --tree-n steps.  The kernels run interleaved,
 one call of each per repeat, so a drift in machine speed spreads over all
-of them alike.  Each kernel's inputs (the adversarial constants, the float
-variances, the profile and the tree) are built before the first repeat,
-so a timing holds the kernel alone.  The file records the revision, the
+of them alike.  Each kernel's inputs (the adversarial constants, the H2
+moment tables, the float variances, the profile and the tree) are built
+before the first repeat, so a timing holds the kernel alone.  The file records the revision, the
 Python and numpy versions and the core count, and per kernel the median
 and quartiles of its seconds over the repeats.
 """
@@ -36,6 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from kwalks import maximal_inequality as mi  # noqa: E402
+from kwalks.experiments import _exact_stage_check  # noqa: E402
 from kwalks.rng import substream  # noqa: E402
 from kwalks.sign_families import (ADVERSARIAL_STAGE, FamilySpec,  # noqa: E402
                                   adversarial_params, exact_moments)
@@ -51,6 +53,9 @@ def kernels(moment_ns, tree_n) -> dict:
         spec = FamilySpec(kind=ADVERSARIAL_STAGE, n=n, stage="H")
         adversarial_params(n)
         calls[f"exact_moments_H_n{n}"] = lambda spec=spec: exact_moments(spec)
+    h2 = FamilySpec(kind=ADVERSARIAL_STAGE, n=max(moment_ns), stage="H2")
+    h2_moments = exact_moments(h2)
+    calls[f"h2_check_n{h2.n}"] = lambda: _exact_stage_check(h2, h2_moments)
     sigmas = mi.random_variances(tree_n, PROFILE_DECADES, substream(PROFILE_SEED, 0))
     profile = mi.VarianceProfile.from_sigmas(sigmas)
     tree = mi.build_tree(profile)
