@@ -24,7 +24,6 @@ from .walks import (
     drift_check_h1,
     estimate_sup_moment,
     fit_log_growth,
-    prefix_sums,
     scaling_table,
 )
 

@@ -256,7 +256,7 @@ def _exact_stage_check(spec: FamilySpec,
         return "covariance_identity", "covariance=identity", moments.is_identity()
     if spec.stage == "H1":
         # the sampler draws +1 in block c with probability 0.5 + f_c / 2
-        bias = make_sampler(spec).params.h1_bias.reshape(root, root)
+        bias = params.h1_bias.reshape(root, root)
         ok = all((row == 0.5 + float(m) / 2).all() for row, m in zip(bias, mean))
         return "mean_matches_bias_profile", "H1 means", ok
     if spec.stage == "H2":
@@ -383,6 +383,9 @@ def _run_stream_track(config: ExperimentConfig) -> ResultTable:
                                 "normalized", "trials", "seed"])
     m_values = config.int_list("m_list", "64 256 1024 4096 16384")
     k = _positive("k", config.get_int("k", 2))
+    if k == 2 and min(m_values) < 2:
+        # lg^2 m in the k = 2 normalization is 0 at m = 1
+        raise ValueError(f"m_list needs m >= 2 at k=2, got m={min(m_values)}")
     max_ratio = (_positive("max_norm_ratio", config.get_float("max_norm_ratio", 0.0))
                  if "max_norm_ratio" in config.params else None)
     gens = config.generators("identity")
@@ -430,9 +433,9 @@ def _run_net_audit(config: ExperimentConfig) -> ResultTable:
             rng = substream(config.seed, m)
             batch = (make_sampler(FamilySpec(kind=FULLY_INDEPENDENT, n=stream.n))
                      .sample_batch(rng, realizations))
-            sups = streams.sup_inner_rows(stream, batch)
-            quad, form4 = streams.chain_forms(
-                nets, stream.prefix_inner_rows(batch), 4)
+            w = stream.prefix_inner_rows(batch)
+            sups = np.abs(w[:, 1:]).max(axis=1)
+            quad, form4 = streams.chain_forms(nets, w, 4)
             # quad and sups hold integers below 2^53, so this is exact
             hops = 2 * int(np.log2(m)) + 1
             dom_q = bool((quad.astype(np.int64) * hops

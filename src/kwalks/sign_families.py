@@ -340,14 +340,9 @@ def adversarial_params(n: int) -> AdversarialParams:
     row_abs = Fraction(sum(abs(v) for v in nums), den)
     c6 = root * row_abs / g_scale
     p = Fraction(1) / (1 + c6 * (root - 1) / root)
-    params = AdversarialParams(
+    return AdversarialParams(
         n=n, root=root, ell=root // 2, f=tuple(f),
         g=tuple(tuple(r) for r in g), g_scale=g_scale, c6=c6, p=p)
-    # Mixture bookkeeping must be exact for the family to be pairwise
-    # independent; fail loudly if it ever is not.
-    assert Fraction(1) / g_scale + (g_scale - 1) / g_scale == 1
-    assert p * c6 / root == (1 - p) * Fraction(1, root - 1)
-    return params
 
 
 def h2_cross_term_ratio(n: int) -> Fraction:

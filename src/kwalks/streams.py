@@ -23,7 +23,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .gf2 import all_polynomial_signs, min_width
-from .parallel import MomentJob, mc_moments
+from .parallel import MomentJob
 from .sign_families import FamilySpec, tile_rows
 from .walks import SupEstimate, sup_abs_prefix_batch, sup_estimates
 
@@ -323,58 +323,33 @@ def sup_inner_rows(stream: InsertionStream, rows: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # moment checks
 
-def mz_moment_check(v: Sequence[float], k: int, trials: int | None = None,
-                    seed: int = 0):
-    """E<v, X>^k for k-wise independent signs X, against B_k * ||v||_2^k.
+def mz_moment_check(v: Sequence[int], k: int) -> tuple[Fraction, Fraction]:
+    """Exact E<v, X>^k for k-wise independent signs X, against
+    B_k * ||v||_2^k.
 
-    With trials unset, v must be integer-valued and short enough to
-    enumerate (n <= 16): the moment is exact (a Fraction) and the bound is
-    asserted with zero tolerance.  With trials set, the moment is Monte
-    Carlo over the wide-field polynomial family and the bound is asserted
-    with 3 standard errors of slack.  k in {2, 4}; returns (moment, bound).
+    v must be integer-valued and short enough to enumerate (n <= 16): the
+    moment is a Fraction over every polynomial of the narrowest field, and
+    the bound is asserted with zero tolerance.  k in {2, 4}; returns
+    (moment, bound).
     """
     if k not in MOMENT_CONSTANTS:
         raise ValueError(f"supported moment orders: {sorted(MOMENT_CONSTANTS)}")
     n = len(v)
-    if trials is None:
-        vec = [int(x) for x in v]
-        if list(v) != vec:
-            raise ValueError("exact moment check needs integer entries")
-        if not 1 <= n <= 16:
-            raise ValueError("exact enumeration supports 1 <= n <= 16")
-        width = min_width(n)
-        signs = all_polynomial_signs(width, n, k)
-        inner = signs @ np.array(vec, dtype=np.int64)
-        total = int((inner.astype(object) ** k).sum())
-        moment = Fraction(total, len(signs))
-        norm_sq = sum(x * x for x in vec)
-        bound = Fraction(MOMENT_CONSTANTS[k]) * Fraction(norm_sq) ** (k // 2)
-        if moment > bound:
-            raise AssertionError(f"moment {moment} exceeds bound {bound}")
-        return moment, bound
-
-    spec = FamilySpec(kind=("PolynomialKWise" if n >= k else "FullyIndependent"),
-                      n=n, k=k if n >= k else None)
-    vec_f = np.asarray(v, dtype=np.float64)
-    (est,) = mc_moments([MomentJob(inner_power_rows,
-                                   (tuple(float(x) for x in vec_f), k),
-                                   spec, trials, seed)])
-    moment, stderr = est.mean[0], est.stderr[0]
-    bound = MOMENT_CONSTANTS[k] * float((vec_f ** 2).sum()) ** (k / 2)
-    if moment > bound + 3 * stderr:
+    vec = [int(x) for x in v]
+    if list(v) != vec:
+        raise ValueError("exact moment check needs integer entries")
+    if not 1 <= n <= 16:
+        raise ValueError("exact enumeration supports 1 <= n <= 16")
+    width = min_width(n)
+    signs = all_polynomial_signs(width, n, k)
+    inner = signs @ np.array(vec, dtype=np.int64)
+    total = int((inner.astype(object) ** k).sum())
+    moment = Fraction(total, len(signs))
+    norm_sq = sum(x * x for x in vec)
+    bound = Fraction(MOMENT_CONSTANTS[k]) * Fraction(norm_sq) ** (k // 2)
+    if moment > bound:
         raise AssertionError(f"moment {moment} exceeds bound {bound}")
     return moment, bound
-
-
-def inner_power_rows(batch: np.ndarray, vec: tuple[float, ...],
-                     k: int) -> np.ndarray:
-    """Row-wise <x, vec>^k for a (count, n) batch of sign rows x.
-
-    Each row is summed on its own by numpy's pairwise reduction.  A BLAS
-    matrix-vector product would round a row differently depending on how
-    many rows it is given and on the BLAS thread count.
-    """
-    return (batch * np.asarray(vec)).sum(axis=1) ** k
 
 
 def sup_inner_power_rows(batch: np.ndarray, stream: InsertionStream,

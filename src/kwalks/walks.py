@@ -19,14 +19,6 @@ from .rng import mix64
 from .sign_families import AdversarialParams, FamilySpec, _is_power_of_four
 
 
-def prefix_sums(v: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Partial sums S_0 = 0, S_i = S_{i-1} + v_i, as int64."""
-    arr = np.asarray(v, dtype=np.int64)
-    out = np.zeros(len(arr) + 1, dtype=np.int64)
-    np.cumsum(arr, out=out[1:])
-    return out
-
-
 @lru_cache(maxsize=1)
 def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per 16-step word (first step in the top bit, 1 for +1): its total
@@ -109,10 +101,6 @@ class SupEstimate:
     stderr: float
     trials: int
     n: int
-
-    def __post_init__(self):
-        if self.mean < 0 or self.stderr < 0:
-            raise ValueError("moment estimates are nonnegative")
 
 
 def sup_moment_rows(batch: np.ndarray, moment_order: int) -> np.ndarray:

@@ -145,6 +145,11 @@ def test_cli_number_errors_name_the_key(tmp_path, capsys, kind, experiment,
      "[family]\nkind = FullyIndependent\n[params]\nm_list = 64\n"
      "max_norm_ratio = -1",
      "max_norm_ratio must be positive, got max_norm_ratio=-1.0"),
+    # at k = 2 a row is normalized by ||z||^2 lg^2 m, which is 0 at m = 1
+    ("stream-track", "trials = 100",
+     "[family]\nkind = PolynomialKWise\nk = 4\n[params]\n"
+     "generators = uniform\nm_list = 1 4 16\nmax_norm_ratio = 3",
+     "m_list needs m >= 2 at k=2, got m=1"),
     # nan and inf would end in a traceback, a nan bound, or a gate that
     # always passes or always fails
     ("maximal-mc", "trials = 100", "[params]\nn = 16\nsigma_decades = inf",
@@ -170,9 +175,9 @@ def test_cli_number_errors_name_the_key(tmp_path, capsys, kind, experiment,
      "max_slope_se_mult = nan",
      "max_slope_se_mult needs finite float values, got 'nan'"),
 ], ids=["lambda_mults", "realizations", "trials", "gaussian_vectors", "family-k",
-        "stream-k", "max_norm_ratio", "sigma_decades-inf", "sigma_decades-nan",
-        "lambda_mults-inf", "max_norm_ratio-inf", "min_r2-nan", "min_slope-inf",
-        "max_slope_se_mult-nan"])
+        "stream-k", "max_norm_ratio", "stream-m1", "sigma_decades-inf",
+        "sigma_decades-nan", "lambda_mults-inf", "max_norm_ratio-inf",
+        "min_r2-nan", "min_slope-inf", "max_slope_se_mult-nan"])
 def test_cli_edge_inputs_name_the_key(tmp_path, capsys, kind, experiment,
                                       section, message):
     cfg = tmp_path / "edge.cfg"

@@ -165,13 +165,6 @@ def test_pinned_mc_sup_moment():
     assert (est.mean, est.stderr) == (323228.338, 20850.42759652882)
 
 
-def test_pinned_mz_moment_check():
-    # the Monte Carlo path reports the moment and the bound, not its stderr
-    v = substream(75, 0).standard_normal(16)
-    moment, bound = streams.mz_moment_check(v, 4, trials=TWO_CHUNKS, seed=75)
-    assert (moment, bound) == (391.62578872855397, 509.9724935977075)
-
-
 def test_pinned_mc_tail():
     spec = FamilySpec(kind="PolynomialKWise", n=32, k=4)
     rows = mi.mc_tail(spec, [1.0] * 32, [6.0, 10.0], TWO_CHUNKS, seed=3)
@@ -251,8 +244,6 @@ STATISTICS = {
     "sup_inner_power_rows": (streams.sup_inner_power_rows, (STREAM, 4)),
     "tail_hit_rows": (mi.tail_hit_rows, (tuple(np.linspace(0.1, 2.0, 64)),
                                          (4.0, 8.0, 12.0))),
-    "inner_power_rows": (streams.inner_power_rows,
-                         (tuple(substream(75, 0).standard_normal(64)), 4)),
 }
 
 
@@ -267,20 +258,6 @@ def test_chunk_totals_do_not_depend_on_the_tile_size(monkeypatch, name):
         totals.append(parallel._moment_chunk((spec, stat, stat_args),
                                              substream(2, 0), count))
     assert totals[0] == totals[1] == totals[2]
-
-
-@pytest.mark.parametrize("n", [7, 16, 64, 1024])
-def test_inner_power_rows_rounds_each_row_alone(n):
-    # a BLAS matrix-vector product rounds some rows differently at 1, 2, 3
-    # or 7 rows than within a larger batch
-    batch = make_sampler(FamilySpec(kind="FullyIndependent", n=n)).sample_batch(
-        substream(9, 0), 64)
-    vec = tuple(substream(9, 1).standard_normal(n))
-    whole = streams.inner_power_rows(batch, vec, 1)
-    for rows in (1, 2, 3, 7):
-        parts = [streams.inner_power_rows(batch[lo:lo + rows], vec, 1)
-                 for lo in range(0, 64, rows)]
-        assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 def test_kwise_estimate_memory_stays_bounded_at_large_n():

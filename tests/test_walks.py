@@ -10,8 +10,8 @@ from kwalks import streams
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, adversarial_params, make_sampler
 from kwalks.walks import (ScalingTable, SupEstimate, drift_check_h1,
-                          estimate_sup_moment, fit_log_growth, prefix_sums,
-                          scaling_table, sup_abs_prefix_batch)
+                          estimate_sup_moment, fit_log_growth, scaling_table,
+                          sup_abs_prefix_batch)
 
 sign_vectors = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200)
 
@@ -21,15 +21,9 @@ def sup_abs_prefix(v):
     return int(sup_abs_prefix_batch(np.asarray([v]))[0])
 
 
-def test_prefix_sums_examples():
-    assert prefix_sums([1, 1, -1, -1]).tolist() == [0, 1, 2, 1, 0]
-    assert prefix_sums([1] * 8).tolist() == list(range(9))
-    alternating = [1, -1] * 4
-    assert sup_abs_prefix(alternating) == 1
-
-
 def test_sup_abs_prefix_examples():
     assert sup_abs_prefix([1, -1, 1, -1]) == 1
+    assert sup_abs_prefix([1, -1] * 4) == 1
     assert sup_abs_prefix([-1] * 16) == 16
     # hand walk: 1, 2, 3, 2, 1, 0, -1, -2 -> sup 3
     assert sup_abs_prefix([1, 1, 1, -1, -1, -1, -1, -1]) == 3
@@ -42,9 +36,8 @@ def test_sup_negation_invariance(v):
 
 @given(sign_vectors)
 def test_sup_dominates_endpoint_and_one(v):
-    sums = prefix_sums(v)
     sup = sup_abs_prefix(v)
-    assert sup >= abs(int(sums[-1]))
+    assert sup >= abs(sum(v))
     assert sup >= 1
 
 
