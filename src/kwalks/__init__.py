@@ -19,8 +19,6 @@ from .sign_families import (
 )
 from .walks import (
     GrowthFit,
-    ScalingTable,
-    SupEstimate,
     drift_check_h1,
     estimate_sup_moment,
     fit_log_growth,

@@ -291,11 +291,13 @@ def _run_walk_scaling(config: ExperimentConfig) -> ResultTable:
     if len(n_values) < 3:
         raise ValueError(f"n_list needs at least 3 sizes to fit a growth "
                          f"slope, got {len(n_values)}")
-    scaling = walks.scaling_table(spec, n_values, order, config.trials,
-                                  config.seed, workers=config.workers)
-    for n, est in scaling.rows:
-        table.add(n, order, est.mean, est.stderr, est.trials, config.seed)
-    fit = walks.fit_log_growth(scaling)
+    estimates = walks.scaling_table(spec, n_values, order, config.trials,
+                                    config.seed, workers=config.workers)
+    means = [est.mean[0] for est in estimates]
+    stderrs = [est.stderr[0] for est in estimates]
+    for n, mean, stderr in zip(n_values, means, stderrs):
+        table.add(n, order, mean, stderr, config.trials, config.seed)
+    fit = walks.fit_log_growth(n_values, means, stderrs, order)
     table.metadata.update(
         slope=repr(fit.slope), intercept=repr(fit.intercept),
         r_squared=repr(fit.r_squared), slope_stderr=repr(fit.slope_stderr),
@@ -393,7 +395,7 @@ def _run_stream_track(config: ExperimentConfig) -> ResultTable:
     jobs = [streams.sup_moment_job(stream, config.family_spec(stream.n), k,
                                    config.trials, mix64(config.seed, m))
             for row in runs for m, stream in zip(m_values, row)]
-    estimates = iter(walks.sup_estimates(jobs, config.workers))
+    estimates = iter(parallel.mc_moments(jobs, config.workers))
     for (gen_name, _), row in zip(gens, runs):
         normalized = []
         for m, stream in zip(m_values, row):
@@ -401,8 +403,8 @@ def _run_stream_track(config: ExperimentConfig) -> ResultTable:
             norm_sq = stream.norm_sq()
             denom = (norm_sq * np.log2(m) ** 2 if k == 2
                      else float(norm_sq) ** (k / 2))
-            normalized.append(est.mean / denom)
-            table.add(gen_name, m, k, est.mean, est.stderr, normalized[-1],
+            normalized.append(est.mean[0] / denom)
+            table.add(gen_name, m, k, est.mean[0], est.stderr[0], normalized[-1],
                       config.trials, config.seed)
         if max_ratio is not None:
             ratio = max(normalized) / min(normalized)

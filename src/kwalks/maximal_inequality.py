@@ -114,10 +114,6 @@ class IntervalNode:
     bad: bool = False
     rank: int | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
 
 @dataclass(frozen=True)
 class NodeTable:
@@ -160,10 +156,6 @@ class IntervalTree:
             where(tab.parent >= 0, tab.parent), where(internal, tab.left),
             where(internal, tab.right), where(internal, tab.shared),
             tab.bad.tolist(), where(tab.bad, tab.rank)))
-
-    @property
-    def root(self) -> IntervalNode:
-        return self.nodes[0]
 
 
 def build_tree(profile: VarianceProfile) -> IntervalTree:
@@ -256,10 +248,6 @@ def _rank_mass(tree: IntervalTree) -> dict[int, int]:
     for q, a, b in zip(tab.rank[at].tolist(), tab.a[at].tolist(), tab.b[at].tolist()):
         mass[q] += P[b] - P[a]
     return mass
-
-
-def bad_mass_exact(tree: IntervalTree, q: int) -> Fraction:
-    return Fraction(_rank_mass(tree).get(q, 0), tree.profile.nums[-1])
 
 
 def max_rank(tree: IntervalTree) -> int:

@@ -10,6 +10,7 @@ chunk order.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -118,15 +119,17 @@ def _moment_chunk(args, rng, count):
     sampler = make_sampler(spec)
     step = tile_rows(spec.n)
     values = []
-    for lo in range(0, count, step):
-        batch = sampler.sample_batch(rng, min(step, count - lo))
-        values.append(np.asarray(stat(batch, *stat_args),
-                                 dtype=np.float64).reshape(len(batch), -1))
-    # each column is summed as its own 1-d array, so a column's sums do not
-    # depend on how many columns the statistic has
-    columns = np.concatenate(values).T
-    return (tuple(float(col.sum()) for col in columns)
-            + tuple(float((col ** 2).sum()) for col in columns))
+    # a value or sum past float64 becomes inf, which mc_moments reports
+    with np.errstate(over="ignore"):
+        for lo in range(0, count, step):
+            batch = sampler.sample_batch(rng, min(step, count - lo))
+            values.append(np.asarray(stat(batch, *stat_args),
+                                     dtype=np.float64).reshape(len(batch), -1))
+        # each column is summed as its own 1-d array, so a column's sums do
+        # not depend on how many columns the statistic has
+        columns = np.concatenate(values).T
+        return (tuple(float(col.sum()) for col in columns)
+                + tuple(float((col ** 2).sum()) for col in columns))
 
 
 def mc_moments(jobs: Sequence[MomentJob], workers: int = 1) -> list[ColumnMoments]:
@@ -135,7 +138,8 @@ def mc_moments(jobs: Sequence[MomentJob], workers: int = 1) -> list[ColumnMoment
 
     Every job is checked and its sampler built before any chunk runs: too
     few trials in any job raises first, and forked pool workers inherit the
-    cached samplers (make_sampler caches 16).
+    cached samplers (make_sampler caches 16).  A job whose column sums or
+    sums of squares overflow float64 raises once every chunk has run.
     """
     for job in jobs:
         if job.trials < 100:
@@ -148,6 +152,9 @@ def mc_moments(jobs: Sequence[MomentJob], workers: int = 1) -> list[ColumnMoment
         workers)
     out = []
     for job, job_sums in zip(jobs, sums):
+        if not all(map(math.isfinite, job_sums)):
+            raise ValueError(f"moment sums overflow float64 at n={job.spec.n}; "
+                             "use a lower moment order")
         half = len(job_sums) // 2
         totals, squares = job_sums[:half], job_sums[half:]
         mean = tuple(total / job.trials for total in totals)

@@ -25,7 +25,7 @@ import numpy as np
 from .gf2 import all_polynomial_signs, min_width
 from .parallel import MomentJob
 from .sign_families import FamilySpec, tile_rows
-from .walks import SupEstimate, sup_abs_prefix_batch, sup_estimates
+from .walks import sup_abs_prefix_batch
 
 # Exact k-th moment constants for +-1 valued steps.
 MOMENT_CONSTANTS = {2: 1, 4: 3}
@@ -360,7 +360,7 @@ def sup_inner_power_rows(batch: np.ndarray, stream: InsertionStream,
 
 def sup_moment_job(stream: InsertionStream, spec: FamilySpec, k: int,
                    trials: int, seed: int) -> MomentJob:
-    """The mc_moments job behind mc_sup_moment."""
+    """The mc_moments job of E[sup_t |<X, z^(t)>|^k], one stream-track row."""
     if spec.n != stream.n:
         raise ValueError("family dimension must match the stream dimension")
     if k < 1:
@@ -372,9 +372,3 @@ def sup_moment_job(stream: InsertionStream, spec: FamilySpec, k: int,
             f"order-{k} supremum moments need {needed}-wise independence")
     return MomentJob(sup_inner_power_rows, (stream, k), spec, trials, seed)
 
-
-def mc_sup_moment(stream: InsertionStream, spec: FamilySpec, k: int,
-                  trials: int, seed: int, workers: int = 1) -> SupEstimate:
-    """Monte Carlo E[sup_t |<X, z^(t)>|^k] with standard error."""
-    job = sup_moment_job(stream, spec, k, trials, seed)
-    return sup_estimates([job], workers)[0]

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .parallel import MomentJob, mc_moments
+from .parallel import ColumnMoments, MomentJob, mc_moments
 from .rng import mix64
 from .sign_families import AdversarialParams, FamilySpec, _is_power_of_four
 
@@ -92,17 +92,6 @@ def sup_abs_prefix_batch(batch: np.ndarray) -> np.ndarray:
     return np.maximum(hi, -lo).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class SupEstimate:
-    """Monte Carlo estimate of E[(sup_t |S_t|)^moment_order]."""
-
-    moment_order: int
-    mean: float
-    stderr: float
-    trials: int
-    n: int
-
-
 def sup_moment_rows(batch: np.ndarray, moment_order: int) -> np.ndarray:
     """Row-wise (sup_t |S_t|)^moment_order, as float64."""
     return sup_abs_prefix_batch(batch).astype(np.float64) ** moment_order
@@ -110,26 +99,18 @@ def sup_moment_rows(batch: np.ndarray, moment_order: int) -> np.ndarray:
 
 def sup_moment_job(spec: FamilySpec, moment_order: int, trials: int,
                    seed: int) -> MomentJob:
-    """The mc_moments job behind estimate_sup_moment."""
+    """The mc_moments job behind estimate_sup_moment and scaling_table."""
     if moment_order < 1:
         raise ValueError("moment order must be positive")
     return MomentJob(sup_moment_rows, (moment_order,), spec, trials, seed)
 
 
-def sup_estimates(jobs: Sequence[MomentJob], workers: int = 1) -> list[SupEstimate]:
-    """One SupEstimate per job of a batch of supremum-moment jobs, all run
-    by one mc_moments call; each job's statistic takes its moment order as
-    its last argument."""
-    return [SupEstimate(moment_order=job.stat_args[-1], mean=est.mean[0],
-                        stderr=est.stderr[0], trials=job.trials, n=job.spec.n)
-            for job, est in zip(jobs, mc_moments(jobs, workers))]
-
-
 def estimate_sup_moment(spec: FamilySpec, moment_order: int, trials: int,
-                        seed: int, workers: int = 1) -> SupEstimate:
-    """Sample mean and standard error of (sup_t |S_t|)^moment_order."""
+                        seed: int, workers: int = 1) -> ColumnMoments:
+    """Sample mean and standard error of (sup_t |S_t|)^moment_order, the
+    one column of a batch of one."""
     job = sup_moment_job(spec, moment_order, trials, seed)
-    return sup_estimates([job], workers)[0]
+    return mc_moments([job], workers)[0]
 
 
 def drift_check_h1(params: AdversarialParams, block_index: int) -> Fraction:
@@ -140,34 +121,21 @@ def drift_check_h1(params: AdversarialParams, block_index: int) -> Fraction:
     return params.root * sum(params.f[:block_index], Fraction(0))
 
 
-@dataclass(frozen=True)
-class ScalingTable:
-    """Rows of (n, SupEstimate) with n strictly increasing powers of 4."""
-
-    rows: tuple[tuple[int, SupEstimate], ...]
-
-    def __post_init__(self):
-        self.check_n_values([n for n, _ in self.rows])
-
-    @staticmethod
-    def check_n_values(ns: Sequence[int]) -> None:
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("n values must be strictly increasing")
-        for n in ns:
-            if not _is_power_of_four(n):
-                raise ValueError(f"n={n} is not a power of 4")
-
-
 def scaling_table(spec_template: FamilySpec, n_values: Sequence[int],
                   moment_order: int, trials: int, seed: int,
-                  workers: int = 1) -> ScalingTable:
-    """estimate_sup_moment for each n, with per-row derived seeds, once
-    every n has passed ScalingTable's rule; the rows are one batch."""
-    ScalingTable.check_n_values(list(n_values))
+                  workers: int = 1) -> list[ColumnMoments]:
+    """estimate_sup_moment for each n, with per-row derived seeds, as one
+    mc_moments batch, once every n has passed the rule: strictly
+    increasing powers of 4."""
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise ValueError("n values must be strictly increasing")
+    for n in n_values:
+        if not _is_power_of_four(n):
+            raise ValueError(f"n={n} is not a power of 4")
     jobs = [sup_moment_job(spec_template.with_n(n), moment_order, trials,
                            mix64(seed, idx))
             for idx, n in enumerate(n_values)]
-    return ScalingTable(rows=tuple(zip(n_values, sup_estimates(jobs, workers))))
+    return mc_moments(jobs, workers)
 
 
 @dataclass(frozen=True)
@@ -186,13 +154,15 @@ class GrowthFit:
     slope_stderr_propagated: float
 
 
-def fit_log_growth(table: ScalingTable) -> GrowthFit:
-    if len(table.rows) < 3:
+def fit_log_growth(n_values: Sequence[int], means: Sequence[float],
+                   stderrs: Sequence[float], order: int) -> GrowthFit:
+    """Fit each n's mean and standard error of (sup_t |S_t|)^order, given
+    as plain numbers, against lg n."""
+    if len(n_values) < 3:
         raise ValueError("need at least 3 rows to fit")
-    order = table.rows[0][1].moment_order
-    x = np.array([np.log2(n) for n, _ in table.rows])
-    y = np.array([est.mean / n ** (order / 2) for n, est in table.rows])
-    y_err = np.array([est.stderr / n ** (order / 2) for n, est in table.rows])
+    x = np.array([np.log2(n) for n in n_values])
+    y = np.array([m / n ** (order / 2) for n, m in zip(n_values, means)])
+    y_err = np.array([e / n ** (order / 2) for n, e in zip(n_values, stderrs)])
 
     xc = x - x.mean()
     sxx = float((xc ** 2).sum())

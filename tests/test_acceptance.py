@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from kwalks import dyadic_matrix, maximal_inequality as mi, streams, walks
+from kwalks.parallel import mc_moments
 from kwalks.rng import mix64, substream
 from kwalks.sign_families import (H_BRANCHES, FamilySpec, adversarial_params,
                                   exact_moments, make_sampler)
@@ -48,8 +49,14 @@ def test_criterion_1_exact_pairwise_independence():
 
 
 def _scaling(kind_kwargs, order, seed):
+    """One estimate of E[sup^order] per n of WALK_NS, as ColumnMoments."""
     spec = FamilySpec(n=WALK_NS[0], **kind_kwargs)
     return walks.scaling_table(spec, WALK_NS, order, 10 ** 4, seed)
+
+
+def _fit(table, order=1):
+    return walks.fit_log_growth(WALK_NS, [est.mean[0] for est in table],
+                                [est.stderr[0] for est in table], order)
 
 
 def independent_sup_mean(n: int) -> float:
@@ -111,23 +118,23 @@ def _report_branches(criterion, table_h, branches, normalize):
     estimate of H equals the branch estimates mixed with the exact branch
     weights, within 4 combined standard errors."""
     failures = []
-    for idx, (n, est) in enumerate(table_h.rows):
+    for idx, (n, est) in enumerate(zip(WALK_NS, table_h)):
         weights = adversarial_params(n).branch_weights
-        parts = [(float(weights[b]), branches[b].rows[idx][1])
-                 for b in H_BRANCHES]
+        parts = [(float(weights[b]), branches[b][idx]) for b in H_BRANCHES]
+        mean, stderr = est.mean[0], est.stderr[0]
         print(f"[criterion {criterion}] family H      n={n:5d} "
-              f"E={est.mean:11.3f} +-{est.stderr:.3f} "
-              f"normalized={normalize(n, est.mean):.4f} "
+              f"E={mean:11.3f} +-{stderr:.3f} "
+              f"normalized={normalize(n, mean):.4f} "
               f"(drift branch weight p/g_scale = {parts[0][0]:.4f})")
         print(f"[criterion {criterion}]   branches    n={n:5d} " + "  ".join(
-            f"{b} w={w:.4f} normalized={normalize(n, e.mean):.4f}"
+            f"{b} w={w:.4f} normalized={normalize(n, e.mean[0]):.4f}"
             for b, (w, e) in zip(H_BRANCHES, parts)))
-        mixed = sum(w * e.mean for w, e in parts)
-        combined = (est.stderr ** 2
-                    + sum((w * e.stderr) ** 2 for w, e in parts)) ** 0.5
+        mixed = sum(w * e.mean[0] for w, e in parts)
+        combined = (stderr ** 2
+                    + sum((w * e.stderr[0]) ** 2 for w, e in parts)) ** 0.5
         if not report(criterion, f"family H equals its branch mixture, n={n}",
-                      abs(est.mean - mixed) <= 4 * combined,
-                      f"direct {est.mean:.3f} vs mixture {mixed:.3f}, "
+                      abs(mean - mixed) <= 4 * combined,
+                      f"direct {mean:.3f} vs mixture {mixed:.3f}, "
                       f"4 x combined stderr {4 * combined:.3f}"):
             failures.append(f"mixture n={n}")
     return failures
@@ -149,10 +156,10 @@ def test_criterion_2_lower_bound_growth():
     table_h = _scaling(dict(kind="AdversarialStage", stage="H"), 1, SEED)
     branches = _branch_tables(1, mix64(SEED, 20))
     failures = _report_branches("2", table_h, branches, _normalized_mean)
-    fit_h = walks.fit_log_growth(table_h)
+    fit_h = _fit(table_h)
     print(f"[criterion 2] family H whole-family fit: slope {fit_h.slope:.4f} "
           f"+- {fit_h.slope_stderr:.4f}, R^2 {fit_h.r_squared:.4f}")
-    fit_d = walks.fit_log_growth(branches["drift"])
+    fit_d = _fit(branches["drift"])
     detail = (f"slope {fit_d.slope:.4f} +- {fit_d.slope_stderr:.4f}, "
               f"R^2 {fit_d.r_squared:.4f}")
     if not report("2", "pairwise family, drift branch: positive slope",
@@ -165,16 +172,14 @@ def test_criterion_2_lower_bound_growth():
     # E[sup|S|]/sqrt(n) of an O(sqrt n) walk still rises toward its limit
     # at these n; the fully independent walk's exact values are the yardstick.
     table_k = _scaling(dict(kind="PolynomialKWise", k=4), 1, mix64(SEED, 4))
-    fit_k = walks.fit_log_growth(table_k)
-    reference = walks.ScalingTable(rows=tuple(
-        (n, walks.SupEstimate(1, independent_sup_mean(n), 0.0, 0, n))
-        for n in WALK_NS))
-    fit_ref = walks.fit_log_growth(reference)
-    for (n, est), (_, ref) in zip(table_k.rows, reference.rows):
+    fit_k = _fit(table_k)
+    reference = [independent_sup_mean(n) for n in WALK_NS]
+    fit_ref = walks.fit_log_growth(WALK_NS, reference, [0.0] * len(WALK_NS), 1)
+    for n, est, ref in zip(WALK_NS, table_k, reference):
         print(f"[criterion 2] 4-wise family n={n:5d} "
-              f"E[sup|S|]={est.mean:9.3f} +-{est.stderr:.3f} "
-              f"normalized={est.mean / n ** 0.5:.4f} "
-              f"(independent walk, exact: {ref.mean / n ** 0.5:.4f})")
+              f"E[sup|S|]={est.mean[0]:9.3f} +-{est.stderr[0]:.3f} "
+              f"normalized={est.mean[0] / n ** 0.5:.4f} "
+              f"(independent walk, exact: {ref / n ** 0.5:.4f})")
     margin = 2 * fit_k.slope_stderr_propagated
     detail = (f"slope {fit_k.slope:.4f} vs independent walk "
               f"{fit_ref.slope:.4f} + 2 x propagated stderr {margin:.4f}")
@@ -192,11 +197,12 @@ def test_criterion_3_pairwise_second_moment_shape():
     table = _scaling(dict(kind="AdversarialStage", stage="H"), 2, mix64(SEED, 3))
     branches = _branch_tables(2, mix64(SEED, 30))
     failures = _report_branches("3", table, branches, _normalized_second)
-    whole = [_normalized_second(n, est.mean) for n, est in table.rows]
+    whole = [_normalized_second(n, est.mean[0])
+             for n, est in zip(WALK_NS, table)]
     print(f"[criterion 3] family H whole-family /(n lg^2 n) max/min ratio "
           f"{max(whole) / min(whole):.2f}")
-    normalized = [_normalized_second(n, est.mean)
-                  for n, est in branches["drift"].rows]
+    normalized = [_normalized_second(n, est.mean[0])
+                  for n, est in zip(WALK_NS, branches["drift"])]
     ratio = max(normalized) / min(normalized)
     if not report("3", "drift branch: normalized second moment max/min "
                   "ratio <= 3", ratio <= 3, f"ratio {ratio:.2f}"):
@@ -273,7 +279,9 @@ def test_criterion_5_interval_machinery():
         if mi.check_invariants(tree):
             bad_invariants += 1
         for q in range(1, mi.max_rank(tree) + 1):
-            if mi.bad_mass_exact(tree, q) > Fraction(9, 10) ** q:
+            mass = Fraction(mi._rank_mass(tree).get(q, 0),
+                            tree.profile.nums[-1])
+            if mass > Fraction(9, 10) ** q:
                 bad_mass_fail += 1
         steps = (rng.integers(0, 2, size=(realizations, 256)) * 2 - 1)
         sums = np.concatenate(
@@ -358,11 +366,12 @@ def test_criterion_7_nets_and_chaining():
     for m in POWER4_MS:
         stream = streams.identity_stream(m)
         spec = FamilySpec(kind="AdversarialStage", n=m, stage="H")
-        est = streams.mc_sup_moment(stream, spec, 2, 2000, seed=mix64(SEED, m))
+        (est,) = mc_moments([streams.sup_moment_job(
+            stream, spec, 2, 2000, seed=mix64(SEED, m))])
         lg = np.log2(m)
-        value = est.mean / (stream.norm_sq() * lg * lg)
+        value = est.mean[0] / (stream.norm_sq() * lg * lg)
         cap = 2 * (2 * lg + 1) ** 2 / lg ** 2
-        slack = 4 * est.stderr / (stream.norm_sq() * lg * lg)
+        slack = 4 * est.stderr[0] / (stream.norm_sq() * lg * lg)
         capped &= value <= cap + slack
         normalized.append(value)
         print(f"[criterion 7] family H identity m={m:6d} "
@@ -383,9 +392,9 @@ def test_criterion_7_nets_and_chaining():
             else:
                 # one live coordinate: every family is the same Rademacher
                 spec = FamilySpec(kind="FullyIndependent", n=stream.n)
-            est = streams.mc_sup_moment(stream, spec, 4, 4000,
-                                        seed=mix64(SEED, 7 * m))
-            normalized.append(est.mean / float(stream.norm_sq()) ** 2)
+            (est,) = mc_moments([streams.sup_moment_job(
+                stream, spec, 4, 4000, seed=mix64(SEED, 7 * m))])
+            normalized.append(est.mean[0] / float(stream.norm_sq()) ** 2)
         ratio = max(normalized) / min(normalized)
         if not report("7", f"{name}: 4th-moment max/min ratio <= 3",
                       ratio <= 3, f"ratio {ratio:.2f}"):

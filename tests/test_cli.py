@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -617,6 +618,92 @@ def test_walk_scaling_workers_identical(tmp_path):
                 if not line.startswith("#")]
 
     assert data_rows(out1) == data_rows(out2)
+
+
+# The fit footer of a small seeded H1 run, recorded before walk-scaling's
+# estimates reached the fit as plain ColumnMoments columns; compared with ==.
+PINNED_H1_FIT = {"slope": 0.2954531249999999, "intercept": 0.3544270833333334,
+                 "r_squared": 0.9999086747998188,
+                 "slope_stderr": 0.0028236036602555348,
+                 "slope_stderr_propagated": 0.00562892430383989}
+
+
+def test_walk_scaling_fit_footer_is_pinned(tmp_path, capsys):
+    cfg = write_config(tmp_path / "h1.cfg", """
+        [experiment]
+        kind = walk-scaling
+        trials = 1000
+        seed = 20250810
+        [family]
+        kind = AdversarialStage
+        stage = H1
+        [params]
+        n_list = 16 64 256
+        moment_order = 1
+    """)
+    out = tmp_path / "h1.csv"
+    assert main(["run", cfg, "--output", str(out)]) == 0
+    footer = out.read_text().splitlines()
+    for key, value in PINNED_H1_FIT.items():
+        assert f"# {key}={value!r}" in footer
+
+
+def test_moment_sums_past_float64_exit_2_without_a_csv(tmp_path, capsys):
+    # (sup |S|)^90 over 200 walks: the sums of squares pass float64 from
+    # n = 1024 on, which used to write stderr = nan rows
+    cfg = write_config(tmp_path / "overflow.cfg", """
+        [experiment]
+        kind = walk-scaling
+        trials = 200
+        seed = 1
+        [family]
+        kind = FullyIndependent
+        [params]
+        n_list = 16 64 256 1024 4096
+        moment_order = 90
+    """)
+    out = tmp_path / "overflow.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: moment sums overflow float64 at n=1024; "
+                            "use a lower moment order\n")
+    assert not out.exists()
+
+
+def test_high_moment_order_with_small_suprema_still_runs(tmp_path):
+    # k = 60 is far past float64 as a bound on m^k, but the realized suprema
+    # of the identity stream are small enough; rows recorded before the
+    # overflow check was added
+    cfg = write_config(tmp_path / "k60.cfg", """
+        [experiment]
+        kind = stream-track
+        trials = 200
+        seed = 1
+        [family]
+        kind = FullyIndependent
+        [params]
+        generators = identity
+        m_list = 64 256 1024
+        k = 60
+    """)
+    out = tmp_path / "k60.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--output", str(out)]) == 0
+    rows = [line for line in out.read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows == [
+        "generator,m,k,mean,stderr,normalized,trials,seed",
+        "identity,64,60,3.761588505088281e+81,3.752166150411269e+81,"
+        "2.454551027902445e+27,200,1",
+        "identity,256,60,2.781419769610577e+96,2.0848791883629944e+96,"
+        "1.5742278010685947e+24,200,1",
+        "identity,1024,60,1.5635801861082116e+116,1.2613425572319716e+116,"
+        "7.675761274092825e+25,200,1",
+    ]
 
 
 def test_net_audit_run(tmp_path, capsys):

@@ -17,6 +17,11 @@ def build(sigmas):
     return mi.build_tree(mi.VarianceProfile.from_sigmas(sigmas))
 
 
+def bad_mass(tree, q):
+    """T-mass of the rank-q bad intervals, as a Fraction."""
+    return F(mi._rank_mass(tree).get(q, 0), tree.profile.nums[-1])
+
+
 def spans(tree, **filters):
     out = []
     for node in tree.nodes:
@@ -69,7 +74,7 @@ def test_profile_float_inputs_exact():
 
 def test_uniform_profile_root_splits_in_window():
     tree = build([F(1, 16)] * 16)
-    root = tree.root
+    root = tree.nodes[0]
     assert root.shared_split is True
     left, right = tree.nodes[root.left], tree.nodes[root.right]
     assert (left.a, left.b) == (0, 8)
@@ -77,23 +82,23 @@ def test_uniform_profile_root_splits_in_window():
     # only zero-length intervals ever go bad on the uniform profile
     assert all(a == b for a, b in spans(tree, bad=True))
     for q in range(1, mi.max_rank(tree) + 1):
-        assert mi.bad_mass_exact(tree, q) == 0
+        assert bad_mass(tree, q) == 0
 
 
 def test_even_split_profile():
     tree = build([F(1, 2), F(1, 2)])
-    root = tree.root
+    root = tree.nodes[0]
     assert root.shared_split is True
     assert (tree.nodes[root.left].a, tree.nodes[root.left].b) == (0, 1)
     assert (tree.nodes[root.right].a, tree.nodes[root.right].b) == (1, 2)
     # no bad interval carries any variance mass
-    assert all(mi.bad_mass_exact(tree, q) == 0
+    assert all(bad_mass(tree, q) == 0
                for q in range(1, mi.max_rank(tree) + 1))
 
 
 def test_gap_profile_044_056():
     tree = build([F(44, 100), F(56, 100)])
-    root = tree.root
+    root = tree.nodes[0]
     assert root.shared_split is False
     left, right = tree.nodes[root.left], tree.nodes[root.right]
     assert (left.a, left.b) == (0, 1)
@@ -103,7 +108,7 @@ def test_gap_profile_044_056():
     # the unit-length bad child splits again into rank-2 singletons
     inner = [tree.nodes[left.left], tree.nodes[left.right]]
     assert all(node.bad and node.rank == 2 for node in inner)
-    assert mi.bad_mass_exact(tree, 1) == F(44, 100) <= F(9, 10)
+    assert bad_mass(tree, 1) == F(44, 100) <= F(9, 10)
     assert mi.check_invariants(tree) == []
 
 
@@ -112,27 +117,27 @@ def test_geometric_profile_nested_bad_ranks():
     ranks = {node.rank for node in tree.nodes if node.bad}
     assert 2 in ranks
     for q in range(1, mi.max_rank(tree) + 1):
-        assert mi.bad_mass_exact(tree, q) <= F(9, 10) ** q
+        assert bad_mass(tree, q) <= F(9, 10) ** q
 
 
 def test_adversarial_geometric_055():
     tree = build([F(55, 100) ** i for i in range(1, 20)])
     assert not mi.check_invariants(tree)
     for q in range(1, mi.max_rank(tree) + 1):
-        assert mi.bad_mass_exact(tree, q) <= F(9, 10) ** q
+        assert bad_mass(tree, q) <= F(9, 10) ** q
 
 
 def test_bad_mass_empty_rank():
     tree = build([F(1, 16)] * 16)
-    assert mi.bad_mass_exact(tree, 40) == 0
+    assert bad_mass(tree, 40) == 0
 
 
 def test_check_invariants_reports_rank_mass_over_bound():
     tree = build([F(1, 16)] * 16)
     # mark both halves of the root bad: rank-1 mass 1 > 0.9
-    for idx in (tree.root.left, tree.root.right):
+    for idx in (tree.nodes[0].left, tree.nodes[0].right):
         tree.table.bad[idx], tree.table.rank[idx] = True, 1
-    assert mi.bad_mass_exact(tree, 1) == 1
+    assert bad_mass(tree, 1) == 1
     assert "rank 1 mass exceeds 9/10^1" in mi.check_invariants(tree)
 
 
@@ -152,7 +157,7 @@ def two_pass_ranks(tree):
         if bad:
             depth += 1
         out[idx] = (bad, depth if bad else None)
-        if not node.is_leaf:
+        if node.left is not None:
             bad_depth[node.left] = depth
             bad_depth[node.right] = depth
             order.append(node.left)
@@ -181,7 +186,7 @@ def test_build_tree_ranks_match_a_second_pass():
             mass = sum(P[nd.b] - P[nd.a]
                        for nd, (bad, r) in zip(tree.nodes, ranks)
                        if bad and r == q)
-            assert mi.bad_mass_exact(tree, q) == F(mass, P[-1])
+            assert bad_mass(tree, q) == F(mass, P[-1])
         deepest = max(deepest, mi.max_rank(tree))
     assert deepest >= 3
 
@@ -233,9 +238,9 @@ def _reference_problems(tree):
                 problems.append(
                     f"level {level}: [{nd.a},{nd.b}] longer than 0.55^{level}")
         leaf_spans += [(nodes[i].a, nodes[i].b) for i in idxs
-                       if nodes[i].is_leaf]
+                       if nodes[i].left is None]
     for nd in nodes:
-        if nd.is_leaf or nd.shared_split is None:
+        if nd.left is None or nd.shared_split is None:
             continue
         if nodes[nd.left].bad != nodes[nd.right].bad:
             problems.append(f"siblings of [{nd.a},{nd.b}] differ in badness")
@@ -326,7 +331,7 @@ def split_case():
     tree = mi.build_tree(mi.random_profile(256, 4.0, rng))
     S = np.array([realization(tree.profile, rng) for _ in range(100)])
     splits = [(nd, tree.nodes[nd.left], tree.nodes[nd.right])
-              for nd in tree.nodes if not nd.is_leaf]
+              for nd in tree.nodes if nd.left is not None]
     assert any(nd.shared_split for nd, _, _ in splits)
     assert any(not nd.shared_split and inner(lft.b, nd.a, nd.b)
                for nd, lft, _ in splits)
@@ -376,7 +381,7 @@ def test_bad_ranks_are_distinct_along_a_chain(split_case):
     tree, S, _, _ = split_case
     # a bad leaf deeper than rank 1 takes its nearest bad ancestor's rank
     leaf = next(i for i, nd in enumerate(tree.nodes)
-                if nd.is_leaf and nd.bad and nd.rank >= 2)
+                if nd.left is None and nd.bad and nd.rank >= 2)
     tree.table.rank[leaf] -= 1
     assert mi.hop_rule_violations(tree, S) == 1
     assert mi.hop_rule_violations(tree, S[0]) == 1

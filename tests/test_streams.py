@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwalks import streams
+from kwalks.parallel import mc_moments
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, make_sampler
 from kwalks.walks import sup_abs_prefix_batch
@@ -459,23 +460,29 @@ def test_mz_moment_rejects():
 # --------------------------------------------------------------------------
 # Monte Carlo supremum moments
 
+def _sup_moment(stream, spec, k, trials, seed, workers=1):
+    """E[sup_t |<X, z^(t)>|^k] as the ColumnMoments of a batch of one."""
+    job = streams.sup_moment_job(stream, spec, k, trials, seed)
+    return mc_moments([job], workers)[0]
+
+
 def test_mc_sup_moment_identity_consistency():
     from kwalks.walks import estimate_sup_moment
 
     m = 256
     spec = FamilySpec(kind="AdversarialStage", n=m, stage="H")
-    stream_est = streams.mc_sup_moment(streams.identity_stream(m), spec, 2,
-                                       4000, seed=12)
+    stream_est = _sup_moment(streams.identity_stream(m), spec, 2, 4000,
+                             seed=12)
     walk_est = estimate_sup_moment(spec, 2, 4000, seed=12)
-    assert stream_est.mean == pytest.approx(walk_est.mean, rel=0.15)
+    assert stream_est.mean[0] == pytest.approx(walk_est.mean[0], rel=0.15)
 
 
 def test_mc_sup_moment_independence_gate():
     stream = streams.identity_stream(16)
     pairwise = FamilySpec(kind="AdversarialStage", n=16, stage="H")
     with pytest.raises(ValueError):
-        streams.mc_sup_moment(stream, pairwise, 4, 1000, seed=0)
-    streams.mc_sup_moment(stream, pairwise, 2, 1000, seed=0)
+        _sup_moment(stream, pairwise, 4, 1000, seed=0)
+    _sup_moment(stream, pairwise, 2, 1000, seed=0)
     # a branch of stage H is not pairwise independent
     with pytest.raises(ValueError, match="2-wise independence"):
         streams.sup_moment_job(stream, replace(pairwise, branch="drift"), 2,
@@ -483,14 +490,13 @@ def test_mc_sup_moment_independence_gate():
     with pytest.raises(ValueError, match="got k=0"):
         streams.sup_moment_job(stream, pairwise, 0, 1000, seed=0)
     with pytest.raises(ValueError):
-        streams.mc_sup_moment(stream,
-                              FamilySpec(kind="PolynomialKWise", n=32, k=4),
-                              4, 1000, seed=0)
+        _sup_moment(stream, FamilySpec(kind="PolynomialKWise", n=32, k=4),
+                    4, 1000, seed=0)
 
 
 def test_mc_sup_moment_workers_deterministic():
     stream = streams.uniform_stream(64, n=16, seed=1)
     spec = FamilySpec(kind="PolynomialKWise", n=16, k=4)
-    a = streams.mc_sup_moment(stream, spec, 4, 3000, seed=9, workers=1)
-    b = streams.mc_sup_moment(stream, spec, 4, 3000, seed=9, workers=3)
+    a = _sup_moment(stream, spec, 4, 3000, seed=9, workers=1)
+    b = _sup_moment(stream, spec, 4, 3000, seed=9, workers=3)
     assert a == b

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from kwalks import maximal_inequality as mi
 from kwalks import streams
+from kwalks.parallel import mc_moments
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, adversarial_params, make_sampler
-from kwalks.walks import (ScalingTable, SupEstimate, drift_check_h1,
-                          estimate_sup_moment, fit_log_growth, scaling_table,
-                          sup_abs_prefix_batch)
+from kwalks.walks import (drift_check_h1, estimate_sup_moment, fit_log_growth,
+                          scaling_table, sup_abs_prefix_batch)
 
 sign_vectors = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200)
 
@@ -98,21 +98,21 @@ def test_estimate_branch_needs_stage_h():
     # balanced blocks of 4 return the walk to 0 every 4 steps
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H", branch="balanced")
     est = estimate_sup_moment(spec, 1, 1000, seed=5)
-    assert 1 <= est.mean <= 2
+    assert 1 <= est.mean[0] <= 2
 
 
 def test_estimate_sup_moment_independent_walk_band():
     spec = FamilySpec(kind="FullyIndependent", n=1024)
     est = estimate_sup_moment(spec, 1, 10 ** 4, seed=5)
-    assert 0.7 * 32 <= est.mean <= 1.5 * 32
-    assert est.stderr > 0
+    assert 0.7 * 32 <= est.mean[0] <= 1.5 * 32
+    assert est.stderr[0] > 0
 
 
 def test_estimate_sup_moment_degenerate_n1():
     spec = FamilySpec(kind="FullyIndependent", n=1)
     est = estimate_sup_moment(spec, 2, 500, seed=5)
-    assert est.mean == 1.0
-    assert est.stderr == 0.0
+    assert est.mean == (1.0,)
+    assert est.stderr == (0.0,)
 
 
 def test_rotated_stage_exceeds_half_drift():
@@ -123,7 +123,7 @@ def test_rotated_stage_exceeds_half_drift():
     est = estimate_sup_moment(spec, 1, 10 ** 4, seed=11)
     params = adversarial_params(n)
     peak = float(max(drift_check_h1(params, c) for c in range(1, params.root + 1)))
-    assert est.mean - 3 * est.stderr >= peak / 2
+    assert est.mean[0] - 3 * est.stderr[0] >= peak / 2
 
 
 def test_h_second_moment_matches_dimension():
@@ -165,59 +165,51 @@ def test_drift_matches_enumerated_means():
 def test_scaling_table_monotone():
     spec = FamilySpec(kind="FullyIndependent", n=16)
     table = scaling_table(spec, [16, 64, 256], 1, 2000, seed=17)
-    means = [est.mean for _, est in table.rows]
-    errs = [est.stderr for _, est in table.rows]
+    assert len(table) == 3
+    means = [est.mean[0] for est in table]
+    errs = [est.stderr[0] for est in table]
     for a, b, ea, eb in zip(means, means[1:], errs, errs[1:]):
         assert b >= a - 3 * (ea + eb)
-    assert [n for n, _ in table.rows] == [16, 64, 256]
-
-
-def test_scaling_table_validates_rows():
-    est = SupEstimate(moment_order=1, mean=1.0, stderr=0.0, trials=100, n=16)
-    with pytest.raises(ValueError):
-        ScalingTable(rows=((16, est), (16, est)))
-    with pytest.raises(ValueError):
-        ScalingTable(rows=((8, est),))
-    with pytest.raises(ValueError, match="n=0"):
-        ScalingTable(rows=((0, est),))
 
 
 def test_scaling_table_checks_every_n_before_estimating(monkeypatch):
+    # mc_moments is where scaling_table draws; a check that ran after it
+    # would record a call
     calls = []
-    monkeypatch.setattr("kwalks.walks.estimate_sup_moment",
+    monkeypatch.setattr("kwalks.walks.mc_moments",
                         lambda *args, **kwargs: calls.append(args))
     spec = FamilySpec(kind="FullyIndependent", n=16)
     for ns, message in (([16, 64, 128], "n=128 is not a power of 4"),
-                        ([16, 64, 64], "strictly increasing")):
+                        ([16, 64, 64], "strictly increasing"),
+                        ([16, 16], "strictly increasing"),
+                        ([8], "n=8 is not a power of 4"),
+                        ([0], "n=0 is not a power of 4")):
         with pytest.raises(ValueError, match=message):
             scaling_table(spec, ns, 1, 100, seed=1)
     assert calls == []
 
 
-def _table(ns, means):
-    rows = tuple(
-        (n, SupEstimate(moment_order=1, mean=m, stderr=0.0, trials=100, n=n))
-        for n, m in zip(ns, means))
-    return ScalingTable(rows=rows)
+def _fit(ns, means):
+    return fit_log_growth(ns, means, [0.0] * len(ns), 1)
 
 
 def test_fit_log_growth_exact_line():
     ns = [16, 64, 256, 1024]
-    fit = fit_log_growth(_table(ns, [n ** 0.5 * np.log2(n) for n in ns]))
+    fit = _fit(ns, [n ** 0.5 * np.log2(n) for n in ns])
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_log_growth_flat():
     ns = [16, 64, 256]
-    fit = fit_log_growth(_table(ns, [n ** 0.5 for n in ns]))
+    fit = _fit(ns, [n ** 0.5 for n in ns])
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
     assert fit.r_squared == 1.0    # zero residuals on a constant line
 
 
 def test_fit_log_growth_needs_three_rows():
     with pytest.raises(ValueError):
-        fit_log_growth(_table([16, 64], [4.0, 8.0]))
+        _fit([16, 64], [4.0, 8.0])
 
 
 def test_growth_dichotomy_rotated_vs_fourwise():
@@ -232,7 +224,7 @@ def test_growth_dichotomy_rotated_vs_fourwise():
         kw = estimate_sup_moment(
             FamilySpec(kind="PolynomialKWise", n=n, k=4),
             1, trials, seed=200 + idx)
-        ratios[n] = h2.mean / kw.mean
+        ratios[n] = h2.mean[0] / kw.mean[0]
     assert ratios[1024] > ratios[16] * 1.5
 
 
@@ -243,8 +235,9 @@ def test_workers_do_not_change_results():
     assert serial == parallel
     stream = streams.uniform_stream(64, n=16, seed=1)
     kwise = FamilySpec(kind="PolynomialKWise", n=16, k=4)
-    serial = streams.mc_sup_moment(stream, kwise, 4, 3000, seed=9, workers=1)
-    parallel = streams.mc_sup_moment(stream, kwise, 4, 3000, seed=9, workers=2)
+    job = streams.sup_moment_job(stream, kwise, 4, 3000, seed=9)
+    serial = mc_moments([job], workers=1)
+    parallel = mc_moments([job], workers=2)
     assert serial == parallel
     sigmas, lambdas = [1.0] * 16, [4.0, 8.0]
     serial = mi.mc_tail(kwise, sigmas, lambdas, 3000, seed=3, workers=1)
