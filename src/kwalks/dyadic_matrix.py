@@ -17,6 +17,11 @@ from typing import IO
 
 import numpy as np
 
+from .sign_families import ResourceLimitError
+
+# Largest n for which A is materialized.
+DENSE_MATRIX_LIMIT = 4096
+
 
 def _lg(n: int) -> int:
     if n < 4 or n & (n - 1):
@@ -37,9 +42,19 @@ def trace(n: int) -> int:
     return n * _lg(n)
 
 
+def check_dense_size(n: int) -> None:
+    """Refuses n above DENSE_MATRIX_LIMIT: solving for the prefix minima
+    keeps about four n x n float64 arrays alive, 32 n^2 bytes."""
+    if n > DENSE_MATRIX_LIMIT:
+        raise ResourceLimitError(
+            f"the certificate matrix at n={n} needs about {32 * n * n / 2 ** 30:.3g} "
+            f"GiB of n x n float64 arrays; the limit is {DENSE_MATRIX_LIMIT}")
+
+
 def dense_matrix(n: int) -> np.ndarray:
-    """Materialized A; meant for n up to a few thousand."""
+    """Materialized A, for n up to DENSE_MATRIX_LIMIT."""
     lg = _lg(n)
+    check_dense_size(n)
     idx = np.arange(n)
     xor = idx[:, None] ^ idx[None, :]
     bit_len = np.zeros(n, dtype=np.int64)
@@ -93,13 +108,9 @@ def prefix_quadratic_minima(n: int) -> np.ndarray:
     return 1.0 / quad
 
 
-def corollary_ratio(n: int, minima: np.ndarray | None = None) -> float:
-    """Tr(A) times the largest v^i A^{-1} v^i over prefix indicators.
-
-    minima, when given, is prefix_quadratic_minima(n), which is not solved
-    again."""
-    if minima is None:
-        minima = prefix_quadratic_minima(n)
+def corollary_ratio(n: int, minima: np.ndarray) -> float:
+    """Tr(A) times the largest v^i A^{-1} v^i over prefix indicators, given
+    minima = prefix_quadratic_minima(n)."""
     return trace(n) * float((1.0 / minima).max())
 
 

@@ -76,11 +76,6 @@ class VarianceProfile:
         return cls(n_original=len(ratios), kept=kept, nums=tuple(nums))
 
     @property
-    def T(self) -> tuple[Fraction, ...]:
-        total = self.nums[-1]
-        return tuple(Fraction(p, total) for p in self.nums)
-
-    @property
     def n_reduced(self) -> int:
         return len(self.kept)
 

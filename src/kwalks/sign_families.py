@@ -138,7 +138,8 @@ class FamilySpec:
                                  f"got {key}={value} for {self.kind}")
         if self.kind == POLYNOMIAL_KWISE:
             if self.k is None or not 2 <= self.k <= self.n:
-                raise ValueError("polynomial family needs 2 <= k <= n")
+                raise ValueError("polynomial family needs 2 <= k <= n, "
+                                 f"got k={self.k} and n={self.n}")
         if self.kind == ADVERSARIAL_STAGE:
             if self.stage not in STAGES:
                 raise ValueError(f"stage must be one of {STAGES}")
@@ -309,10 +310,6 @@ class AdversarialParams:
         drift = self.p / self.g_scale
         return {"drift": drift, "pairs": self.p - drift, "balanced": 1 - self.p}
 
-    @cached_property
-    def p_float(self) -> float:
-        return float(self.p)
-
 
 def _exact_cdf(weights: list[Fraction], total: Fraction) -> np.ndarray:
     """Float boundaries of the exact running sums of weights / total, as
@@ -413,7 +410,7 @@ class AdversarialSampler:
         return out
 
     def _batch_h(self, rng, size):
-        pick3 = rng.random(size) < self.params.p_float
+        pick3 = rng.random(size) < float(self.params.p)
         n3 = int(pick3.sum())
         out = np.empty((size, self.n), dtype=np.int8)
         out[pick3] = self._batch_h3(rng, n3) * _uniform_signs(rng, n3, 1)
@@ -478,7 +475,7 @@ _KERNELS = {
     "H2": (AdversarialSampler._batch_h2, ("h1_cut",)),
     "H3": (AdversarialSampler._batch_h3, ("h1_cut", "mode_cdf", "pair_modes")),
     "H": (AdversarialSampler._batch_h, ("h1_cut", "mode_cdf", "pair_modes",
-                                        "p_float", "balanced_keys")),
+                                        "balanced_keys")),
     "drift": (AdversarialSampler._batch_drift, ("h1_cut",)),
     "pairs": (AdversarialSampler._batch_pairs, ("pair_mode_cdf", "pair_modes")),
     "balanced": (AdversarialSampler._batch_balanced, ("balanced_keys",)),
@@ -614,10 +611,6 @@ class MomentSummary:
     root: int
     block_mean: list
     block_pair: list
-
-    @property
-    def n(self) -> int:
-        return self.root * self.root
 
     def second_moments_float(self) -> np.ndarray:
         """The n x n table of E[h_i h_j] as float64, for empirical checks."""

@@ -162,10 +162,6 @@ class NetHierarchy:
     prefix_norm_sq: np.ndarray
     levels: list[NetLevel]
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
     def sizes_within_cap(self) -> bool:
         """d_r <= 2^r at every level."""
         return all(lvl.size <= 1 << r for r, lvl in enumerate(self.levels))
@@ -241,8 +237,8 @@ def build_nets(stream: InsertionStream) -> NetHierarchy:
 def coverage_check(nets: NetHierarchy, r: int) -> bool:
     """Every prefix within 2^(-r/2)||z|| of its preceding level-r net point,
     verified on squared distances in integer arithmetic."""
-    if not 0 <= r < nets.num_levels:
-        raise ValueError(f"level must lie in 0..{nets.num_levels - 1}")
+    if not 0 <= r < len(nets.levels):
+        raise ValueError(f"level must lie in 0..{len(nets.levels) - 1}")
     times = nets.levels[r].times
     pos = np.arange(1, nets.stream.m + 1)
     # prefix t lies in segment #{net times < t}, which a net time t closes
@@ -273,7 +269,7 @@ def chain_forms(nets: NetHierarchy, w: np.ndarray,
     if k < 4 or k % 2:
         raise ValueError("k must be even and at least 4")
     quad, kth = np.zeros(len(w)), np.zeros(len(w))
-    for r in range(1, nets.num_levels):
+    for r in range(1, len(nets.levels)):
         lvl, prev = nets.levels[r], nets.levels[r - 1]
         if np.array_equal(lvl.times, prev.times):
             continue

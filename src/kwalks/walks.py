@@ -8,7 +8,6 @@ sizes and fit the normalized means against lg n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .parallel import ColumnMoments, MomentJob, mc_moments
 from .rng import mix64
-from .sign_families import AdversarialParams, FamilySpec, _is_power_of_four
+from .sign_families import FamilySpec, _is_power_of_four
 
 
 @lru_cache(maxsize=1)
@@ -111,14 +110,6 @@ def estimate_sup_moment(spec: FamilySpec, moment_order: int, trials: int,
     one column of a batch of one."""
     job = sup_moment_job(spec, moment_order, trials, seed)
     return mc_moments([job], workers)[0]
-
-
-def drift_check_h1(params: AdversarialParams, block_index: int) -> Fraction:
-    """Exact E[S_{c * root}] for the biased stage: root times the partial
-    sum of the block mean profile."""
-    if not 1 <= block_index <= params.root:
-        raise ValueError(f"block index must lie in 1..{params.root}")
-    return params.root * sum(params.f[:block_index], Fraction(0))
 
 
 def scaling_table(spec_template: FamilySpec, n_values: Sequence[int],

@@ -249,7 +249,7 @@ def test_criterion_4_matrix_certificate():
         ok = bool(minima.min() >= 1 / lg - 1e-9)
         if not ok and not report("4", f"constrained minimum floor n={n}", ok):
             failures.append(f"constrained min n={n}")
-        ratio = dyadic_matrix.corollary_ratio(n) / (n * lg * lg)
+        ratio = dyadic_matrix.corollary_ratio(n, minima) / (n * lg * lg)
         ok_ratio = 0 < ratio <= 1 + 1e-12
         if not ok_ratio:
             report("4", f"corollary ratio in (0, 1], n={n}", False,
@@ -341,7 +341,7 @@ def test_criterion_7_nets_and_chaining():
             nets = streams.build_nets(stream)
             sizes_ok &= nets.sizes_within_cap()
             coverage_ok &= all(streams.coverage_check(nets, r)
-                               for r in range(nets.num_levels))
+                               for r in range(len(nets.levels)))
             rng = substream(SEED, m)
             batch = (make_sampler(FamilySpec(kind="FullyIndependent", n=stream.n))
                      .sample_batch(rng, 100))

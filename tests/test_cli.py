@@ -13,7 +13,7 @@ import pytest
 
 import kwalks
 import kwalks.sign_families as sf
-from kwalks import experiments
+from kwalks import dyadic_matrix, experiments
 from kwalks.cli import main
 from kwalks.experiments import ExperimentConfig, run, verify_suite
 
@@ -175,10 +175,13 @@ def test_cli_number_errors_name_the_key(tmp_path, capsys, kind, experiment,
      "[family]\nkind = FullyIndependent\n[params]\nn_list = 16 64 256\n"
      "max_slope_se_mult = nan",
      "max_slope_se_mult needs finite float values, got 'nan'"),
+    # the default 4-wise family needs n >= 4
+    ("maximal-mc", "trials = 100", "[params]\nn = 2",
+     "polynomial family needs 2 <= k <= n, got k=4 and n=2"),
 ], ids=["lambda_mults", "realizations", "trials", "gaussian_vectors", "family-k",
         "stream-k", "max_norm_ratio", "stream-m1", "sigma_decades-inf",
         "sigma_decades-nan", "lambda_mults-inf", "max_norm_ratio-inf",
-        "min_r2-nan", "min_slope-inf", "max_slope_se_mult-nan"])
+        "min_r2-nan", "min_slope-inf", "max_slope_se_mult-nan", "maximal-mc-n2"])
 def test_cli_edge_inputs_name_the_key(tmp_path, capsys, kind, experiment,
                                       section, message):
     cfg = tmp_path / "edge.cfg"
@@ -571,6 +574,28 @@ def test_matrix_check_run(tmp_path, capsys):
     assert payload["all_passed"] is True
     names = [c["name"] for c in payload["checks"]]
     assert "n=8 trace" in names
+
+
+def test_matrix_check_refuses_large_n_before_the_first_row(tmp_path, capsys,
+                                                          monkeypatch):
+    # the solve keeps about four n x n float64 arrays alive, 32 n^2 bytes
+    def unreachable(n):
+        raise AssertionError(f"dense_matrix({n}) reached")
+
+    monkeypatch.setattr(dyadic_matrix, "dense_matrix", unreachable)
+    cfg = write_config(tmp_path / "mat.cfg", """
+        [experiment]
+        kind = matrix-check
+        [params]
+        n_list = 8 8192
+    """)
+    out = tmp_path / "mat.csv"
+    assert main(["run", cfg, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the certificate matrix at n=8192 needs "
+                            "about 2 GiB of n x n float64 arrays; the limit "
+                            "is 4096\n")
+    assert captured.out == "" and not out.exists()
 
 
 def test_walk_scaling_run_csv_reproducible(tmp_path):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space, solve_triangular
 
-from kwalks.dyadic_matrix import (corollary_ratio, dense_matrix, dump_csv, entry,
+from kwalks.dyadic_matrix import (DENSE_MATRIX_LIMIT, check_dense_size,
+                                  corollary_ratio, dense_matrix, dump_csv, entry,
                                   prefix_quadratic_minima, quadratic_form_rows,
                                   trace)
 from kwalks.rng import substream
-from kwalks.sign_families import FamilySpec, make_sampler
+from kwalks.sign_families import FamilySpec, ResourceLimitError, make_sampler
 from kwalks.walks import sup_abs_prefix_batch
 
 REFERENCE_8 = np.array([
@@ -180,12 +181,19 @@ def test_constrained_min_full_prefix_half():
     assert prefix_quadratic_minima(8)[8 - 1] >= 0.5 - 1e-9
 
 
+def test_dense_matrix_refuses_large_n():
+    check_dense_size(DENSE_MATRIX_LIMIT)
+    with pytest.raises(ResourceLimitError, match="n=8192 needs about 2 GiB"):
+        dense_matrix(8192)
+
+
 def test_corollary_ratio_bounds():
-    assert 0 < corollary_ratio(8) <= 8 * 9
-    assert corollary_ratio(4) <= 16 + 1e-9
+    assert 0 < corollary_ratio(8, prefix_quadratic_minima(8)) <= 8 * 9
+    assert corollary_ratio(4, prefix_quadratic_minima(4)) <= 16 + 1e-9
     for n in (8, 64, 256):
         lg = n.bit_length() - 1
-        normalized = corollary_ratio(n) / (n * lg * lg)
+        ratio = corollary_ratio(n, prefix_quadratic_minima(n))
+        normalized = ratio / (n * lg * lg)
         assert 0 < normalized <= 1 + 1e-12
 
 

@@ -785,7 +785,7 @@ def test_exact_moments_rejects_polynomial_families():
 def dense_moments(moments):
     """The n-vector of E[h_i] and the n x n table of E[h_i h_j], expanded
     from the block tables through the coordinate accessors."""
-    n = moments.n
+    n = moments.root * moments.root
     return ([mean_at(moments, i) for i in range(n)],
             [[second_moment(moments, i, j) for j in range(n)] for i in range(n)])
 
@@ -823,7 +823,7 @@ BLOCK_NS = [16, 64, 256, 1024, 4096, 16384]
 def _block_tables(n, stage):
     moments = exact_moments(FamilySpec(kind="AdversarialStage", n=n, stage=stage))
     root = adversarial_params(n).root
-    assert (moments.root, moments.n) == (root, n)
+    assert moments.root == root and root * root == n
     assert len(moments.block_mean) == root
     assert [len(row) for row in moments.block_pair] == [root] * root
     return moments

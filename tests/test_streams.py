@@ -176,21 +176,21 @@ def test_identity_stream_net_levels_hand_computed():
     assert nets.levels[4].times.tolist() == list(range(0, 17, 2))
     assert nets.levels[5].times.tolist() == list(range(17))
     assert nets.levels[9].times.tolist() == list(range(17))
-    assert nets.num_levels == 2 * 4 + 2
+    assert len(nets.levels) == 2 * 4 + 2
 
 
 @pytest.mark.parametrize("name", sorted(streams.STREAM_GENERATORS))
 def test_nets_match_brute_force_oracle(name):
     stream = streams.STREAM_GENERATORS[name](32)
     nets = streams.build_nets(stream)
-    for r in range(nets.num_levels):
+    for r in range(len(nets.levels)):
         assert nets.levels[r].times.tolist() == brute_force_nets(stream, r)
 
 
 def test_parent_map_is_last_preceding_net_point():
     stream = streams.uniform_stream(256, n=64, seed=8)
     nets = streams.build_nets(stream)
-    for r in range(1, nets.num_levels):
+    for r in range(1, len(nets.levels)):
         prev = nets.levels[r - 1].times
         for s, t in enumerate(nets.levels[r].times):
             parent = nets.levels[r].parents[s]
@@ -205,7 +205,7 @@ def test_net_invariants_per_generator(name):
         nets = streams.build_nets(stream)
         assert nets.sizes_within_cap()
         assert net_point_norm_growth_ok(nets)
-        for r in range(nets.num_levels):
+        for r in range(len(nets.levels)):
             times = nets.levels[r].times
             assert (np.diff(times) > 0).all()
             assert streams.coverage_check(nets, r)
@@ -218,7 +218,7 @@ def test_net_invariants_per_generator(name):
 def test_net_invariants_random_streams(stream):
     nets = streams.build_nets(stream)
     assert nets.sizes_within_cap()
-    assert all(streams.coverage_check(nets, r) for r in range(nets.num_levels))
+    assert all(streams.coverage_check(nets, r) for r in range(len(nets.levels)))
 
 
 def test_coverage_check_detects_missing_point():
@@ -270,7 +270,7 @@ def test_coverage_check_matches_scalar_scan(name):
     outcomes = set()
     for lg in range(6, 13):
         nets = streams.build_nets(streams.STREAM_GENERATORS[name](1 << lg))
-        for r in range(nets.num_levels):
+        for r in range(len(nets.levels)):
             times = nets.levels[r].times
             variants = [times]
             if len(times) > 2:              # drop one interior net time
@@ -339,7 +339,7 @@ def every_level_forms(nets, rows, k):
     with plain powers of the differences."""
     w = nets.stream.prefix_inner_rows(rows)
     quad, kth = np.zeros(len(w)), np.zeros(len(w))
-    for r in range(1, nets.num_levels):
+    for r in range(1, len(nets.levels)):
         lvl, prev = nets.levels[r], nets.levels[r - 1]
         diffs = w[..., lvl.times] - w[..., prev.times[lvl.parents]]
         quad += (diffs ** 2).sum(axis=1)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +8,20 @@ from hypothesis import strategies as st
 
 from kwalks import maximal_inequality as mi
 from kwalks import streams
+from kwalks.gf2 import GF2Field, all_polynomial_signs
 from kwalks.parallel import mc_moments
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, adversarial_params, make_sampler
-from kwalks.walks import (drift_check_h1, estimate_sup_moment, fit_log_growth,
-                          scaling_table, sup_abs_prefix_batch)
+from kwalks.walks import (estimate_sup_moment, fit_log_growth, scaling_table,
+                          sup_abs_prefix_batch)
 
 sign_vectors = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200)
+
+
+def drift(params, c):
+    """Exact E[S_{c * root}] of the biased stage: root times the partial sum
+    of the block mean profile."""
+    return params.root * sum(params.f[:c], Fraction(0))
 
 
 def sup_abs_prefix(v):
@@ -122,7 +130,7 @@ def test_rotated_stage_exceeds_half_drift():
     spec = FamilySpec(kind="AdversarialStage", n=n, stage="H2")
     est = estimate_sup_moment(spec, 1, 10 ** 4, seed=11)
     params = adversarial_params(n)
-    peak = float(max(drift_check_h1(params, c) for c in range(1, params.root + 1)))
+    peak = float(max(drift(params, c) for c in range(1, params.root + 1)))
     assert est.mean[0] - 3 * est.stderr[0] >= peak / 2
 
 
@@ -138,18 +146,6 @@ def test_h_second_moment_matches_dimension():
     assert abs(mean_sq - n) <= 4 * stderr
 
 
-def test_drift_check_h1_values():
-    params16 = adversarial_params(16)
-    assert drift_check_h1(params16, 2) == 6
-    assert drift_check_h1(params16, 4) == 0
-    params64 = adversarial_params(64)
-    assert drift_check_h1(params64, 4) == Fraction(50, 3)
-    with pytest.raises(ValueError):
-        drift_check_h1(params16, 5)
-    with pytest.raises(ValueError):
-        drift_check_h1(params16, 0)
-
-
 def test_drift_matches_enumerated_means():
     # E[S at block boundaries] must equal the summed enumerated means
     from kwalks.sign_families import exact_moments
@@ -159,7 +155,9 @@ def test_drift_matches_enumerated_means():
     for c in range(1, 5):
         boundary_mean = sum((moments.block_mean[i // 4] for i in range(c * 4)),
                             Fraction(0))
-        assert drift_check_h1(params, c) == boundary_mean
+        assert drift(params, c) == boundary_mean
+    assert (drift(params, 2), drift(params, 4)) == (6, 0)
+    assert drift(adversarial_params(64), 4) == Fraction(50, 3)
 
 
 def test_scaling_table_monotone():
@@ -244,3 +242,63 @@ def test_workers_do_not_change_results():
     parallel = mi.mc_tail(kwise, sigmas, lambdas, 3000, seed=3, workers=2)
     assert serial == parallel
     assert 0 < serial[1].hits < serial[0].hits < 3000
+
+
+def cubic_walsh_law(width, n):
+    """The rows of the 4-wise polynomial family over GF(2^width) at the
+    points x = 0..n-1, from scalar field products, as a Counter of n-bit
+    masks (bit x set where the sign is -1), and the rank of its cubic span.
+
+    Over GF(2), y -> y^2 is linear, so the low bits of c_0, c_1 x and
+    c_2 x^2 add up to b + <alpha, x> with b and alpha uniform.  The low bit
+    of c_3 x^3 is linear in c_3, so its pattern is uniform on the span of
+    x -> lsb(X^e x^3), e < width.  Each row b + <alpha, x> + P(x) is drawn
+    with the same probability."""
+    field = GF2Field(width)
+    cubes = [field.mul(x, field.mul(x, x)) for x in range(n)]
+    basis = []
+    for e in range(width):
+        v = sum((field.mul(1 << e, c) & 1) << x for x, c in enumerate(cubes))
+        for u in basis:
+            v = min(v, v ^ u)
+        if v:
+            basis.append(v)
+    span = [0]
+    for u in basis:
+        span += [p ^ u for p in span]
+    walsh = [sum((bin(a & x).count("1") & 1) << x for x in range(n))
+             for a in range(n)]
+    flips = (0, (1 << n) - 1)
+    return Counter(b ^ w ^ p for b in flips for w in walsh for p in span), len(basis)
+
+
+def mask_sups(masks, n):
+    """sup_t |S_t| of each row given as an n-bit mask."""
+    bits = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    return np.abs(np.cumsum(1 - 2 * bits, axis=1)).max(axis=1)
+
+
+def test_kwise_sampler_matches_exact_law_of_its_family():
+    # the law over GF(2^4) is checked against every polynomial of the
+    # family, so the construction is an oracle for the sampler's GF(2^64)
+    n = 16
+    small, rank = cubic_walsh_law(4, n)
+    signs = all_polynomial_signs(4, n, 4)
+    brute = Counter(((signs < 0).astype(np.int64) @ (1 << np.arange(n))).tolist())
+    total = len(signs)
+    assert rank == 4 and sum(small.values()) == 2 * n * 2 ** rank
+    assert ({m: Fraction(c, total) for m, c in brute.items()}
+            == {m: Fraction(c, 2 * n * 2 ** rank) for m, c in small.items()})
+
+    law, rank = cubic_walsh_law(64, n)
+    assert rank == 9 and sum(law.values()) == 16384
+    masks = list(law)
+    sups = mask_sups(masks, n).tolist()
+    total = sum(law.values())
+    exact = [sum(Fraction(law[m] * s ** order, total) for m, s in zip(masks, sups))
+             for order in (1, 2)]
+    assert exact == [Fraction(4613, 1024), Fraction(25477, 1024)]
+    spec = FamilySpec(kind="PolynomialKWise", n=n, k=4)
+    for order, value in zip((1, 2), exact):
+        est = estimate_sup_moment(spec, order, 2 * 10 ** 5, seed=16)
+        assert abs(est.mean[0] - float(value)) <= 4 * est.stderr[0]
