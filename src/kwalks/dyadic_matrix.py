@@ -12,12 +12,11 @@ independent walks.
 from __future__ import annotations
 
 import csv
-from functools import lru_cache
 from typing import IO
 
 import numpy as np
 
-from .sign_families import ResourceLimitError
+from .sign_families import ResourceLimitError, tile_rows
 
 # Largest n for which A is materialized.
 DENSE_MATRIX_LIMIT = 4096
@@ -44,23 +43,24 @@ def trace(n: int) -> int:
 
 def check_dense_size(n: int) -> None:
     """Refuses n above DENSE_MATRIX_LIMIT: solving for the prefix minima
-    keeps about four n x n float64 arrays alive, 32 n^2 bytes."""
+    keeps one n x n float64 array alive, 8 n^2 bytes."""
     if n > DENSE_MATRIX_LIMIT:
         raise ResourceLimitError(
-            f"the certificate matrix at n={n} needs about {32 * n * n / 2 ** 30:.3g} "
-            f"GiB of n x n float64 arrays; the limit is {DENSE_MATRIX_LIMIT}")
+            f"the certificate matrix at n={n} needs about {8 * n * n / 2 ** 30:.3g} "
+            f"GiB for one n x n float64 array; the limit is {DENSE_MATRIX_LIMIT}")
 
 
 def dense_matrix(n: int) -> np.ndarray:
-    """Materialized A, for n up to DENSE_MATRIX_LIMIT."""
+    """Materialized A, float64 in Fortran order, for n up to
+    DENSE_MATRIX_LIMIT; built column by column, with no other n x n array."""
     lg = _lg(n)
     check_dense_size(n)
     idx = np.arange(n)
-    xor = idx[:, None] ^ idx[None, :]
-    bit_len = np.zeros(n, dtype=np.int64)
-    for v in range(1, n):
-        bit_len[v] = bit_len[v >> 1] + 1
-    return lg - bit_len[xor]
+    by_xor = np.array([lg - v.bit_length() for v in range(n)], dtype=float)
+    mat = np.empty((n, n), order="F")
+    for j in range(n):
+        mat[:, j] = by_xor[idx ^ j]
+    return mat
 
 
 def quadratic_form_rows(n: int, rows: np.ndarray) -> np.ndarray:
@@ -79,15 +79,15 @@ def quadratic_form_rows(n: int, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-@lru_cache(maxsize=2)
 def _cholesky(n: int):
+    """cho_factor of A, computed in place in dense_matrix(n)'s array."""
     # scipy is imported on first use: most runs never factor A, and
     # importing scipy.linalg costs about 0.25 s and 28 MB
     from scipy.linalg import cho_factor
 
-    mat = dense_matrix(n).astype(np.float64)
     try:
-        return cho_factor(mat, lower=True)
+        return cho_factor(dense_matrix(n), lower=True, overwrite_a=True,
+                          check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - construction bug
         raise RuntimeError(f"certificate matrix of order {n} is not positive "
                            f"definite: {exc}") from exc
@@ -97,14 +97,24 @@ def prefix_quadratic_minima(n: int) -> np.ndarray:
     """min x^T A x over x with prefix sum x_1+...+x_i = 1, for every i.
 
     The minimum subject to <v, x> = 1 equals 1 / (v^T A^{-1} v); one
-    factorization serves all n prefix indicator vectors.
+    factorization serves all n prefix indicators, solved tile_rows(n) at a
+    time so the factor is the only n x n array.  v^i . A^{-1} v^i adds rows
+    1..i of its solved column in increasing order, as the one-shot
+    (v * A^{-1} v).sum(axis=0) does, so the bits match it.
     """
     from scipy.linalg import cho_solve
 
     factor = _cholesky(n)
-    prefixes = np.triu(np.ones((n, n)))      # column i-1 is the indicator v^i
-    solved = cho_solve(factor, prefixes)
-    quad = (prefixes * solved).sum(axis=0)   # v^i . A^{-1} v^i
+    width = min(tile_rows(n), n)              # both powers of two
+    rows = np.arange(n)[:, None]
+    tile = np.empty((n, width), order="F")
+    quad = np.empty(n)
+    for lo in range(0, n, width):
+        hi = lo + width
+        tile[:] = rows < np.arange(lo + 1, hi + 1)   # column c is v^(lo+c+1)
+        solved = cho_solve(factor, tile, overwrite_b=True, check_finite=False)
+        np.cumsum(solved[:hi], axis=0, out=solved[:hi])
+        quad[lo:hi] = solved[lo:hi].diagonal()
     return 1.0 / quad
 
 

@@ -578,7 +578,7 @@ def test_matrix_check_run(tmp_path, capsys):
 
 def test_matrix_check_refuses_large_n_before_the_first_row(tmp_path, capsys,
                                                           monkeypatch):
-    # the solve keeps about four n x n float64 arrays alive, 32 n^2 bytes
+    # the solve keeps one n x n float64 array alive, 8 n^2 bytes
     def unreachable(n):
         raise AssertionError(f"dense_matrix({n}) reached")
 
@@ -593,8 +593,8 @@ def test_matrix_check_refuses_large_n_before_the_first_row(tmp_path, capsys,
     assert main(["run", cfg, "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == ("error: the certificate matrix at n=8192 needs "
-                            "about 2 GiB of n x n float64 arrays; the limit "
-                            "is 4096\n")
+                            "about 0.5 GiB for one n x n float64 array; the "
+                            "limit is 4096\n")
     assert captured.out == "" and not out.exists()
 
 

@@ -1,15 +1,19 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, null_space, solve_triangular
 
+from kwalks import dyadic_matrix
 from kwalks.dyadic_matrix import (DENSE_MATRIX_LIMIT, check_dense_size,
                                   corollary_ratio, dense_matrix, dump_csv, entry,
                                   prefix_quadratic_minima, quadratic_form_rows,
                                   trace)
+from kwalks.experiments import ExperimentConfig, run
 from kwalks.rng import substream
-from kwalks.sign_families import FamilySpec, ResourceLimitError, make_sampler
+from kwalks.sign_families import (FamilySpec, ResourceLimitError, make_sampler,
+                                  tile_rows)
 from kwalks.walks import sup_abs_prefix_batch
 
 REFERENCE_8 = np.array([
@@ -181,9 +185,60 @@ def test_constrained_min_full_prefix_half():
     assert prefix_quadratic_minima(8)[8 - 1] >= 0.5 - 1e-9
 
 
+def one_shot_minima(n):
+    """All n prefix indicators in one cho_solve, each v^i . A^{-1} v^i as
+    a column sum of (v * A^{-1} v)."""
+    factor = cho_factor(dense_matrix(n), lower=True)
+    prefixes = np.triu(np.ones((n, n)))
+    solved = cho_solve(factor, prefixes)
+    return 1.0 / (prefixes * solved).sum(axis=0)
+
+
+@pytest.mark.parametrize("n", [4, 8, 64, 256, 1024])
+def test_prefix_minima_match_one_shot_solve_bit_for_bit(n):
+    assert tile_rows(1024) < 1024          # n = 1024 spans several tiles
+    assert prefix_quadratic_minima(n).tobytes() == one_shot_minima(n).tobytes()
+
+
+def test_prefix_minima_hold_one_n_by_n_array():
+    n = 1024
+    prefix_quadratic_minima(n)             # scipy imported outside the trace
+    tracemalloc.start()
+    try:
+        prefix_quadratic_minima(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("gaussians", [1, 129, 1000])
+def test_matrix_check_gaussian_tiles_match_one_shot_check(monkeypatch, n,
+                                                          gaussians):
+    seen = []
+
+    def recording(order, rows):
+        seen.append(rows.copy())
+        return quadratic_form_rows(order, rows)
+
+    monkeypatch.setattr(dyadic_matrix, "quadratic_form_rows", recording)
+    table = run(ExperimentConfig(kind="matrix-check", seed=9, params={
+        "n_list": str(n), "gaussian_vectors": str(gaussians)}))
+    (verdict,) = [row[2] for row in table.rows if row[1] == "gaussian_prefix_bound"]
+
+    lg = n.bit_length() - 1
+    rows = substream(9, n).standard_normal((gaussians, n))
+    best = (np.cumsum(rows, axis=1) ** 2).max(axis=1)
+    one_shot = bool((quadratic_form_rows(n, rows) >= best / lg - 1e-9).all())
+    assert verdict == str(one_shot)
+    assert len(seen) == -(-gaussians // tile_rows(n))
+    assert np.concatenate(seen).tobytes() == rows.tobytes()
+
+
 def test_dense_matrix_refuses_large_n():
     check_dense_size(DENSE_MATRIX_LIMIT)
-    with pytest.raises(ResourceLimitError, match="n=8192 needs about 2 GiB"):
+    with pytest.raises(ResourceLimitError, match="n=8192 needs about 0.5 GiB"):
         dense_matrix(8192)
 
 

@@ -268,7 +268,19 @@ def test_bench_exact_writes_its_file(tmp_path):
     assert {"revision", "python", "numpy", "nproc"} <= set(result)
     assert list(result["kernels"]) == [
         "exact_moments_H_n16", "exact_moments_H_n64", "h2_check_n64",
-        "from_sigmas_n64", "build_tree_n64", "check_invariants_n64"]
+        "from_sigmas_n64", "build_tree_n64", "check_invariants_n64",
+        "prefix_minima_n1024"]
     for stats in result["kernels"].values():
         assert stats["repeats"] == 3
         assert 0 <= stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]
+        assert isinstance(stats["tracemalloc_peak_bytes"], int)
+    # the minima hold one 1024 x 1024 float64 array and one column tile
+    assert 8 * 1024 ** 2 < result["kernels"]["prefix_minima_n1024"][
+        "tracemalloc_peak_bytes"] <= 1.5 * 8 * 1024 ** 2
+    # a second run on the same day keeps the first file
+    again = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_exact.py"), "--repeats", "2",
+         "--moment-n", "16", "--tree-n", "16", "--out-dir", str(tmp_path)],
+        check=True, capture_output=True, text=True).stdout.splitlines()[-1]
+    assert again == str(path.with_name(path.stem + "_2.json"))
+    assert json.loads(path.read_text()) == result

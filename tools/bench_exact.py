@@ -7,15 +7,21 @@ Usage, from the root of a checkout:
 
 Times, in one process, the exact kernels the exact-verify workload spends
 its time in: `exact_moments` of stage H at each --moment-n, family-verify's
-H2 check (`_exact_stage_check`) at the largest --moment-n, and
+H2 check (`_exact_stage_check`) at the largest --moment-n,
 `VarianceProfile.from_sigmas`, `build_tree` and `check_invariants` on one
-seeded variance profile of --tree-n steps.  The kernels run interleaved,
-one call of each per repeat, so a drift in machine speed spreads over all
-of them alike.  Each kernel's inputs (the adversarial constants, the H2
+seeded variance profile of --tree-n steps, and matrix-check's
+`prefix_quadratic_minima` at n = 1024.  The kernels run interleaved, one
+call of each per repeat, so a drift in machine speed spreads over all of
+them alike.  Each kernel's inputs (the adversarial constants, the H2
 moment tables, the float variances, the profile and the tree) are built
-before the first repeat, so a timing holds the kernel alone.  The file records the revision, the
-Python and numpy versions and the core count, and per kernel the median
-and quartiles of its seconds over the repeats.
+before the first repeat, so a timing holds the kernel alone; the minima
+keep no cache, so each of their calls builds and factors the matrix again.
+After a warm-up call, one untimed pass of each kernel runs under
+`tracemalloc`.  The file records the revision, the Python and numpy
+versions and the core count, and per kernel the median and quartiles of
+its seconds over the repeats and its peak traced bytes.  A second run on
+the same day writes BENCH_exact_<date>_2.json, and so on, rather than
+overwrite the first.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from kwalks import maximal_inequality as mi  # noqa: E402
+from kwalks.dyadic_matrix import prefix_quadratic_minima  # noqa: E402
 from kwalks.experiments import _exact_stage_check  # noqa: E402
 from kwalks.rng import substream  # noqa: E402
 from kwalks.sign_families import (ADVERSARIAL_STAGE, FamilySpec,  # noqa: E402
@@ -44,6 +52,7 @@ from kwalks.sign_families import (ADVERSARIAL_STAGE, FamilySpec,  # noqa: E402
 
 PROFILE_SEED = 20250810
 PROFILE_DECADES = 4.0
+MINIMA_N = 1024
 
 
 def kernels(moment_ns, tree_n) -> dict:
@@ -62,7 +71,18 @@ def kernels(moment_ns, tree_n) -> dict:
     calls[f"from_sigmas_n{tree_n}"] = lambda: mi.VarianceProfile.from_sigmas(sigmas)
     calls[f"build_tree_n{tree_n}"] = lambda: mi.build_tree(profile)
     calls[f"check_invariants_n{tree_n}"] = lambda: mi.check_invariants(tree)
+    calls[f"prefix_minima_n{MINIMA_N}"] = lambda: prefix_quadratic_minima(MINIMA_N)
     return calls
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees during one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def quartiles(samples: list[float]) -> dict:
@@ -94,6 +114,7 @@ def main(argv=None) -> int:
     calls = kernels(args.moment_n, args.tree_n)
     for call in calls.values():         # warm every cache the run would
         call()
+    peaks = {name: traced_peak(call) for name, call in calls.items()}
     samples = {name: [] for name in calls}
     for _ in range(args.repeats):
         for name, call in calls.items():
@@ -111,14 +132,19 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "profile": {"seed": PROFILE_SEED, "decades": PROFILE_DECADES,
                     "n": args.tree_n},
-        "kernels": {name: quartiles(s) for name, s in samples.items()},
+        "kernels": {name: {**quartiles(s), "tracemalloc_peak_bytes": peaks[name]}
+                    for name, s in samples.items()},
     }
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    path = args.out_dir / f"BENCH_exact_{today}.json"
+    path, run = args.out_dir / f"BENCH_exact_{today}.json", 1
+    while path.exists():                # keep an earlier run's file of the day
+        run += 1
+        path = args.out_dir / f"BENCH_exact_{today}_{run}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     for name, stats in result["kernels"].items():
         print(f"{name:32s} median {stats['median_s'] * 1e3:9.3f} ms  "
-              f"[{stats['q1_s'] * 1e3:.3f}, {stats['q3_s'] * 1e3:.3f}]")
+              f"[{stats['q1_s'] * 1e3:.3f}, {stats['q3_s'] * 1e3:.3f}]  "
+              f"peak {stats['tracemalloc_peak_bytes'] / 2 ** 20:.2f} MiB")
     print(path)
     return 0
 
