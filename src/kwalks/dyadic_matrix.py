@@ -12,6 +12,10 @@ independent walks.
 from __future__ import annotations
 
 import csv
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from typing import IO
 
 import numpy as np
@@ -79,18 +83,30 @@ def quadratic_form_rows(n: int, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _cholesky(n: int):
-    """cho_factor of A, computed in place in dense_matrix(n)'s array."""
-    # scipy is imported on first use: most runs never factor A, and
-    # importing scipy.linalg costs about 0.25 s and 28 MB
-    from scipy.linalg import cho_factor
+@functools.cache
+def _flapack():
+    """scipy's compiled LAPACK wrapper, the module cho_factor and cho_solve
+    call into, loaded from its file alone: importing the scipy.linalg
+    package would load about 300 modules and cost 0.2 s and 20 MB on a
+    2-core VM, for two calls."""
+    scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(d, "linalg") for d in scipy_dirs])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    try:
-        return cho_factor(dense_matrix(n), lower=True, overwrite_a=True,
-                          check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - construction bug
+
+def _cholesky(n: int) -> np.ndarray:
+    """Lower Cholesky factor of A, computed in place in dense_matrix(n)'s
+    array by LAPACK dpotrf, as cho_factor(lower=True) computes it; the
+    strict upper triangle keeps A's entries."""
+    factor, info = _flapack().dpotrf(dense_matrix(n), lower=1, clean=0,
+                                     overwrite_a=1)
+    if info:
         raise RuntimeError(f"certificate matrix of order {n} is not positive "
-                           f"definite: {exc}") from exc
+                           f"definite: dpotrf info {info}")
+    return factor
 
 
 def prefix_quadratic_minima(n: int) -> np.ndarray:
@@ -98,13 +114,13 @@ def prefix_quadratic_minima(n: int) -> np.ndarray:
 
     The minimum subject to <v, x> = 1 equals 1 / (v^T A^{-1} v); one
     factorization serves all n prefix indicators, solved tile_rows(n) at a
-    time so the factor is the only n x n array.  v^i . A^{-1} v^i adds rows
-    1..i of its solved column in increasing order, as the one-shot
-    (v * A^{-1} v).sum(axis=0) does, so the bits match it.
+    time by LAPACK dpotrs (as cho_solve does) so the factor is the only
+    n x n array.  v^i . A^{-1} v^i adds rows 1..i of its solved column in
+    increasing order, as the one-shot (v * A^{-1} v).sum(axis=0) does, so
+    the bits match it.
     """
-    from scipy.linalg import cho_solve
-
     factor = _cholesky(n)
+    dpotrs = _flapack().dpotrs
     width = min(tile_rows(n), n)              # both powers of two
     rows = np.arange(n)[:, None]
     tile = np.empty((n, width), order="F")
@@ -112,7 +128,9 @@ def prefix_quadratic_minima(n: int) -> np.ndarray:
     for lo in range(0, n, width):
         hi = lo + width
         tile[:] = rows < np.arange(lo + 1, hi + 1)   # column c is v^(lo+c+1)
-        solved = cho_solve(factor, tile, overwrite_b=True, check_finite=False)
+        solved, info = dpotrs(factor, tile, lower=1, overwrite_b=1)
+        if info:  # pragma: no cover - only a malformed argument sets it
+            raise RuntimeError(f"dpotrs info {info} at order {n}")
         np.cumsum(solved[:hi], axis=0, out=solved[:hi])
         quad[lo:hi] = solved[lo:hi].diagonal()
     return 1.0 / quad

@@ -268,17 +268,29 @@ def chain_forms(nets: NetHierarchy, w: np.ndarray,
     """
     if k < 4 or k % 2:
         raise ValueError("k must be even and at least 4")
-    quad, kth = np.zeros(len(w)), np.zeros(len(w))
+    rows = len(w)
+    quad, kth = np.zeros(rows), np.zeros(rows)
+    # two flat buffers serve every level, each viewed as a contiguous
+    # (rows, level size) array: a strided slice of a wider one would sum
+    # its rows in another order
+    sq_buf, parent_buf = np.empty(w.size), np.empty(w.size)
     for r in range(1, len(nets.levels)):
         lvl, prev = nets.levels[r], nets.levels[r - 1]
         if np.array_equal(lvl.times, prev.times):
             continue
-        sq = w[..., lvl.times] - w[..., prev.times[lvl.parents]]
+        shape = (rows, len(lvl.times))
+        sq = sq_buf[:rows * shape[1]].reshape(shape)
+        parent = parent_buf[:rows * shape[1]].reshape(shape)
+        # the net's times index w, so "clip" never clips; it lets take
+        # write straight into out, which the default "raise" copies
+        np.take(w, lvl.times, axis=1, out=sq, mode="clip")
+        np.take(w, prev.times[lvl.parents], axis=1, out=parent, mode="clip")
+        sq -= parent
         # d*d is exact for integer-valued d; numpy's d ** k is slower and
         # not correctly rounded past 2^53
         sq *= sq
         quad += sq.sum(axis=1)
-        kth += 2 ** (r / 2) * (sq ** (k // 2)).sum(axis=1)
+        kth += 2 ** (r / 2) * np.power(sq, k // 2, out=parent).sum(axis=1)
     return quad, kth
 
 

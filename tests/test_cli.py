@@ -380,16 +380,38 @@ def test_family_verify_rejects_other_kinds(tmp_path, capsys, family):
     assert family.split("\n")[0].split()[-1] in captured.err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.linalg is imported only when a run factors the matrix
-    code = ("import sys, kwalks.cli, kwalks.experiments; "
-            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+def scipy_modules_after(code):
+    """True when a fresh interpreter that runs code holds any scipy module."""
+    code = ("import sys\n" + code + "\nprint(any(m == 'scipy' or "
+            "m.startswith('scipy.') for m in sys.modules))")
     src = str(Path(kwalks.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "False\n"
+    return out.splitlines()[-1] == "True"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # no scipy module is loaded by importing the CLI
+    assert not scipy_modules_after("import kwalks.cli, kwalks.experiments")
+
+
+def test_matrix_check_run_leaves_scipy_unloaded(tmp_path):
+    # a run that factors the matrix loads scipy's LAPACK wrapper from its
+    # file, and no module of the scipy package
+    cfg = write_config(tmp_path / "mc.cfg", """
+        [experiment]
+        kind = matrix-check
+        [params]
+        n_list = 8 64
+        gaussian_vectors = 10
+        """)
+    out = tmp_path / "mc.csv"
+    assert not scipy_modules_after(
+        "from kwalks.cli import main\n"
+        f"assert main(['run', {cfg!r}, '--output', {str(out)!r}]) == 0")
+    assert out.read_text().count("\n64,") == 4
 
 
 @pytest.mark.parametrize("params,message", [

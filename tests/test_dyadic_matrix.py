@@ -1,5 +1,9 @@
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,7 +206,7 @@ def test_prefix_minima_match_one_shot_solve_bit_for_bit(n):
 
 def test_prefix_minima_hold_one_n_by_n_array():
     n = 1024
-    prefix_quadratic_minima(n)             # scipy imported outside the trace
+    prefix_quadratic_minima(n)             # LAPACK loaded outside the trace
     tracemalloc.start()
     try:
         prefix_quadratic_minima(n)
@@ -210,6 +214,43 @@ def test_prefix_minima_hold_one_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * n * n
+
+
+FACTOR_ORDER_CHECK = """
+import hashlib
+import numpy as np
+from kwalks import dyadic_matrix
+if {scipy_first}:
+    import scipy.linalg
+factors = {{n: dyadic_matrix._cholesky(n) for n in (4, 64, 1024)}}
+minima = dyadic_matrix.prefix_quadratic_minima(1024)
+from scipy.linalg import cho_factor
+for n, factor in factors.items():
+    c, _ = cho_factor(dyadic_matrix.dense_matrix(n), lower=True)
+    assert np.tril(factor).tobytes() == np.tril(c).tobytes(), n
+print(hashlib.sha256(minima.tobytes()).hexdigest())
+"""
+
+
+def test_factor_matches_cho_factor_whichever_loads_first():
+    # _cholesky loads LAPACK from scipy's wrapper file, so scipy.linalg can
+    # hold a second module object of it; either load order gives
+    # cho_factor's lower triangle bit for bit, and the same minima
+    src = str(Path(dyadic_matrix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    digests = {subprocess.run(
+        [sys.executable, "-c", FACTOR_ORDER_CHECK.format(scipy_first=first)],
+        env=env, check=True, capture_output=True, text=True).stdout
+        for first in (True, False)}
+    assert len(digests) == 1
+
+
+def test_indefinite_matrix_raises_naming_the_order(monkeypatch):
+    monkeypatch.setattr(dyadic_matrix, "dense_matrix",
+                        lambda n: -np.eye(n, order="F"))
+    with pytest.raises(RuntimeError, match="order 8 is not positive definite"):
+        prefix_quadratic_minima(8)
 
 
 @pytest.mark.parametrize("n", [256, 1024])

@@ -269,14 +269,23 @@ def test_bench_exact_writes_its_file(tmp_path):
     assert list(result["kernels"]) == [
         "exact_moments_H_n16", "exact_moments_H_n64", "h2_check_n64",
         "from_sigmas_n64", "build_tree_n64", "check_invariants_n64",
-        "prefix_minima_n1024"]
-    for stats in result["kernels"].values():
+        "prefix_minima_n1024", "chain_forms_identity_m4096"]
+    assert list(result["cold"]) == ["prefix_minima_n1024"]
+    for stats in [*result["kernels"].values(), *result["cold"].values()]:
         assert stats["repeats"] == 3
         assert 0 <= stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]
+    for stats in result["kernels"].values():
         assert isinstance(stats["tracemalloc_peak_bytes"], int)
     # the minima hold one 1024 x 1024 float64 array and one column tile
     assert 8 * 1024 ** 2 < result["kernels"]["prefix_minima_n1024"][
         "tracemalloc_peak_bytes"] <= 1.5 * 8 * 1024 ** 2
+    # the chain forms hold two buffers the size of W, 100 x 4097 float64
+    w_bytes = 100 * 4097 * 8
+    assert 2 * w_bytes <= result["kernels"]["chain_forms_identity_m4096"][
+        "tracemalloc_peak_bytes"] <= 2.5 * w_bytes
+    # the cold call's peak takes in the factor, 8 MiB at n = 1024
+    cold = result["cold"]["prefix_minima_n1024"]
+    assert cold["vmhwm_before_kib"] + 8 * 1024 <= cold["vmhwm_after_kib"]
     # a second run on the same day keeps the first file
     again = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_exact.py"), "--repeats", "2",
