@@ -12,6 +12,7 @@ Exit status is 0 only when every assertion passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -23,8 +24,7 @@ def _cmd_verify(args) -> int:
     checks = experiments.verify_suite()
     if args.json:
         print(json.dumps({
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in checks],
+            "checks": [dataclasses.asdict(c) for c in checks],
             "all_passed": all(c.passed for c in checks),
         }, indent=1))
     else:

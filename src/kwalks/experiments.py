@@ -13,7 +13,7 @@ import configparser
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -71,8 +71,7 @@ class ResultTable:
 
     def summary(self) -> dict:
         return {
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "all_passed": self.all_passed,
             "rows": len(self.rows),
             "metadata": self.metadata,
@@ -235,7 +234,9 @@ def _run_family_verify(config: ExperimentConfig) -> ResultTable:
         table.add(n, spec.stage, quantity, ok, True, config.seed, config.trials)
         table.check(f"n={n} {name}", ok)
         if emp is not None:
-            tol = 5.0 / config.trials ** 0.5
+            # the largest of n^2 entry deviations grows like sqrt(2 ln n^2)
+            # standard errors: keep n = 64's margin (factor exactly 1) above it
+            tol = 5.0 / config.trials ** 0.5 * max(1.0, (np.log(n) / np.log(64)) ** 0.5)
             worst = float(np.abs(emp.covariance
                                  - moments.second_moments_float()).max())
             table.add(n, spec.stage, "max_moment_deviation", worst, tol,
@@ -373,14 +374,16 @@ def _run_maximal_mc(config: ExperimentConfig) -> ResultTable:
     mults = _positive("lambda_mults", config.float_list("lambda_mults", "2 4 8"))
     lambdas = [m * total_var ** 0.5 for m in mults]
     spec = config.family_spec(n, FamilySpec(kind=POLYNOMIAL_KWISE, n=n, k=4))
-    rows = mi.mc_tail(spec, sigmas, lambdas, config.trials, config.seed,
-                      workers=config.workers)
-    for mult, row in zip(mults, rows):
-        table.add(row.lam, row.hits, row.trials, row.empirical_p, row.stderr,
-                  row.variance_bound, row.fitted_constant, config.seed)
-        ok = row.empirical_p <= row.variance_bound + 3 * row.stderr
-        table.check(f"lambda={mult}sqrt(var) tail bound", ok,
-                    f"p {row.empirical_p:.5f} vs bound {row.variance_bound:.5f}")
+    est = mi.mc_tail(spec, sigmas, lambdas, config.trials, config.seed,
+                     workers=config.workers)
+    for mult, lam, hits, p, stderr in zip(mults, lambdas, est.totals, est.mean,
+                                          est.stderr):
+        # the paper's second-moment bound sum sigma_i^2 / lambda^2
+        bound = total_var / lam ** 2
+        table.add(lam, int(hits), config.trials, p, stderr, bound,
+                  p / bound if bound else 0.0, config.seed)
+        table.check(f"lambda={mult}sqrt(var) tail bound",
+                    p <= bound + 3 * stderr, f"p {p:.5f} vs bound {bound:.5f}")
     return table
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .parallel import MomentJob, mc_moments
+from .parallel import ColumnMoments, MomentJob, mc_moments
 from .sign_families import FamilySpec
 
 WINDOW_LO = Fraction(45, 100)
@@ -412,17 +412,6 @@ def _hop_start(tab: NodeTable, S_red: np.ndarray, par: np.ndarray, end):
 # --------------------------------------------------------------------------
 # Monte Carlo tail study
 
-@dataclass(frozen=True)
-class TailRow:
-    lam: float
-    hits: int
-    trials: int
-    empirical_p: float
-    stderr: float
-    variance_bound: float
-    fitted_constant: float
-
-
 def tail_hit_rows(batch: np.ndarray, sigmas: tuple[float, ...],
                   lambdas: tuple[float, ...]) -> np.ndarray:
     """Row-wise indicators of sup_i |S_i| >= lambda, one column per lambda,
@@ -434,29 +423,22 @@ def tail_hit_rows(batch: np.ndarray, sigmas: tuple[float, ...],
 
 
 def mc_tail(spec: FamilySpec, sigmas: Sequence[float], lambdas: Sequence[float],
-            trials: int, seed: int, workers: int = 1) -> list[TailRow]:
-    """Empirical P(sup_i |S_i| >= lambda) for variance-scaled steps.
+            trials: int, seed: int, workers: int = 1) -> ColumnMoments:
+    """Empirical P(sup_i |S_i| >= lambda) for variance-scaled steps, one
+    column per lambda: totals are the hit counts and mean the frequencies.
 
-    Requires at least 4-wise independence; reports the second-moment bound
-    sum sigma_i^2 / lambda^2 next to each frequency, plus the constant that
-    would make the bound tight.
+    Requires at least 4-wise independence, as the paper's bound
+    sum sigma_i^2 / lambda^2 on these frequencies does.
     """
     if spec.independence_order < min(4, spec.n):
         raise ValueError("tail study needs a 4-wise independent family or better")
     if len(sigmas) != spec.n:
         raise ValueError("need one scale per coordinate")
-    total_var = float(np.sum(np.asarray(sigmas, dtype=np.float64) ** 2))
     (est,) = mc_moments([MomentJob(tail_hit_rows,
                                    (tuple(float(s) for s in sigmas),
                                     tuple(float(x) for x in lambdas)),
                                    spec, trials, seed)], workers)
-    rows = []
-    for lam, hits, p, stderr in zip(lambdas, est.totals, est.mean, est.stderr):
-        bound = total_var / float(lam) ** 2
-        rows.append(TailRow(lam=float(lam), hits=int(hits), trials=trials,
-                            empirical_p=p, stderr=stderr, variance_bound=bound,
-                            fitted_constant=p / bound if bound else 0.0))
-    return rows
+    return est
 
 
 def random_variances(n: int, decades: float,

@@ -374,7 +374,7 @@ def sup_moment_job(stream: InsertionStream, spec: FamilySpec, k: int,
     if k < 1:
         raise ValueError(f"moment order must be positive, got k={k}")
     # beyond n coordinates the independence requirement is vacuous
-    needed = min(2 if k == 2 else k, spec.n)
+    needed = min(k, spec.n)
     if spec.independence_order < needed:
         raise ValueError(
             f"order-{k} supremum moments need {needed}-wise independence")

@@ -318,11 +318,11 @@ def test_criterion_6_fourwise_tail_bound():
     total = float((sigmas ** 2).sum())
     lambdas = [m * total ** 0.5 for m in (2, 4, 8)]
     spec = FamilySpec(kind="PolynomialKWise", n=n, k=4)
-    rows = mi.mc_tail(spec, sigmas, lambdas, 10 ** 5, seed=mix64(SEED, 6))
-    for mult, row in zip((2, 4, 8), rows):
-        ok = row.empirical_p <= row.variance_bound + 3 * row.stderr
-        detail = (f"p={row.empirical_p:.5f} bound={row.variance_bound:.5f} "
-                  f"fitted constant {row.fitted_constant:.3f}")
+    est = mi.mc_tail(spec, sigmas, lambdas, 10 ** 5, seed=mix64(SEED, 6))
+    for mult, lam, p, stderr in zip((2, 4, 8), lambdas, est.mean, est.stderr):
+        bound = total / lam ** 2
+        ok = p <= bound + 3 * stderr
+        detail = f"p={p:.5f} bound={bound:.5f} fitted constant {p / bound:.3f}"
         if not report("6", f"tail bound at lambda = {mult} sqrt(sum var)", ok,
                       detail):
             failures.append(f"lambda {mult}")

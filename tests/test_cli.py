@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import resource
@@ -507,6 +508,53 @@ def test_family_verify_detects_corruption(tmp_path, monkeypatch):
         sf.make_sampler.cache_clear()
 
 
+FAMILY_1024 = """
+    [experiment]
+    kind = family-verify
+    trials = 1000
+    seed = 6
+    [family]
+    kind = AdversarialStage
+    stage = H
+    [params]
+    n_list = 1024
+"""
+
+
+def _empirical_check(table):
+    (check,) = [c for c in table.checks if "empirical" in c.name]
+    return check
+
+
+def test_family_verify_tolerance_grows_with_n(tmp_path):
+    # A correct family at n = 1024: the largest of its n^2 entry deviations
+    # at seed 6 lies above 5 / sqrt(trials), the tolerance that fits n = 64,
+    # and below the tolerance scaled by sqrt(log n / log 64).
+    table = run(ExperimentConfig.from_file(
+        write_config(tmp_path / "fam.cfg", FAMILY_1024)))
+    worst, tol = (float(v) for v in table.rows[-1][3:5])
+    assert 5 / 1000 ** 0.5 < worst <= tol
+    assert tol == pytest.approx(5 / 1000 ** 0.5 * (10 / 6) ** 0.5)
+    check = _empirical_check(table)
+    assert check.passed and check.name == "n=1024 empirical moments within 0.2"
+
+
+def test_family_verify_scaled_tolerance_detects_corruption(tmp_path, monkeypatch):
+    # Shifting one off-diagonal block of the expected table by 0.3, above
+    # the scaled tolerance of 0.204 at n = 1024, still fails the check.
+    real = sf.MomentSummary.second_moments_float
+
+    def shifted(self):
+        table = real(self)
+        table[:self.root, self.root:2 * self.root] += 0.3
+        return table
+
+    monkeypatch.setattr(sf.MomentSummary, "second_moments_float", shifted)
+    table = run(ExperimentConfig.from_file(
+        write_config(tmp_path / "fam.cfg", FAMILY_1024)))
+    assert not _empirical_check(table).passed
+
+
 def _stage_checks(tmp_path, stage):
     cfg = write_config(tmp_path / "stage.cfg", f"""
         [experiment]
@@ -800,6 +848,21 @@ def test_maximal_mc_run(tmp_path, capsys):
     assert main(["run", cfg]) == 0
     out = capsys.readouterr().out
     assert "tail bound: PASS" in out
+
+
+# sha256 of the data rows (header included) that configs/maximal_mc.cfg
+# writes at --trials 2048: the runner's bound arithmetic, byte for byte
+MAXIMAL_MC_2048_ROWS = "61edade4153c73f0cbbfad2633b644f5f98cedbc9c088ae7e6c3d50958f9d4b8"
+
+
+def test_pinned_maximal_mc_rows(tmp_path):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "maximal_mc.cfg"
+    out_csv = tmp_path / "tail.csv"
+    assert main(["run", str(cfg), "--trials", "2048",
+                 "--output", str(out_csv)]) == 0
+    rows = "".join(line for line in out_csv.read_text().splitlines(keepends=True)
+                   if not line.startswith("#"))
+    assert hashlib.sha256(rows.encode()).hexdigest() == MAXIMAL_MC_2048_ROWS
 
 
 def test_dump_matrix(tmp_path, capsys):

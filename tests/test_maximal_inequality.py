@@ -448,11 +448,13 @@ def test_telescoping_defect_rejects_bad_realizations(batch):
 def test_mc_tail_independent_walk():
     n = 1024
     spec = FamilySpec(kind="FullyIndependent", n=n)
-    rows = mi.mc_tail(spec, [1.0] * n, [2 * 32.0, 100 * 32.0], 10 ** 4, seed=2)
-    assert rows[0].variance_bound == pytest.approx(0.25)
-    assert rows[0].empirical_p <= 0.25 + 3 * rows[0].stderr
-    assert rows[1].empirical_p == 0.0
-    assert rows[1].hits == 0
+    lambdas = [2 * 32.0, 100 * 32.0]
+    est = mi.mc_tail(spec, [1.0] * n, lambdas, 10 ** 4, seed=2)
+    bound = n / lambdas[0] ** 2          # sum sigma_i^2 / lambda^2
+    assert bound == pytest.approx(0.25)
+    assert est.mean[0] <= bound + 3 * est.stderr[0]
+    assert est.mean[1] == 0.0
+    assert est.totals[1] == 0
 
 
 def test_mc_tail_scaled_fourwise():
@@ -462,10 +464,11 @@ def test_mc_tail_scaled_fourwise():
     total = float((sigmas ** 2).sum())
     spec = FamilySpec(kind="PolynomialKWise", n=n, k=4)
     lambdas = [m * total ** 0.5 for m in (2, 4, 8)]
-    rows = mi.mc_tail(spec, sigmas, lambdas, 10 ** 4, seed=3)
-    for mult, row in zip((2, 4, 8), rows):
-        assert row.variance_bound == pytest.approx(1 / mult ** 2)
-        assert row.empirical_p <= row.variance_bound + 3 * row.stderr
+    est = mi.mc_tail(spec, sigmas, lambdas, 10 ** 4, seed=3)
+    for mult, lam, p, stderr in zip((2, 4, 8), lambdas, est.mean, est.stderr):
+        bound = total / lam ** 2
+        assert bound == pytest.approx(1 / mult ** 2)
+        assert p <= bound + 3 * stderr
 
 
 def test_mc_tail_rejects_weak_independence():
