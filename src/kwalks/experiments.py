@@ -219,6 +219,11 @@ def _run_family_verify(config: ExperimentConfig) -> ResultTable:
     table = ResultTable(header=["n", "stage", "quantity", "value", "expected",
                                 "seed", "trials"])
     n_values = config.int_list("n_list", "16")
+    # each size draws from substream(seed, n): a repeated n repeats its rows
+    repeated = sorted({n for n in n_values if n_values.count(n) > 1})
+    if repeated:
+        raise ValueError(f"n_list repeats {' '.join(map(str, repeated))}; "
+                         "each size is checked once")
     spec0 = config.family_spec(n_values[0], FamilySpec(
         kind=ADVERSARIAL_STAGE, n=n_values[0], stage="H"))
     if spec0.kind != ADVERSARIAL_STAGE:
@@ -228,17 +233,24 @@ def _run_family_verify(config: ExperimentConfig) -> ResultTable:
     samples = ([None] * len(specs) if config.trials == 0
                else parallel.empirical_moments_batch(specs, config.trials,
                                                      config.seed, config.workers))
-    for spec, emp in zip(specs, samples):
+    for spec, sample in zip(specs, samples):
         n, moments = spec.n, exact_moments(spec)
         quantity, name, ok = _exact_stage_check(spec, moments)
         table.add(n, spec.stage, quantity, ok, True, config.seed, config.trials)
         table.check(f"n={n} {name}", ok)
-        if emp is not None:
+        if sample is not None:
             # the largest of n^2 entry deviations grows like sqrt(2 ln n^2)
             # standard errors: keep n = 64's margin (factor exactly 1) above it
             tol = 5.0 / config.trials ** 0.5 * max(1.0, (np.log(n) / np.log(64)) ** 0.5)
-            worst = float(np.abs(emp.covariance
-                                 - moments.second_moments_float()).max())
+            # sample - E[h h^T] in place: 1 on the diagonal, block_pair[c1][c2]
+            # at view[c1, :, c2, :], since coordinate i lies in block i // root
+            root = moments.root
+            diagonal = sample.diagonal() - 1.0
+            view = sample.reshape(root, root, root, root)
+            view -= np.array([[float(v) for v in row]
+                              for row in moments.block_pair])[:, None, :, None]
+            np.fill_diagonal(sample, diagonal)
+            worst = float(np.abs(sample, out=sample).max())
             table.add(n, spec.stage, "max_moment_deviation", worst, tol,
                       config.seed, config.trials)
             table.check(f"n={n} empirical moments within {tol:.2g}", worst <= tol,

@@ -232,21 +232,10 @@ def classify_and_rank(tree: IntervalTree) -> IntervalTree:
     return tree
 
 
-def _rank_mass(tree: IntervalTree) -> dict[int, int]:
-    """Integer T-mass numerator of the bad intervals per rank, over the
-    common denominator profile.nums[-1]; every rank held by a bad node is
-    a key, zero-mass ranks included."""
-    P = tree.profile.nums
-    tab = tree.table
-    mass = dict.fromkeys(sorted(set(tab.rank[tab.bad].tolist())), 0)
-    at = tab.bad & (tab.a != tab.b)        # a singleton carries no mass
-    for q, a, b in zip(tab.rank[at].tolist(), tab.a[at].tolist(), tab.b[at].tolist()):
-        mass[q] += P[b] - P[a]
-    return mass
-
-
 def max_rank(tree: IntervalTree) -> int:
-    return max(_rank_mass(tree), default=0)
+    """The largest rank of a bad node, 0 when none is bad: every other
+    node holds rank 0."""
+    return int(tree.table.rank.max())
 
 
 # --------------------------------------------------------------------------
@@ -300,8 +289,13 @@ def check_invariants(tree: IntervalTree) -> list[str]:
     par = np.flatnonzero(tab.left >= 0)
     for i in par[tab.bad[tab.left[par]] != tab.bad[tab.right[par]]]:
         problems.append(f"siblings of [{tab.a[i]},{tab.b[i]}] differ in badness")
-    # mass / total > 0.9^q is decided on numerators
-    mass = _rank_mass(tree)
+    # T-mass numerator of the bad intervals per rank, over the common
+    # denominator total; a singleton carries none.  mass / total > 0.9^q is
+    # decided on numerators.
+    mass = {}
+    at = tab.bad & (tab.a != tab.b)
+    for q, na, nb in zip(tab.rank[at].tolist(), tab.a[at].tolist(), tab.b[at].tolist()):
+        mass[q] = mass.get(q, 0) + P[nb] - P[na]
     num, den = RANK_DECAY.numerator, RANK_DECAY.denominator
     for q in sorted(mass):
         if mass[q] * den ** q > num ** q * total:

@@ -21,8 +21,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .rng import chunk_layout, substream
-from .sign_families import (FamilySpec, SampleMoments, check_empirical_size,
-                            empirical_moments, make_sampler, tile_rows)
+from .sign_families import (FamilySpec, check_empirical_size, empirical_moments,
+                            make_sampler, tile_rows)
 
 
 def _map_tasks(fn: Callable, tasks: list, costs: list, workers: int) -> list:
@@ -41,38 +41,6 @@ def _map_tasks(fn: Callable, tasks: list, costs: list, workers: int) -> list:
         for i, result in zip(order, pool.map(fn, [tasks[i] for i in order])):
             results[i] = result
     return results
-
-
-def _run_chunk(task):
-    fn, args, seed, chunk_index, count = task
-    return fn(args, substream(seed, chunk_index), count)
-
-
-def map_reduce_chunks(fn: Callable, jobs: Sequence[tuple],
-                      workers: int = 1) -> list[tuple[float, ...]]:
-    """Apply fn(args, rng, count) per chunk of every job and sum each job's
-    result tuples, one tuple per job.
-
-    A job is (args, trials, seed, width): its chunks draw from the
-    substreams of seed, and width (the entries per trial) weighs a chunk's
-    cost.  fn must be a module-level function (picklable) returning a tuple
-    of numbers; each job's sums are accumulated in its chunk order.
-    """
-    tasks, costs, owners = [], [], []
-    for j, (args, trials, seed, width) in enumerate(jobs):
-        if trials < 1:
-            raise ValueError(f"trials must be positive, got trials={trials}")
-        for c, count in chunk_layout(trials):
-            tasks.append((fn, args, seed, c, count))
-            costs.append(width * count)
-            owners.append(j)
-    totals = [None] * len(jobs)
-    for j, part in zip(owners, _map_tasks(_run_chunk, tasks, costs, workers)):
-        if totals[j] is None:
-            totals[j] = [0.0] * len(part)
-        for i, v in enumerate(part):
-            totals[j][i] += v
-    return [tuple(t) for t in totals]
 
 
 @dataclass(frozen=True)
@@ -107,29 +75,57 @@ class MomentJob:
     seed: int
 
 
-def _moment_chunk(args, rng, count):
-    """Column sums and sums of squares of stat over count sampled rows.
+def _moment_chunk(job: MomentJob, rng, count):
+    """Column sums and sums of squares of job's stat over count rows of
+    its sampler.
 
     The rows are drawn in tiles of tile_rows(n), one sample_batch call
     each, and stat runs per tile, so memory stays bounded as n grows.  The
     per-row values are joined into one (count, columns) array, so the sums
     are those of one tile of the same rows.
     """
-    spec, stat, stat_args = args
-    sampler = make_sampler(spec)
-    step = tile_rows(spec.n)
+    sampler = make_sampler(job.spec)
+    step = tile_rows(job.spec.n)
     values = []
     # a value or sum past float64 becomes inf, which mc_moments reports
     with np.errstate(over="ignore"):
         for lo in range(0, count, step):
             batch = sampler.sample_batch(rng, min(step, count - lo))
-            values.append(np.asarray(stat(batch, *stat_args),
+            values.append(np.asarray(job.stat(batch, *job.stat_args),
                                      dtype=np.float64).reshape(len(batch), -1))
         # each column is summed as its own 1-d array, so a column's sums do
         # not depend on how many columns the statistic has
         columns = np.concatenate(values).T
         return (tuple(float(col.sum()) for col in columns)
                 + tuple(float((col ** 2).sum()) for col in columns))
+
+
+def _run_chunk(task):
+    job, chunk_index, count = task
+    return _moment_chunk(job, substream(job.seed, chunk_index), count)
+
+
+def map_reduce_chunks(jobs: Sequence[MomentJob],
+                      workers: int = 1) -> list[tuple[float, ...]]:
+    """_moment_chunk's column sums and sums of squares of every job, summed
+    over the job's chunks in chunk order, one tuple per job.
+
+    Chunk c of a job draws from substream(job.seed, c), and its cost is
+    weighed by its signs drawn.
+    """
+    tasks, costs, owners = [], [], []
+    for j, job in enumerate(jobs):
+        for c, count in chunk_layout(job.trials):
+            tasks.append((job, c, count))
+            costs.append(job.spec.n * count)
+            owners.append(j)
+    totals = [None] * len(jobs)
+    for j, part in zip(owners, _map_tasks(_run_chunk, tasks, costs, workers)):
+        if totals[j] is None:
+            totals[j] = [0.0] * len(part)
+        for i, v in enumerate(part):
+            totals[j][i] += v
+    return [tuple(t) for t in totals]
 
 
 def mc_moments(jobs: Sequence[MomentJob], workers: int = 1) -> list[ColumnMoments]:
@@ -145,13 +141,8 @@ def mc_moments(jobs: Sequence[MomentJob], workers: int = 1) -> list[ColumnMoment
         if job.trials < 100:
             raise ValueError("need at least 100 trials")
         make_sampler(job.spec)
-    sums = map_reduce_chunks(
-        _moment_chunk,
-        [((job.spec, job.stat, job.stat_args), job.trials,
-          job.seed, job.spec.n) for job in jobs],
-        workers)
     out = []
-    for job, job_sums in zip(jobs, sums):
+    for job, job_sums in zip(jobs, map_reduce_chunks(jobs, workers)):
         if not all(map(math.isfinite, job_sums)):
             raise ValueError(f"moment sums overflow float64 at n={job.spec.n}; "
                              "use a lower moment order")
@@ -170,7 +161,7 @@ def _empirical_task(task):
 
 
 def empirical_moments_batch(specs: Sequence[FamilySpec], trials: int, seed: int,
-                            workers: int = 1) -> list[SampleMoments]:
+                            workers: int = 1) -> list[np.ndarray]:
     """empirical_moments of each spec's sampler over trials rows of its own
     sequential stream substream(seed, spec.n), one pool task per spec.
 

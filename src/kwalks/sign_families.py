@@ -45,7 +45,6 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, isfinite, lcm
 from operator import sub
-from typing import NamedTuple
 
 import numpy as np
 
@@ -612,13 +611,6 @@ class MomentSummary:
     block_mean: list
     block_pair: list
 
-    def second_moments_float(self) -> np.ndarray:
-        """The n x n table of E[h_i h_j] as float64, for empirical checks."""
-        table = np.kron([[float(v) for v in row] for row in self.block_pair],
-                        np.ones((self.root, self.root)))
-        np.fill_diagonal(table, 1.0)
-        return table
-
     def is_identity(self) -> bool:
         """True when the mean is exactly 0 and E[h_i h_j] is exactly I.
 
@@ -718,13 +710,6 @@ def _over(rows: list[list[int]], den: int) -> list[list[Fraction]]:
     return [list(map(made.__getitem__, row)) for row in rows]
 
 
-class SampleMoments(NamedTuple):
-    """Sample means of h (length n) and of h h^T (n x n), as float64."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-
 def check_empirical_size(n: int) -> None:
     """Refuses n whose n x n float64 sample table would be too large."""
     if n > EMPIRICAL_MOMENT_LIMIT:
@@ -734,25 +719,24 @@ def check_empirical_size(n: int) -> None:
             f"{EMPIRICAL_MOMENT_LIMIT}, or run with trials = 0")
 
 
-def empirical_moments(sampler, trials: int, rng: np.random.Generator) -> SampleMoments:
-    """Sample means of h and of h h^T; floating point, for cross-checks."""
+def empirical_moments(sampler, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """The sample mean of h h^T, an n x n float64 table, for cross-checks."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n = sampler.n
     check_empirical_size(n)
-    total = np.zeros(n)
     gram = np.zeros((n, n))
     # A tile has at least n rows, so it is no larger than the gram it
     # updates, and the n x n gram is rewritten at most once per n rows:
     # tiles of TILE_SIGNS // n rows were 13x slower at n = 4096.
-    # Every partial sum and gram entry is an integer below 2^53, exact in
-    # float64, so the tiles do not change the result.  The sampling batch
-    # stays _BATCH rows: stage H's stream depends on it.
+    # Every gram entry is an integer below 2^53, exact in float64, so the
+    # tiles do not change the result.  The sampling batch stays _BATCH
+    # rows: stage H's stream depends on it.
     step = max(tile_rows(n), n)
     for done in range(0, trials, _BATCH):
         batch = sampler.sample_batch(rng, min(_BATCH, trials - done))
         for lo in range(0, len(batch), step):
             tile = batch[lo:lo + step].astype(np.float64)
-            total += tile.sum(axis=0)
             gram += tile.T @ tile
-    return SampleMoments(mean=total / trials, covariance=gram / trials)
+    gram /= trials
+    return gram

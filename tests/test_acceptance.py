@@ -278,9 +278,10 @@ def test_criterion_5_interval_machinery():
         tree = mi.build_tree(profile)
         if mi.check_invariants(tree):
             bad_invariants += 1
+        P, tab = tree.profile.nums, tree.table
         for q in range(1, mi.max_rank(tree) + 1):
-            mass = Fraction(mi._rank_mass(tree).get(q, 0),
-                            tree.profile.nums[-1])
+            at = np.flatnonzero(tab.bad & (tab.rank == q))
+            mass = Fraction(sum(P[tab.b[i]] - P[tab.a[i]] for i in at), P[-1])
             if mass > Fraction(9, 10) ** q:
                 bad_mass_fail += 1
         steps = (rng.integers(0, 2, size=(realizations, 256)) * 2 - 1)

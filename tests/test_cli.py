@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -540,19 +541,71 @@ def test_family_verify_tolerance_grows_with_n(tmp_path):
 
 
 def test_family_verify_scaled_tolerance_detects_corruption(tmp_path, monkeypatch):
-    # Shifting one off-diagonal block of the expected table by 0.3, above
-    # the scaled tolerance of 0.204 at n = 1024, still fails the check.
-    real = sf.MomentSummary.second_moments_float
+    # Shifting one off-diagonal block of the exact tables by 0.3, above the
+    # scaled tolerance of 0.204 at n = 1024, still fails the check.
+    real = experiments.exact_moments
 
-    def shifted(self):
-        table = real(self)
-        table[:self.root, self.root:2 * self.root] += 0.3
-        return table
+    def shifted(spec):
+        moments = real(spec)
+        pair = [list(row) for row in moments.block_pair]
+        pair[0][1] += Fraction(3, 10)
+        return sf.MomentSummary(moments.root, moments.block_mean, pair)
 
-    monkeypatch.setattr(sf.MomentSummary, "second_moments_float", shifted)
+    monkeypatch.setattr(experiments, "exact_moments", shifted)
     table = run(ExperimentConfig.from_file(
         write_config(tmp_path / "fam.cfg", FAMILY_1024)))
     assert not _empirical_check(table).passed
+
+
+def test_family_verify_refuses_a_repeated_size(tmp_path, capsys, monkeypatch):
+    # each size draws from substream(seed, n), so a repeated n would print
+    # the same rows twice as two checks
+    cfg = write_config(tmp_path / "fam.cfg", """
+        [experiment]
+        kind = family-verify
+        trials = 200
+        seed = 3
+        [family]
+        kind = AdversarialStage
+        stage = H
+        [params]
+        n_list = 16 64 16
+    """)
+
+    def unreachable(*args):
+        raise AssertionError("work started despite the repeated size")
+
+    monkeypatch.setattr(experiments, "exact_moments", unreachable)
+    monkeypatch.setattr(kwalks.parallel, "make_sampler", unreachable)
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: n_list repeats 16; each size is checked once\n")
+
+
+# sha256 of the data rows (header included) that family-verify writes for
+# stage H at n = 16 64 256, trials = 2000, seed = 20250810: the empirical
+# deviations, byte for byte
+FAMILY_VERIFY_2000_ROWS = (
+    "f05486368285e55af0782688d02fd8df1dd1afe5d7bd85216f3b15f6c31f634e")
+
+
+def test_pinned_family_verify_rows(tmp_path):
+    cfg = write_config(tmp_path / "fam.cfg", """
+        [experiment]
+        kind = family-verify
+        trials = 2000
+        seed = 20250810
+        [family]
+        kind = AdversarialStage
+        stage = H
+        [params]
+        n_list = 16 64 256
+    """)
+    out_csv = tmp_path / "fam.csv"
+    assert main(["run", cfg, "--output", str(out_csv)]) == 0
+    rows = "".join(line for line in out_csv.read_text().splitlines(keepends=True)
+                   if not line.startswith("#"))
+    assert hashlib.sha256(rows.encode()).hexdigest() == FAMILY_VERIFY_2000_ROWS
 
 
 def _stage_checks(tmp_path, stage):

@@ -19,7 +19,9 @@ def build(sigmas):
 
 def bad_mass(tree, q):
     """T-mass of the rank-q bad intervals, as a Fraction."""
-    return F(mi._rank_mass(tree).get(q, 0), tree.profile.nums[-1])
+    P, tab = tree.profile.nums, tree.table
+    at = np.flatnonzero(tab.bad & (tab.rank == q))
+    return F(sum(P[tab.b[i]] - P[tab.a[i]] for i in at), P[-1])
 
 
 def spans(tree, **filters):

@@ -9,7 +9,7 @@ from kwalks import maximal_inequality as mi
 from kwalks import parallel, sign_families, streams, walks
 from kwalks.experiments import ExperimentConfig, run
 from kwalks.parallel import MomentJob, map_reduce_chunks, mc_moments
-from kwalks.rng import TRIAL_CHUNK, substream
+from kwalks.rng import TRIAL_CHUNK, chunk_layout, substream
 from kwalks.sign_families import FamilySpec, make_sampler, tile_rows
 from kwalks.walks import estimate_sup_moment
 
@@ -17,25 +17,28 @@ from kwalks.walks import estimate_sup_moment
 TWO_CHUNKS = 1500
 
 
-def _count_chunk(args, rng, count):
-    return (count, 1)
+def _ones(batch):
+    return np.ones(len(batch))
 
 
 def _unreachable(*args):
     raise AssertionError("a chunk ran despite a bad job in the batch")
 
 
-@pytest.mark.parametrize("trials", [0, -5])
-def test_map_reduce_rejects_nonpositive_trials(monkeypatch, trials):
-    monkeypatch.setattr(parallel, "_run_chunk", _unreachable)
-    with pytest.raises(ValueError, match="trials"):
-        map_reduce_chunks(_count_chunk, [(None, 10, 1, 1), (None, trials, 1, 1)])
-
-
 def test_map_reduce_sums_each_job_in_its_own_chunks():
-    jobs = [(None, TWO_CHUNKS, 1, 1), (None, 100, 2, 64), (None, 3000, 3, 4)]
-    assert map_reduce_chunks(_count_chunk, jobs) == [
-        (1500.0, 2.0), (100.0, 1.0), (3000.0, 3.0)]
+    spec = FamilySpec(kind="PolynomialKWise", n=16, k=4)
+    jobs = [MomentJob(_ones, (), spec, TWO_CHUNKS, 1),
+            MomentJob(_ones, (), spec.with_n(64), 100, 2),
+            MomentJob(walks.sup_moment_rows, (1,), spec, 3000, 3)]
+    sums = map_reduce_chunks(jobs)
+    assert sums[:2] == [(1500.0, 1500.0), (100.0, 100.0)]
+    # the third job's sums are its own chunks' sums, in chunk order
+    expected = [0.0, 0.0]
+    for c, count in chunk_layout(3000):
+        part = parallel._moment_chunk(jobs[2], substream(3, c), count)
+        expected = [e + v for e, v in zip(expected, part)]
+    assert sums[2] == tuple(expected)
+    assert map_reduce_chunks(jobs, workers=2) == sums
 
 
 def _good_job(spec):
@@ -60,9 +63,10 @@ def test_mc_moments_rejects_few_trials_in_any_job_before_any_chunk(
         monkeypatch, workers):
     monkeypatch.setattr(parallel, "_run_chunk", _unreachable)
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
-    few = MomentJob(walks.sup_moment_rows, (1,), spec, 99, 2)
-    with pytest.raises(ValueError, match="100 trials"):
-        mc_moments([_good_job(spec), few], workers=workers)
+    for trials in (99, 0, -5):
+        few = MomentJob(walks.sup_moment_rows, (1,), spec, trials, 2)
+        with pytest.raises(ValueError, match="100 trials"):
+            mc_moments([_good_job(spec), few], workers=workers)
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +224,7 @@ def _recording_stat(sizes):
 def test_moment_chunk_tiles_every_sampler(name):
     spec = SAMPLERS[name]
     sizes = []
-    parallel._moment_chunk((spec, _recording_stat(sizes), ()),
+    parallel._moment_chunk(MomentJob(_recording_stat(sizes), (), spec, 600, 1),
                            substream(1, 0), 600)
     step = tile_rows(spec.n)
     assert sizes == [step, step, 600 - 2 * step]
@@ -256,8 +260,8 @@ def test_chunk_totals_do_not_depend_on_the_tile_size(monkeypatch, name):
     totals = []
     for rows in (1, 7, count):
         monkeypatch.setattr(sign_families, "TILE_SIGNS", rows * spec.n)
-        totals.append(parallel._moment_chunk((spec, stat, stat_args),
-                                             substream(2, 0), count))
+        job = MomentJob(stat, stat_args, spec, count, 2)
+        totals.append(parallel._moment_chunk(job, substream(2, 0), count))
     assert totals[0] == totals[1] == totals[2]
 
 

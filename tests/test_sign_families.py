@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwalks import sign_families
+from kwalks.experiments import ExperimentConfig, run
 from kwalks.gf2 import all_polynomial_signs
 from kwalks.rng import substream
 from kwalks.sign_families import (H_BRANCHES, RAW_WORD_GENERATORS,
@@ -330,6 +331,16 @@ def test_h1_single_draw_shape():
     assert set(np.unique(draw)) <= {-1, 1}
 
 
+def sample_mean(sampler, trials, rng):
+    """The sample mean of h over the rows that empirical_moments draws from
+    the same stream: trials rows in batches of its batch size."""
+    total = np.zeros(sampler.n)
+    for done in range(0, trials, sign_families._BATCH):
+        total += sampler.sample_batch(
+            rng, min(sign_families._BATCH, trials - done)).sum(axis=0)
+    return total / trials
+
+
 def test_h1_empirical_mean_first_entry():
     # entry 1 sits in block 1 where the mean is 1/2
     rng = substream(9, 0)
@@ -360,10 +371,11 @@ def test_h2_empirical_moments_match_g_table():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H2")
     emp = empirical_moments(make_sampler(spec), 10 ** 6, rng)
     tol = 5.0 / 10 ** 3
-    assert max(abs(v) for v in emp.mean) <= tol
+    mean = sample_mean(make_sampler(spec), 10 ** 6, substream(11, 0))
+    assert max(abs(v) for v in mean) <= tol
     # cross-block entry (block 1, block 3) and a same-block pair
-    assert abs(emp.covariance[0][8] - float(params.g[0][2])) <= tol
-    assert abs(emp.covariance[0][1] - float(params.g[0][0])) <= tol
+    assert abs(emp[0][8] - float(params.g[0][2])) <= tol
+    assert abs(emp[0][1] - float(params.g[0][0])) <= tol
 
 
 def test_h3_pair_mode_sign_rule():
@@ -388,9 +400,9 @@ def test_h3_empirical_moments():
     emp = empirical_moments(make_sampler(spec), 10 ** 6, rng)
     tol = 5.0 / 10 ** 3
     same_block = float(params.c6) / 4
-    assert abs(emp.covariance[0][1] - same_block) <= tol
-    assert abs(emp.covariance[0][8]) <= tol        # different blocks
-    assert abs(emp.covariance[3][4]) <= tol        # adjacent, different blocks
+    assert abs(emp[0][1] - same_block) <= tol
+    assert abs(emp[0][8]) <= tol        # different blocks
+    assert abs(emp[3][4]) <= tol        # adjacent, different blocks
 
 
 def test_h_block_sums_vanish_on_subset_branch():
@@ -409,11 +421,12 @@ def test_h_empirical_moments_centered_uncorrelated():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
     emp = empirical_moments(make_sampler(spec), 10 ** 6, rng)
     tol = 5.0 / 10 ** 3
-    assert max(abs(v) for v in emp.mean) <= tol
-    worst = max(abs(emp.covariance[i][j])
+    mean = sample_mean(make_sampler(spec), 10 ** 6, substream(14, 0))
+    assert max(abs(v) for v in mean) <= tol
+    worst = max(abs(emp[i][j])
                 for i in range(16) for j in range(16) if i != j)
     assert worst <= tol
-    assert all(emp.covariance[i][i] == 1.0 for i in range(16))
+    assert all(emp[i][i] == 1.0 for i in range(16))
 
 
 # sha256 over sample_batch of every stage and of every branch sampler
@@ -812,9 +825,16 @@ def test_block_expansion_matches_coordinate_construction(stage):
     moments = exact_moments(spec)
     mean, covariance = coordinate_moments(spec)
     assert dense_moments(moments) == (mean, covariance)
-    floats = moments.second_moments_float()
-    assert floats.shape == (64, 64)
-    assert floats.tolist() == [[float(v) for v in row] for row in covariance]
+    # family-verify subtracts the block tables from its sample table in
+    # place; its deviation is the one against the coordinate table
+    config = ExperimentConfig(kind="family-verify", family={
+        "kind": "AdversarialStage", "stage": stage}, params={"n_list": "64"},
+        trials=3000, seed=5)
+    (deviation,) = [r[3] for r in run(config).rows
+                    if r[2] == "max_moment_deviation"]
+    sample = empirical_moments(make_sampler(spec), 3000, substream(5, 64))
+    dense = np.array([[float(v) for v in row] for row in covariance])
+    assert float(deviation) == float(np.abs(sample - dense).max())
 
 
 BLOCK_NS = [16, 64, 256, 1024, 4096, 16384]
@@ -906,7 +926,7 @@ def test_empirical_moments_refuse_large_n_before_drawing():
 def test_empirical_moments_single_trial_diagonal():
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
     emp = empirical_moments(make_sampler(spec), 1, substream(3, 3))
-    assert all(emp.covariance[i][i] == 1.0 for i in range(16))
+    assert all(emp[i][i] == 1.0 for i in range(16))
 
 
 # --------------------------------------------------------------------------
@@ -1065,11 +1085,12 @@ def test_h_branch_empirical_moments_match_oracle(branch):
     emp = empirical_moments(sampler, 10 ** 6, rng)
     oracle_mean, oracle_cov = branch_oracle(branch)
     tol = 5.0 / 10 ** 3
-    assert max(abs(e - float(o)) for e, o in zip(emp.mean, oracle_mean)) <= tol
-    worst = max(abs(emp.covariance[i][j] - float(oracle_cov[i][j]))
+    mean = sample_mean(sampler, 10 ** 6, substream(15, H_BRANCHES.index(branch)))
+    assert max(abs(e - float(o)) for e, o in zip(mean, oracle_mean)) <= tol
+    worst = max(abs(emp[i][j] - float(oracle_cov[i][j]))
                 for i in range(16) for j in range(16) if i != j)
     assert worst <= tol
-    assert all(emp.covariance[i][i] == 1.0 for i in range(16))
+    assert all(emp[i][i] == 1.0 for i in range(16))
 
 
 def test_make_sampler_rejects_bad_branch():
