@@ -26,7 +26,8 @@ from . import (__version__, dyadic_matrix, maximal_inequality as mi, parallel,
 from .rng import BIT_GENERATOR, TRIAL_CHUNK, mix64, substream
 from .sign_families import (ADVERSARIAL_STAGE, FULLY_INDEPENDENT,
                             POLYNOMIAL_KWISE, FamilySpec, MomentSummary,
-                            _numerators, adversarial_params, exact_moments,
+                            _numerators, adversarial_params,
+                            check_empirical_size, exact_moments,
                             g_table, h2_cross_term_ratio, make_sampler,
                             parse_number, tile_rows)
 
@@ -230,27 +231,23 @@ def _run_family_verify(config: ExperimentConfig) -> ResultTable:
         raise ValueError(f"family-verify checks {ADVERSARIAL_STAGE} families; "
                          f"got kind {spec0.kind}")
     specs = [spec0.with_n(n) for n in n_values]
-    samples = ([None] * len(specs) if config.trials == 0
-               else parallel.empirical_moments_batch(specs, config.trials,
-                                                     config.seed, config.workers))
-    for spec, sample in zip(specs, samples):
-        n, moments = spec.n, exact_moments(spec)
-        quantity, name, ok = _exact_stage_check(spec, moments)
+    for spec in specs if config.trials else ():
+        check_empirical_size(spec.n)        # before any exact table is built
+    moments = [exact_moments(spec) for spec in specs]
+    # each task returns its deviation, not its n x n sample table
+    worsts = ([None] * len(specs) if config.trials == 0
+              else parallel.max_moment_deviations(
+                  specs, [np.array(m.block_pair, dtype=np.float64) for m in moments],
+                  config.trials, config.seed, config.workers))
+    for spec, summary, worst in zip(specs, moments, worsts):
+        n = spec.n
+        quantity, name, ok = _exact_stage_check(spec, summary)
         table.add(n, spec.stage, quantity, ok, True, config.seed, config.trials)
         table.check(f"n={n} {name}", ok)
-        if sample is not None:
+        if worst is not None:
             # the largest of n^2 entry deviations grows like sqrt(2 ln n^2)
             # standard errors: keep n = 64's margin (factor exactly 1) above it
             tol = 5.0 / config.trials ** 0.5 * max(1.0, (np.log(n) / np.log(64)) ** 0.5)
-            # sample - E[h h^T] in place: 1 on the diagonal, block_pair[c1][c2]
-            # at view[c1, :, c2, :], since coordinate i lies in block i // root
-            root = moments.root
-            diagonal = sample.diagonal() - 1.0
-            view = sample.reshape(root, root, root, root)
-            view -= np.array([[float(v) for v in row]
-                              for row in moments.block_pair])[:, None, :, None]
-            np.fill_diagonal(sample, diagonal)
-            worst = float(np.abs(sample, out=sample).max())
             table.add(n, spec.stage, "max_moment_deviation", worst, tol,
                       config.seed, config.trials)
             table.check(f"n={n} empirical moments within {tol:.2g}", worst <= tol,

@@ -24,8 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .gf2 import unpack_signs
 from .parallel import ColumnMoments, MomentJob, mc_moments
-from .sign_families import FamilySpec
+from .sign_families import FamilySpec, tile_rows
 
 WINDOW_LO = Fraction(45, 100)
 WINDOW_HI = Fraction(55, 100)
@@ -406,14 +407,25 @@ def _hop_start(tab: NodeTable, S_red: np.ndarray, par: np.ndarray, end):
 # --------------------------------------------------------------------------
 # Monte Carlo tail study
 
-def tail_hit_rows(batch: np.ndarray, sigmas: tuple[float, ...],
+def tail_hit_rows(packed: np.ndarray, sigmas: tuple[float, ...],
                   lambdas: tuple[float, ...]) -> np.ndarray:
     """Row-wise indicators of sup_i |S_i| >= lambda, one column per lambda,
-    for the walk with steps sigma_i * x_i over a batch of sign rows x."""
-    walk = batch * np.asarray(sigmas, dtype=np.float64)
-    np.cumsum(walk, axis=1, out=walk)
-    sups = np.maximum(walk.max(axis=1), -walk.min(axis=1))
-    return sups[:, None] >= np.asarray(lambdas, dtype=np.float64)
+    for the walk with steps sigma_i * x_i over a batch of packed sign rows
+    x (gf2.pack_signs).  The rows are unpacked to +-1 and scaled
+    tile_rows(8 n) rows at a time, so the float64 walk is one tile of
+    TILE_SIGNS bytes; each row's values do not depend on the tiles."""
+    scales = np.asarray(sigmas, dtype=np.float64)
+    thresholds = np.asarray(lambdas, dtype=np.float64)
+    hits = np.empty((len(packed), len(thresholds)), dtype=bool)
+    step = tile_rows(8 * len(scales))
+    buffer = np.empty((min(step, len(packed)), len(scales)))
+    for lo in range(0, len(packed), step):
+        signs = unpack_signs(packed[lo:lo + step], len(scales))
+        walk = np.multiply(signs, scales, out=buffer[:len(signs)])
+        np.cumsum(walk, axis=1, out=walk)
+        sups = np.maximum(walk.max(axis=1), -walk.min(axis=1))
+        hits[lo:lo + step] = sups[:, None] >= thresholds
+    return hits
 
 
 def mc_tail(spec: FamilySpec, sigmas: Sequence[float], lambdas: Sequence[float],

@@ -22,7 +22,7 @@ import numpy.random  # noqa: F401
 
 from .rng import chunk_layout, substream
 from .sign_families import (FamilySpec, check_empirical_size, empirical_moments,
-                            make_sampler, tile_rows)
+                            make_sampler, max_moment_deviation, tile_rows)
 
 
 def _map_tasks(fn: Callable, tasks: list, costs: list, workers: int) -> list:
@@ -62,10 +62,10 @@ class MomentJob:
     over trials rows of make_sampler(spec), drawn from the chunk
     substreams of seed.
 
-    stat is a module-level function mapping a (count, n) batch of sign
-    rows to count values or a (count, columns) array; each row's values
-    must not depend on the other rows, since a chunk reaches stat in row
-    tiles.
+    stat is a module-level function mapping a (count, ceil(n/8)) batch of
+    packed sign rows (gf2.pack_signs) to count values or a (count,
+    columns) array; each row's values must not depend on the other rows,
+    since a chunk reaches stat in row tiles.
     """
 
     stat: Callable
@@ -79,18 +79,18 @@ def _moment_chunk(job: MomentJob, rng, count):
     """Column sums and sums of squares of job's stat over count rows of
     its sampler.
 
-    The rows are drawn in tiles of tile_rows(n), one sample_batch call
-    each, and stat runs per tile, so memory stays bounded as n grows.  The
-    per-row values are joined into one (count, columns) array, so the sums
-    are those of one tile of the same rows.
+    The rows are drawn packed in tiles of tile_rows(ceil(n/8)) rows, one
+    sample_packed call each, and stat runs per tile, so memory stays
+    bounded as n grows.  The per-row values are joined into one (count,
+    columns) array, so the sums are those of one tile of the same rows.
     """
     sampler = make_sampler(job.spec)
-    step = tile_rows(job.spec.n)
+    step = tile_rows(-(-job.spec.n // 8))
     values = []
     # a value or sum past float64 becomes inf, which mc_moments reports
     with np.errstate(over="ignore"):
         for lo in range(0, count, step):
-            batch = sampler.sample_batch(rng, min(step, count - lo))
+            batch = sampler.sample_packed(rng, min(step, count - lo))
             values.append(np.asarray(job.stat(batch, *job.stat_args),
                                      dtype=np.float64).reshape(len(batch), -1))
         # each column is summed as its own 1-d array, so a column's sums do
@@ -155,15 +155,18 @@ def mc_moments(jobs: Sequence[MomentJob], workers: int = 1) -> list[ColumnMoment
     return out
 
 
-def _empirical_task(task):
-    spec, trials, seed = task
-    return empirical_moments(make_sampler(spec), trials, substream(seed, spec.n))
+def _deviation_task(task):
+    spec, block_pair, trials, seed = task
+    sample = empirical_moments(make_sampler(spec), trials, substream(seed, spec.n))
+    return max_moment_deviation(sample, block_pair)
 
 
-def empirical_moments_batch(specs: Sequence[FamilySpec], trials: int, seed: int,
-                            workers: int = 1) -> list[np.ndarray]:
-    """empirical_moments of each spec's sampler over trials rows of its own
-    sequential stream substream(seed, spec.n), one pool task per spec.
+def max_moment_deviations(specs: Sequence[FamilySpec], block_pairs: Sequence,
+                          trials: int, seed: int, workers: int = 1) -> list[float]:
+    """max_moment_deviation of each spec's empirical_moments over trials
+    rows of its own sequential stream substream(seed, spec.n) against its
+    exact block table, one pool task per spec, so each n x n sample table
+    stays in the task that drew it.
 
     Every size is checked and every sampler built before any task runs.
     """
@@ -171,5 +174,5 @@ def empirical_moments_batch(specs: Sequence[FamilySpec], trials: int, seed: int,
         check_empirical_size(spec.n)
     for spec in specs:
         make_sampler(spec)
-    return _map_tasks(_empirical_task, [(spec, trials, seed) for spec in specs],
-                      [spec.n for spec in specs], workers)
+    tasks = [(spec, pair, trials, seed) for spec, pair in zip(specs, block_pairs)]
+    return _map_tasks(_deviation_task, tasks, [spec.n for spec in specs], workers)

@@ -48,7 +48,7 @@ from operator import sub
 
 import numpy as np
 
-from .gf2 import GF2Field, parity_tables, point_lsb_vectors, signs_from_tables
+from .gf2 import pack_signs, parity_tables, signs_from_tables, unpack_signs
 
 FULLY_INDEPENDENT = "FullyIndependent"
 POLYNOMIAL_KWISE = "PolynomialKWise"
@@ -63,9 +63,11 @@ EXACT_MOMENT_LIMIT = 4 ** 8
 EMPIRICAL_MOMENT_LIMIT = 4096
 
 _BATCH = 1 << 14
-# Signs per row tile.  Monte Carlo chunks and stream gathers handle their
-# rows in tiles of at most this many signs (one row if a row is longer), so
-# their temporaries stay bounded as n grows.
+# Bytes per row tile (one row if a row is longer), so temporaries stay
+# bounded as n grows.  Monte Carlo chunks draw packed rows, 8 signs to a
+# byte, in tiles of tile_rows(ceil(n/8)) rows; rows held one byte per sign
+# (a sampler's int8 draws, a stream's gathered steps) go in tiles of
+# tile_rows(n), and the tail study's float64 walk in tiles of tile_rows(8n).
 TILE_SIGNS = 1 << 18
 # Random values per generator call in _chunked_signs, sized to stay in cache.
 _DRAW_VALUES = 1 << 16
@@ -83,7 +85,7 @@ class ResourceLimitError(RuntimeError):
 
 
 def tile_rows(width: int) -> int:
-    """Rows of width entries per tile: TILE_SIGNS // width, at least 1."""
+    """Rows of width bytes per tile: TILE_SIGNS // width, at least 1."""
     return max(1, TILE_SIGNS // width)
 
 
@@ -374,9 +376,11 @@ class AdversarialSampler:
             getattr(self.params, table)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if size < 0:
-            raise ValueError("size must be nonnegative")
+        _check_size(size)
         return self._draw(self, rng, size)
+
+    def sample_packed(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return _packed_tiles(self, rng, size)
 
     def _batch_h1(self, rng, size, keep=None):
         """H1 rows: +1 where a word's top 53 bits are below h1_cut, that is
@@ -481,6 +485,25 @@ _KERNELS = {
 }
 
 
+def _check_size(size: int) -> None:
+    if size < 0:
+        raise ValueError("size must be nonnegative")
+
+
+def _packed_tiles(sampler, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size rows of sampler.sample_batch, packed by gf2.pack_signs, drawn in
+    tiles of tile_rows(n) rows.  A chunk's int8 draws have always come in
+    these tiles, and a packed tile of tile_rows(ceil(n/8)) rows is a whole
+    number of them for n a power of 4, so a stage that draws a vector per
+    batch draws the same rows as before."""
+    _check_size(size)
+    step = tile_rows(sampler.n)
+    out = np.empty((size, -(-sampler.n // 8)), dtype=np.uint8)
+    for lo in range(0, size, step):
+        out[lo:lo + step] = pack_signs(sampler.sample_batch(rng, min(step, size - lo)))
+    return out
+
+
 def _chunked_signs(size: int, n: int, draw, keep=None) -> np.ndarray:
     """Int8 rows, +1 where draw is true and -1 elsewhere.
 
@@ -557,19 +580,22 @@ def _rotate_blocks(rows: np.ndarray, shifts: np.ndarray, root: int) -> np.ndarra
 
 class KWiseSampler:
     """Exactly k-wise independent signs from random polynomials over
-    GF(2^64).  A batch draws its coefficients in one call."""
+    GF(2^64).  A batch draws its coefficients in one call, one row after
+    another, so its rows do not depend on how a draw is split into
+    batches; its rows are born packed."""
 
     def __init__(self, spec: FamilySpec):
         self.n = spec.n
         self.k = spec.k
-        self.tables = parity_tables(
-            point_lsb_vectors(GF2Field(64), self.n, self.k), 64)
+        self.tables = parity_tables(64, self.n, self.k)
+
+    def sample_packed(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        _check_size(size)
+        coeffs = rng.integers(0, 1 << 64, size=(size, self.k), dtype=np.uint64)
+        return signs_from_tables(self.tables, coeffs)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if size < 0:
-            raise ValueError("size must be nonnegative")
-        coeffs = rng.integers(0, 1 << 64, size=(size, self.k), dtype=np.uint64)
-        return signs_from_tables(self.tables, coeffs, self.n)
+        return unpack_signs(self.sample_packed(rng, size), self.n)
 
 
 class IndependentSampler:
@@ -579,9 +605,11 @@ class IndependentSampler:
         self.n = spec.n
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if size < 0:
-            raise ValueError("size must be nonnegative")
+        _check_size(size)
         return _uniform_signs(rng, size, self.n)
+
+    def sample_packed(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return _packed_tiles(self, rng, size)
 
 
 @lru_cache(maxsize=16)
@@ -740,3 +768,17 @@ def empirical_moments(sampler, trials: int, rng: np.random.Generator) -> np.ndar
             gram += tile.T @ tile
     gram /= trials
     return gram
+
+
+def max_moment_deviation(sample: np.ndarray, block_pair: np.ndarray) -> float:
+    """The largest |sample - E[h h^T]| entry of an n x n sample table from
+    empirical_moments, computed in place in sample, against a stage's exact
+    block table as float64 (MomentSummary.block_pair, root x root): E[h h^T]
+    is 1 on the diagonal and block_pair[c1, c2] at view[c1, :, c2, :],
+    since coordinate i lies in block i // root."""
+    root = len(block_pair)
+    diagonal = sample.diagonal() - 1.0
+    view = sample.reshape(root, root, root, root)
+    view -= block_pair[:, None, :, None]
+    np.fill_diagonal(sample, diagonal)
+    return float(np.abs(sample, out=sample).max())

@@ -25,7 +25,7 @@ import numpy as np
 from .gf2 import all_polynomial_signs, min_width
 from .parallel import MomentJob
 from .sign_families import FamilySpec, tile_rows
-from .walks import sup_abs_prefix_batch
+from .walks import sup_abs_prefix_packed
 
 # Exact k-th moment constants for +-1 valued steps.
 MOMENT_CONSTANTS = {2: 1, 4: 3}
@@ -309,22 +309,29 @@ def chain_dominance_floor(k: int, m: int) -> float:
     return head ** k
 
 
-def sup_inner_rows(stream: InsertionStream, rows: np.ndarray) -> np.ndarray:
-    """Row-wise sup over 1 <= t <= m of |<x, z^(t)>| for a (count, n) batch
-    of +-1 sign rows x, as float64.
+def sup_inner_rows(stream: InsertionStream, packed: np.ndarray) -> np.ndarray:
+    """Row-wise sup over 1 <= t <= m of |<x, z^(t)>| for a batch of packed
+    sign rows x, (count, ceil(n/8)) uint8 as gf2.pack_signs makes them, as
+    float64.
 
     <x, z^(t)> is the t-th prefix sum of the steps x_{p_1}, ..., x_{p_m}.
-    The steps are gathered tile_rows(m) rows at a time, so memory stays
-    bounded however long the stream, and reduced by the exact integer
-    kernel walks.sup_abs_prefix_batch; no (count, m + 1) float W is built.
-    It raises ValueError when a streamed column holds anything but +-1.
+    A tile of tile_rows(max(m, n)) rows at a time is unpacked to one byte
+    per sign, its streamed columns gathered and packed again, so memory
+    stays bounded however long the stream, and the steps are reduced by
+    the exact integer kernel walks.sup_abs_prefix_packed; no (count, m + 1)
+    float W is built.
     """
-    arr = stream._check_rows(rows)
-    out = np.empty(len(arr))
-    step = tile_rows(stream.m)
-    for lo in range(0, len(arr), step):
-        steps = np.take(arr[lo:lo + step], stream.items - 1, axis=1)
-        out[lo:lo + step] = sup_abs_prefix_batch(steps)
+    packed = np.asarray(packed)
+    if packed.ndim != 2 or packed.shape[1] != -(-stream.n // 8):
+        raise ValueError(f"expected shape (count, {-(-stream.n // 8)}) of packed rows")
+    out = np.empty(len(packed))
+    step = tile_rows(max(stream.m, stream.n))
+    for lo in range(0, len(packed), step):
+        bits = np.unpackbits(packed[lo:lo + step], axis=1, count=stream.n,
+                             bitorder="little")
+        steps = np.packbits(np.take(bits, stream.items - 1, axis=1), axis=1,
+                            bitorder="little")
+        out[lo:lo + step] = sup_abs_prefix_packed(steps, stream.m)
     return out
 
 
@@ -360,10 +367,10 @@ def mz_moment_check(v: Sequence[int], k: int) -> tuple[Fraction, Fraction]:
     return moment, bound
 
 
-def sup_inner_power_rows(batch: np.ndarray, stream: InsertionStream,
+def sup_inner_power_rows(packed: np.ndarray, stream: InsertionStream,
                          k: int) -> np.ndarray:
-    """Row-wise sup_t |<x, z^(t)>|^k for a (count, n) batch of sign rows x."""
-    return sup_inner_rows(stream, batch) ** k
+    """Row-wise sup_t |<x, z^(t)>|^k for a batch of packed sign rows x."""
+    return sup_inner_rows(stream, packed) ** k
 
 
 def sup_moment_job(stream: InsertionStream, spec: FamilySpec, k: int,

@@ -14,25 +14,29 @@ from typing import Sequence
 import numpy as np
 
 from .parallel import ColumnMoments, MomentJob, mc_moments
+from .gf2 import pack_signs
 from .rng import mix64
 from .sign_families import FamilySpec, _is_power_of_four
 
 
 @lru_cache(maxsize=1)
 def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per 16-step word (first step in the top bit, 1 for +1): its total
-    T, and its largest and smallest prefix sum minus T, as int8.
+    """Per packed 16-step word (step i in bit i, set for -1, as
+    gf2.pack_signs lays them out): its total T, and its largest and
+    smallest prefix sum minus T, as int8.
 
-    Composed from the same three values of each byte: a word is its high
-    byte's steps followed by its low byte's.
+    Composed from the same three values of each byte: a word is its low
+    byte's steps followed by its high byte's.
     """
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    sums = np.cumsum(2 * bits.astype(np.int8) - 1, axis=1, dtype=np.int8)
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                         bitorder="little")
+    sums = np.cumsum(1 - 2 * bits.astype(np.int8), axis=1, dtype=np.int8)
     tot, top, bottom = sums[:, -1], sums.max(axis=1), sums.min(axis=1)
-    hi_tot = tot[:, None]
-    total = (hi_tot + tot).ravel()
-    up = np.maximum(top[:, None], hi_tot + top).ravel() - total
-    down = np.minimum(bottom[:, None], hi_tot + bottom).ravel() - total
+    # axis 0 is the high byte, axis 1 the low byte, so u = hi << 8 | lo
+    low_tot = tot[None, :]
+    total = (low_tot + tot[:, None]).ravel()
+    up = np.maximum(top[None, :], low_tot + top[:, None]).ravel() - total
+    down = np.minimum(bottom[None, :], low_tot + bottom[:, None]).ravel() - total
     for table in (total, up, down):
         table.flags.writeable = False       # shared by every caller
     return total, up, down
@@ -49,51 +53,55 @@ def _all_signs(arr: np.ndarray) -> bool:
                 and np.count_nonzero(arr) == arr.size)
 
 
-def sup_abs_prefix_batch(batch: np.ndarray) -> np.ndarray:
-    """Row-wise largest |S_i| over 1 <= i <= n for a (rows, n) batch of
-    sign vectors; at least 1 for any sign row.  The result is int64.
+def sup_abs_prefix_packed(bits: np.ndarray, n: int) -> np.ndarray:
+    """Row-wise largest |S_i| over 1 <= i <= n for a batch of packed sign
+    rows, (rows, ceil(n/8)) uint8 as gf2.pack_signs makes them; at least 1
+    for n >= 1.  The result is int64.
 
-    Each row's steps are packed 16 to a word (np.packbits of x > 0, viewed
-    as big-endian uint16).  Three 65536-entry tables give each word's total
-    and its largest and smallest prefix sum relative to that total; the
-    cumulative word totals place every word, so adding them to the table
-    values gives each word's largest and smallest S_i exactly, and the
-    supremum is max(max S, -min S).  The last n % 16 steps take a plain
-    cumsum from the last word's end.  Every value held is some S_i, so
-    |value| <= n: the offsets are int16 below n = 2^15 and int32 from there.
-
-    Raises ValueError unless every entry is +1 or -1.
+    Each row is read as little-endian 16-step words.  Three 65536-entry
+    tables give each word's total and its largest and smallest prefix sum
+    relative to that total; the cumulative word totals place every word,
+    so adding them to the table values gives each word's largest and
+    smallest S_i exactly, and the supremum is max(max S, -min S).  The
+    last n % 16 steps take a plain cumsum from the last word's end.  Every
+    value held is some S_i, so |value| <= n: the offsets are int16 below
+    n = 2^15 and int32 from there.
     """
-    x = np.asarray(batch)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError("expected a (rows, n) batch with n >= 1")
-    if not _all_signs(x):
-        raise ValueError("sign rows must hold only +1 and -1")
-    rows, n = x.shape
-    whole = n - n % 16
-    up = x > 0
-    if whole == n:      # one flat pack, no per-row padding
-        packed = np.packbits(up.ravel())
-    else:
-        packed = np.packbits(up[:, :whole], axis=1)
-    words = packed.view(">u2").reshape(rows, whole // 16)
+    rows = len(bits)
+    whole = n // 16
+    words = np.ascontiguousarray(bits[:, :2 * whole]).view("<u2")
     total, top, bottom = _word_tables()
     ends = np.cumsum(np.take(total, words), axis=1,
                      dtype=np.int16 if n < 1 << 15 else np.int32)
     hi = (ends + np.take(top, words)).max(axis=1, initial=-n)
     lo = (ends + np.take(bottom, words)).min(axis=1, initial=n)
-    if whole < n:
-        tail = np.cumsum(np.where(up[:, whole:], 1, -1), axis=1)
+    if 16 * whole < n:
+        tail = np.unpackbits(bits[:, 2 * whole:], axis=1, count=n - 16 * whole,
+                             bitorder="little").view(np.int8)
+        tail = np.cumsum(1 - 2 * tail, axis=1, dtype=ends.dtype)
         if whole:
             tail += ends[:, -1:]
         hi = np.maximum(hi, tail.max(axis=1))
         lo = np.minimum(lo, tail.min(axis=1))
-    return np.maximum(hi, -lo).astype(np.int64)
+    return np.maximum(hi, -lo).astype(np.int64).reshape(rows)
 
 
-def sup_moment_rows(batch: np.ndarray, moment_order: int) -> np.ndarray:
-    """Row-wise (sup_t |S_t|)^moment_order, as float64."""
-    return sup_abs_prefix_batch(batch).astype(np.float64) ** moment_order
+def sup_abs_prefix_batch(batch: np.ndarray) -> np.ndarray:
+    """sup_abs_prefix_packed of a (rows, n) batch of sign vectors, n >= 1,
+    packed by gf2.pack_signs.  Raises ValueError unless every entry is +1
+    or -1."""
+    x = np.asarray(batch)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("expected a (rows, n) batch with n >= 1")
+    if not _all_signs(x):
+        raise ValueError("sign rows must hold only +1 and -1")
+    return sup_abs_prefix_packed(pack_signs(x), x.shape[1])
+
+
+def sup_moment_rows(packed: np.ndarray, n: int, moment_order: int) -> np.ndarray:
+    """Row-wise (sup_t |S_t|)^moment_order of packed sign rows over n
+    points, as float64."""
+    return sup_abs_prefix_packed(packed, n).astype(np.float64) ** moment_order
 
 
 def sup_moment_job(spec: FamilySpec, moment_order: int, trials: int,
@@ -101,7 +109,7 @@ def sup_moment_job(spec: FamilySpec, moment_order: int, trials: int,
     """The mc_moments job behind estimate_sup_moment and scaling_table."""
     if moment_order < 1:
         raise ValueError("moment order must be positive")
-    return MomentJob(sup_moment_rows, (moment_order,), spec, trials, seed)
+    return MomentJob(sup_moment_rows, (spec.n, moment_order), spec, trials, seed)
 
 
 def estimate_sup_moment(spec: FamilySpec, moment_order: int, trials: int,

@@ -918,6 +918,27 @@ def test_pinned_maximal_mc_rows(tmp_path):
     assert hashlib.sha256(rows.encode()).hexdigest() == MAXIMAL_MC_2048_ROWS
 
 
+# sha256 of the data rows (header included) that the 4-wise configs write
+# at these trial counts, recorded with int8 rows from the sampler to the
+# supremum; packed rows must leave every byte as it was
+KWISE_CONFIG_ROWS = {
+    ("walk_scaling_4wise.cfg", "2000"):
+        "05b055bbb9287caa20bfdefb9856dcd2181403f32e72ee507439b47bcc138c1a",
+    ("stream_track_4wise.cfg", "300"):
+        "bd3ea1e6b8c5a8980a530be06a0a484533f7d47c8c44e4cef869a45a7f74ae4c",
+}
+
+
+@pytest.mark.parametrize("name,trials", KWISE_CONFIG_ROWS)
+def test_pinned_kwise_config_rows(tmp_path, name, trials):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / name
+    out_csv = tmp_path / "rows.csv"
+    main(["run", str(cfg), "--trials", trials, "--output", str(out_csv)])
+    rows = "".join(line for line in out_csv.read_text().splitlines(keepends=True)
+                   if not line.startswith("#"))
+    assert hashlib.sha256(rows.encode()).hexdigest() == KWISE_CONFIG_ROWS[name, trials]
+
+
 def test_dump_matrix(tmp_path, capsys):
     assert main(["dump-matrix", "--n", "8"]) == 0
     rows = [line.split(",") for line in

@@ -269,8 +269,16 @@ def test_bench_exact_writes_its_file(tmp_path):
     assert list(result["kernels"]) == [
         "exact_moments_H_n16", "exact_moments_H_n64", "h2_check_n64",
         "from_sigmas_n64", "build_tree_n64", "check_invariants_n64",
-        "prefix_minima_n1024", "chain_forms_identity_m4096"]
-    assert list(result["cold"]) == ["prefix_minima_n1024"]
+        "prefix_minima_n1024", "chain_forms_identity_m4096",
+        "kwise_signs_n1024", "sup_packed_n1024",
+        "kwise_signs_n4096", "sup_packed_n4096"]
+    assert list(result["cold"]) == ["prefix_minima_n1024", "kwise_sampler_n16384"]
+    # one packed tile of TILE_SIGNS bytes: 2^21 signs
+    for n in (1024, 4096):
+        for kernel in ("kwise_signs", "sup_packed"):
+            stats = result["kernels"][f"{kernel}_n{n}"]
+            assert stats["signs"] == 1 << 21
+            assert stats["ns_per_sign"] == stats["median_s"] / stats["signs"] * 1e9
     for stats in [*result["kernels"].values(), *result["cold"].values()]:
         assert stats["repeats"] == 3
         assert 0 <= stats["q1_s"] <= stats["median_s"] <= stats["q3_s"]

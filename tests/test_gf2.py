@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kwalks.gf2 import (GF2Field, all_polynomial_signs, min_width,
-                        parity_tables, point_lsb_vectors, signs_from_tables)
+from kwalks.gf2 import (GF2Field, all_polynomial_signs, min_width, pack_signs,
+                        parity_tables, point_lsb_vectors, signs_from_tables,
+                        unpack_signs)
 
 
 def scalar_point_lsb_vectors(field, n, k):
@@ -76,10 +77,10 @@ def test_point_lsb_vectors_rejects_small_field():
 def test_signs_from_tables_matches_direct_evaluation():
     field = GF2Field(4)
     n, k = 16, 4
-    tables = parity_tables(point_lsb_vectors(field, n, k), field.width)
+    tables = parity_tables(field.width, n, k)
     rng = np.random.default_rng(3)
     coeffs = rng.integers(0, 16, size=(50, k)).astype(np.uint64)
-    fast = signs_from_tables(tables, coeffs, n)
+    fast = unpack_signs(signs_from_tables(tables, coeffs), n)
     for row, cs in enumerate(coeffs):
         for i in range(n):
             val = 0
@@ -106,13 +107,16 @@ def horner_signs(field, n, k):
 
 def test_signs_from_tables_every_polynomial_over_gf16():
     n, k = 16, 4
-    tables = parity_tables(point_lsb_vectors(GF2Field(4), n, k), 4)
+    tables = parity_tables(4, n, k)
     idx = np.arange(16 ** k, dtype=np.uint64)
     coeffs = np.stack([(idx >> np.uint64(4 * j)) & np.uint64(15)
                        for j in range(k)], axis=1)
-    signs = signs_from_tables(tables, coeffs, n)
+    packed = signs_from_tables(tables, coeffs)
+    assert packed.dtype == np.uint8 and packed.shape == (16 ** k, 2)
+    signs = unpack_signs(packed, n)
     assert signs.dtype == np.int8
     assert (signs == horner_signs(GF2Field(4), n, k)).all()
+    assert (pack_signs(signs) == packed).all()
 
 
 @pytest.mark.parametrize("width,n,k", [(2, 4, 2), (4, 16, 4), (4, 16, 2),
@@ -135,17 +139,22 @@ def test_signs_from_tables_wide_field_matches_parities(n):
     field = GF2Field(64)
     k = 3
     vectors = point_lsb_vectors(field, n, k)
-    tables = parity_tables(vectors, 64)
-    # k = 3: powers 1 and 2 are linear, so no nibble tables
-    assert tables.walsh.shape == (2, 8, 256)
+    tables = parity_tables(64, n, k)
+    # k = 3: powers 1 and 2 are quadratic forms (linear ones), so no nibble
+    # tables; below n = 2^9 a row's form fits one word
+    assert tables.forms.shape == (2, 8, 256, 1)
     assert tables.nibbles.shape == (0, 16, 16, -(-n // 64))
     assert tables.nibbles.dtype == np.uint64
     rng = np.random.default_rng(4)
     coeffs = rng.integers(0, 1 << 64, size=(40, k), dtype=np.uint64)
     par = np.bitwise_count(coeffs[:, None, :] & vectors[None, :, :])
     expected = 1 - 2 * (par.sum(axis=2) & 1).astype(np.int8)
-    assert (signs_from_tables(tables, coeffs, n) == expected).all()
-    assert signs_from_tables(tables, coeffs[:0], n).shape == (0, n)
+    packed = signs_from_tables(tables, coeffs)
+    assert packed.shape == (40, -(-n // 8)) and packed.flags.c_contiguous
+    assert (unpack_signs(packed, n) == expected).all()
+    # the bits past n are 0, as np.packbits leaves them
+    assert (packed == pack_signs(expected)).all()
+    assert signs_from_tables(tables, coeffs[:0]).shape == (0, -(-n // 8))
 
 
 def oracle_points(n):
@@ -174,28 +183,65 @@ def horner_lsb_signs(field, coeffs, points):
     return out
 
 
-# k = 2, 3: every power is linear; k = 4, 5: power 3 has nibble tables;
-# k = 6, 8: powers 3, 5 (and 6, 7) do.  n = 17 and 1000 are not powers of
-# two, and 1000 ends in a partial word.
+def oracle_coeffs(field, k, seed):
+    """Three seeded coefficient rows, then one row per power with only that
+    coefficient nonzero, all ones."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, field.order, size=(3, k), dtype=np.uint64)
+    single = np.zeros((k, k), dtype=np.uint64)
+    single[np.arange(k), np.arange(k)] = np.uint64(field.mask)
+    return np.concatenate([coeffs, single])
+
+
+# k = 2, 3: every power is linear; k = 4..6: powers 3, 5 and 6 are
+# quadratic forms; k = 8: power 7 has nibble tables.  n = 17 and 1000 are
+# not powers of two, and 1000 ends in a partial word.
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8])
 @pytest.mark.parametrize("width,n", [(8, 2), (8, 16), (8, 17), (8, 256),
                                      (64, 2), (64, 16), (64, 17), (64, 1000),
                                      (64, 4096)])
 def test_walsh_split_matches_horner_oracle(width, n, k):
     field = GF2Field(width)
-    tables = parity_tables(point_lsb_vectors(field, n, k), width)
-    rng = np.random.default_rng(1000 * n + k)
-    coeffs = rng.integers(0, field.order, size=(3, k), dtype=np.uint64)
-    # rows with one nonzero coefficient, the top one all ones
-    single = np.zeros((k, k), dtype=np.uint64)
-    single[np.arange(k), np.arange(k)] = np.uint64(field.mask)
-    coeffs = np.concatenate([coeffs, single])
-    signs = signs_from_tables(tables, coeffs, n)
-    assert signs.dtype == np.int8 and signs.shape == (len(coeffs), n)
+    tables = parity_tables(width, n, k)
+    coeffs = oracle_coeffs(field, k, 1000 * n + k)
+    signs = unpack_signs(signs_from_tables(tables, coeffs), n)
+    assert signs.shape == (len(coeffs), n)
     points = oracle_points(n)
     assert (signs[:, points] == horner_lsb_signs(field, coeffs, points)).all()
-    empty = signs_from_tables(tables, coeffs[:0], n)
-    assert empty.dtype == np.int8 and empty.shape == (0, n)
+    empty = signs_from_tables(tables, coeffs[:0])
+    assert empty.dtype == np.uint8 and empty.shape == (0, -(-n // 8))
+
+
+def horner_lsb_bits(field, coeffs, n):
+    """Low bit of sum_j c_j x^j at every point x < n, one row per
+    coefficient row, by Horner's rule with the field product done as
+    shift-and-XOR over the bits of x, on whole arrays."""
+    x = np.arange(n, dtype=np.uint64)
+    low_poly = np.uint64(field.poly & field.mask)
+    val = np.zeros((len(coeffs), n), dtype=np.uint64)
+    for j in reversed(range(coeffs.shape[1])):
+        a, prod = val, np.zeros_like(val)
+        for bit in range(max(1, (n - 1).bit_length())):
+            prod ^= a * ((x >> np.uint64(bit)) & np.uint64(1))
+            top = a >> np.uint64(field.width - 1)
+            a = ((a << np.uint64(1)) & np.uint64(field.mask)) ^ top * low_poly
+        val = prod ^ coeffs[:, j, None]
+    return (val & np.uint64(1)).astype(np.uint8)
+
+
+# k = 1 is a constant; k = 2..7 are quadratic forms of the point's bits,
+# k = 8 adds the nibble tables of power 7.  Every point is checked.
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("width,n", [
+    (w, n) for w in (4, 8, 16, 64)
+    for n in (1, 2, 5, 16, 100, 1024, 4096, 16384) if n <= 1 << w])
+def test_quadratic_forms_match_horner_oracle(width, n, k):
+    field = GF2Field(width)
+    coeffs = oracle_coeffs(field, k, 7 * n + k)
+    packed = signs_from_tables(parity_tables(width, n, k), coeffs)
+    assert packed.shape == (len(coeffs), -(-n // 8))
+    assert (packed == np.packbits(horner_lsb_bits(field, coeffs, n), axis=1,
+                                  bitorder="little")).all()
 
 
 def test_all_polynomial_signs_shape_and_balance():

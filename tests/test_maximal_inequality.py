@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwalks import maximal_inequality as mi
+from kwalks.gf2 import pack_signs
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, make_sampler
 
@@ -508,6 +509,6 @@ def test_tail_hit_rows_match_float_copy_formula():
         # thresholds on the old suprema themselves test every boundary
         lambdas = tuple(float(s) for s in sups[:16]) + (0.0, 1.0, 1e9)
         _, old = float_copy_tail_hits(batch, sigmas, lambdas)
-        hits = mi.tail_hit_rows(batch, sigmas, lambdas)
+        hits = mi.tail_hit_rows(pack_signs(batch), sigmas, lambdas)
         assert hits.shape == old.shape == (len(batch), len(lambdas))
         assert (hits == old).all()

@@ -8,6 +8,7 @@ import pytest
 from kwalks import maximal_inequality as mi
 from kwalks import parallel, sign_families, streams, walks
 from kwalks.experiments import ExperimentConfig, run
+from kwalks.gf2 import pack_signs
 from kwalks.parallel import MomentJob, map_reduce_chunks, mc_moments
 from kwalks.rng import TRIAL_CHUNK, chunk_layout, substream
 from kwalks.sign_families import FamilySpec, make_sampler, tile_rows
@@ -29,7 +30,7 @@ def test_map_reduce_sums_each_job_in_its_own_chunks():
     spec = FamilySpec(kind="PolynomialKWise", n=16, k=4)
     jobs = [MomentJob(_ones, (), spec, TWO_CHUNKS, 1),
             MomentJob(_ones, (), spec.with_n(64), 100, 2),
-            MomentJob(walks.sup_moment_rows, (1,), spec, 3000, 3)]
+            MomentJob(walks.sup_moment_rows, (16, 1), spec, 3000, 3)]
     sums = map_reduce_chunks(jobs)
     assert sums[:2] == [(1500.0, 1500.0), (100.0, 100.0)]
     # the third job's sums are its own chunks' sums, in chunk order
@@ -42,7 +43,7 @@ def test_map_reduce_sums_each_job_in_its_own_chunks():
 
 
 def _good_job(spec):
-    return MomentJob(walks.sup_moment_rows, (1,), spec, TWO_CHUNKS, 1)
+    return MomentJob(walks.sup_moment_rows, (spec.n, 1), spec, TWO_CHUNKS, 1)
 
 
 @pytest.mark.parametrize("stage,branch", [("H", "H2"), ("H3", "drift")])
@@ -64,7 +65,7 @@ def test_mc_moments_rejects_few_trials_in_any_job_before_any_chunk(
     monkeypatch.setattr(parallel, "_run_chunk", _unreachable)
     spec = FamilySpec(kind="AdversarialStage", n=16, stage="H")
     for trials in (99, 0, -5):
-        few = MomentJob(walks.sup_moment_rows, (1,), spec, trials, 2)
+        few = MomentJob(walks.sup_moment_rows, (spec.n, 1), spec, trials, 2)
         with pytest.raises(ValueError, match="100 trials"):
             mc_moments([_good_job(spec), few], workers=workers)
 
@@ -106,7 +107,8 @@ def test_pool_is_capped_at_the_task_count(pool_sizes):
     serial = estimate_sup_moment(spec, 1, TWO_CHUNKS, seed=4)
     assert estimate_sup_moment(spec, 1, TWO_CHUNKS, seed=4, workers=64) == serial
     specs = [spec, spec.with_n(64)]
-    parallel.empirical_moments_batch(specs, 200, seed=4, workers=64)
+    parallel.max_moment_deviations(specs, [np.zeros((4, 4)), np.zeros((8, 8))],
+                                   200, seed=4, workers=64)
     assert pool_sizes == [2, 2]
 
 
@@ -211,6 +213,11 @@ def test_row_order_samplers_draw_the_same_rows_in_tiles(name, rows):
     tiles = [sampler.sample_batch(rng, min(rows, count - lo))
              for lo in range(0, count, rows)]
     assert np.concatenate(tiles).tobytes() == whole.tobytes()
+    # packed tiles of any size hold the same rows, packed
+    rng = substream(5, 0)
+    packed = [sampler.sample_packed(rng, min(rows, count - lo))
+              for lo in range(0, count, rows)]
+    assert np.concatenate(packed).tobytes() == pack_signs(whole).tobytes()
 
 
 def _recording_stat(sizes):
@@ -221,13 +228,24 @@ def _recording_stat(sizes):
 
 
 @pytest.mark.parametrize("name", SAMPLERS)
-def test_moment_chunk_tiles_every_sampler(name):
+def test_moment_chunk_tiles_every_sampler(name, monkeypatch):
+    # a chunk's packed tiles hold TILE_SIGNS bytes; a sampler whose rows
+    # are int8 draws each in sample_batch calls of TILE_SIGNS signs
     spec = SAMPLERS[name]
-    sizes = []
-    parallel._moment_chunk(MomentJob(_recording_stat(sizes), (), spec, 600, 1),
-                           substream(1, 0), 600)
-    step = tile_rows(spec.n)
-    assert sizes == [step, step, 600 - 2 * step]
+    step = tile_rows(spec.n // 8)
+    count = 2 * step + 88
+    sizes, draws = [], []
+    sampler = make_sampler(spec)
+    if not isinstance(sampler, sign_families.KWiseSampler):
+        real = type(sampler).sample_batch
+        monkeypatch.setattr(type(sampler), "sample_batch", lambda self, rng, size:
+                            draws.append(size) or real(self, rng, size))
+    parallel._moment_chunk(MomentJob(_recording_stat(sizes), (), spec, count, 1),
+                           substream(1, 0), count)
+    assert sizes == [step, step, 88]
+    if draws:
+        small = tile_rows(spec.n)
+        assert step == 8 * small and draws == [small] * 16 + [88]
 
 
 @pytest.mark.parametrize("name", ["H2", "H3", "H", "drift", "pairs"])
@@ -245,7 +263,7 @@ def test_per_batch_samplers_draw_the_same_law_in_tiles(monkeypatch, name):
 
 STREAM = streams.uniform_stream(256, n=64, seed=1)
 STATISTICS = {
-    "sup_moment_rows": (walks.sup_moment_rows, (2,)),
+    "sup_moment_rows": (walks.sup_moment_rows, (64, 2)),
     "sup_inner_power_rows": (streams.sup_inner_power_rows, (STREAM, 4)),
     "tail_hit_rows": (mi.tail_hit_rows, (tuple(np.linspace(0.1, 2.0, 64)),
                                          (4.0, 8.0, 12.0))),
@@ -259,7 +277,7 @@ def test_chunk_totals_do_not_depend_on_the_tile_size(monkeypatch, name):
     count = 300
     totals = []
     for rows in (1, 7, count):
-        monkeypatch.setattr(sign_families, "TILE_SIGNS", rows * spec.n)
+        monkeypatch.setattr(sign_families, "TILE_SIGNS", rows * spec.n // 8)
         job = MomentJob(stat, stat_args, spec, count, 2)
         totals.append(parallel._moment_chunk(job, substream(2, 0), count))
     assert totals[0] == totals[1] == totals[2]

@@ -719,10 +719,11 @@ def test_kwise_rejects_bad_orders():
     assert make_sampler(kwise(4, 4)).sample_batch(substream(20, 0), 3).shape == (3, 4)
 
 
-@pytest.mark.parametrize("k,tables", [(2, 0), (3, 0), (4, 16)])
+@pytest.mark.parametrize("k,tables", [(2, 0), (3, 0), (4, 0), (8, 16)])
 def test_kwise_nibble_tables_only_for_nonlinear_powers(k, tables):
-    # powers 1 and 2 go through the Walsh part; at width 64 each other
-    # power has 16 nibble tables, and below k = 4 there is none
+    # powers with at most two set bits are quadratic forms of the point's
+    # bits; at width 64 each other power (7 at k = 8) has 16 nibble tables,
+    # and below k = 8 there is none
     nibbles = make_sampler(kwise(64, k)).tables.nibbles
     assert nibbles.shape[0] * nibbles.shape[1] == tables
 

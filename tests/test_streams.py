@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwalks import streams
+from kwalks.gf2 import pack_signs
 from kwalks.parallel import mc_moments
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, make_sampler
@@ -103,9 +104,11 @@ def test_prefix_inner_matches_brute_force():
         z[p - 1] += 1
         for x, wx in zip(rows, w):
             assert wx[t] == pytest.approx(float(z @ x), rel=1e-12, abs=1e-12)
-    # the supremum takes sign rows only
+    # the supremum takes packed rows of n signs only
     with pytest.raises(ValueError):
         streams.sup_inner_rows(stream, rows)
+    with pytest.raises(ValueError):
+        streams.sup_inner_rows(stream, pack_signs(rows[:, :24]))
     with pytest.raises(ValueError):
         stream.prefix_inner_rows(rows[:, :31])
     with pytest.raises(ValueError):
@@ -116,10 +119,11 @@ def test_sup_inner_special_cases():
     ident = streams.identity_stream(64)
     rng = substream(71, 0)
     signs = (rng.integers(0, 2, size=(8, 64)) * 2 - 1).astype(np.int64)
-    assert (streams.sup_inner_rows(ident, signs)
+    assert (streams.sup_inner_rows(ident, pack_signs(signs))
             == sup_abs_prefix_batch(signs)).all()
     single = streams.single_item_stream(16)
-    assert streams.sup_inner_rows(single, [[1.0], [-1.0]]).tolist() == [16.0, 16.0]
+    assert streams.sup_inner_rows(single, pack_signs([[1.0], [-1.0]])).tolist() \
+        == [16.0, 16.0]
 
 
 def float_first_prefix_inner(stream, rows):
@@ -131,9 +135,9 @@ def float_first_prefix_inner(stream, rows):
 @pytest.mark.parametrize("name", ["identity", "uniform", "two-phase",
                                   "single-item", "dyadic-bursts"])
 def test_stream_reduction_matches_float_copy_formula(name):
-    # W is the float formula's bytes for any rows; the supremum of sign rows
-    # (packed-word kernel) is the float formula's bytes and, as net-audit
-    # reads it, W's; Gaussian rows or a 0 in a streamed column raise
+    # W is the float formula's bytes for any rows; the supremum of packed
+    # sign rows (packed-word kernel) is the float formula's bytes and, as
+    # net-audit reads it, W's
     rng = substream(72, 0)
     for m in (64, 256, 1024, 4096):
         stream = streams.STREAM_GENERATORS[name](m)
@@ -155,14 +159,11 @@ def test_stream_reduction_matches_float_copy_formula(name):
             assert w.dtype == np.float64
             assert w[:, 1:].tobytes() == old.tobytes() and (w[:, 0] == 0).all()
         for batch in sign_batches:
-            sups = streams.sup_inner_rows(stream, batch)
+            sups = streams.sup_inner_rows(stream, pack_signs(batch))
             old = float_first_prefix_inner(stream, batch)
             assert sups.tobytes() == np.abs(old).max(axis=1).tobytes()
             w = stream.prefix_inner_rows(batch)
             assert sups.tobytes() == np.abs(w[:, 1:]).max(axis=1).tobytes()
-        for batch in other_batches:
-            with pytest.raises(ValueError):
-                streams.sup_inner_rows(stream, batch)
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def test_single_item_dominance_exact():
     stream = streams.single_item_stream(16)
     nets = streams.build_nets(stream)
     rows = np.array([[1.0], [-1.0]])
-    sups = streams.sup_inner_rows(stream, rows)
+    sups = streams.sup_inner_rows(stream, pack_signs(rows))
     assert sups.tolist() == [16.0, 16.0]
     _, forms = streams.chain_forms(nets, stream.prefix_inner_rows(rows), 4)
     assert (forms >= streams.chain_dominance_floor(4, 16) * sups ** 4).all()

@@ -13,7 +13,7 @@ from kwalks.parallel import mc_moments
 from kwalks.rng import substream
 from kwalks.sign_families import FamilySpec, adversarial_params, make_sampler
 from kwalks.walks import (estimate_sup_moment, fit_log_growth, scaling_table,
-                          sup_abs_prefix_batch)
+                          sup_abs_prefix_batch, sup_abs_prefix_packed)
 
 sign_vectors = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200)
 
@@ -90,6 +90,25 @@ def test_packed_kernel_rejects_non_sign_entries(bad):
             sup_abs_prefix_batch(batch)
     with pytest.raises(ValueError):
         sup_abs_prefix_batch([[1.0, 0.5, -1.0]])
+
+
+def test_packed_supremum_matches_cumsum():
+    # random rows, all +1 and all -1, at every n % 16 with zero to two
+    # whole words, and past 2^15, where the offsets widen to int32
+    rng = substream(91, 0)
+    for n in [*range(1, 40), 100, 4096, (1 << 15) + 3]:
+        signs = np.concatenate([
+            (rng.integers(0, 2, size=(20, n)) * 2 - 1).astype(np.int8),
+            np.ones((1, n), dtype=np.int8), -np.ones((1, n), dtype=np.int8)])
+        packed = np.packbits(signs < 0, axis=1, bitorder="little")
+        want = np.abs(np.cumsum(signs, axis=1, dtype=np.int64)).max(axis=1)
+        got = sup_abs_prefix_packed(packed, n)
+        assert got.dtype == np.int64 and (got == want).all()
+        # bits past n are never read
+        if n % 8:
+            packed[:, -1] |= np.uint8(0xFF << n % 8 & 0xFF)
+            assert (sup_abs_prefix_packed(packed, n) == want).all()
+    assert sup_abs_prefix_packed(np.zeros((0, 3), dtype=np.uint8), 20).shape == (0,)
 
 
 def test_estimate_requires_trials():
